@@ -29,7 +29,6 @@ from .inequalities import (
     defect_coefficient,
 )
 from .curvature import (
-    SymBilinear,
     AlgCurvTensor,
     kulkarni_nomizu,
     tensor_norm_sq,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 
 from .defaults import ARTIFACT, TOLERANCES, VERSION
@@ -41,16 +41,6 @@ def _grid(text: str) -> list[int]:
     return [int(part) for part in text.lower().split("x") if part]
 
 
-def _default_threads() -> int:
-    env = os.environ.get("RIGIDITY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -72,7 +62,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lambda-count", type=int, default=100,
                           help="shift values per matrix in the lambda scan")
     p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker threads (default: RIGIDITY_THREADS or machine parallelism)")
+                          help="accepted for compatibility and ignored; campaigns run on one thread")
     p_verify.add_argument("--out", required=True, help="report JSON path")
 
     p_catalog = sub.add_parser("catalog", help="construct a sampled hypersurface")
@@ -115,10 +105,8 @@ def cmd_verify(args) -> int:
     if args.lambda_count < 1:
         print("lambda-count must be >= 1", file=sys.stderr)
         return 2
-    threads = args.threads if args.threads is not None else _default_threads()
     report = run_verification_campaign(args.n, args.samples, args.seed,
-                                       lambda_count=args.lambda_count,
-                                       threads=max(1, threads))
+                                       lambda_count=args.lambda_count)
     _write_json(args.out, report)
     families = report["checks"]
     passed = sum(1 for stats in families.values() if stats["pass"])
@@ -213,7 +201,9 @@ def cmd_analyze(args) -> int:
     print(f"analyze: {field.spec.kind} n={field.spec.n} classification={report.classification} "
           f"E_rot={report.e_rot:.6e} E_rot_conf={report.e_rot_conf:.6e}")
     if args.assert_zero is not None:
-        if abs(report.e_rot_conf) > args.assert_zero * report.quadrature_scale_conf:
+        # fails closed: a NaN or infinite energy never passes
+        bound = args.assert_zero * report.quadrature_scale_conf
+        if not (math.isfinite(report.e_rot_conf) and abs(report.e_rot_conf) <= bound):
             print(f"analyze: E_rot_conf {report.e_rot_conf:.3e} exceeds "
                   f"{args.assert_zero:g} x scale {report.quadrature_scale_conf:.3e}",
                   file=sys.stderr)

@@ -11,17 +11,14 @@ inner-product identities below hold (validated by the n = 4 worked value
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import tolerance
-from .errors import BadDimension, DimensionMismatch, InvariantViolation, NotTraceFree
-from .spectral import SymMatrix, norms
+from .errors import BadDimension, DimensionMismatch, InvariantViolation
+from .spectral import SymMatrix, _require_trace_free, norms
 
 __all__ = [
-    "SymBilinear",
     "AlgCurvTensor",
     "kulkarni_nomizu",
     "tensor_norm_sq",
@@ -33,26 +30,6 @@ __all__ = [
     "weyl_norm_closed_form",
     "kn_identity_suite",
 ]
-
-
-@dataclass(frozen=True)
-class SymBilinear:
-    """Symmetric bilinear form expressed in an orthonormal frame."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvariantViolation(f"expected a square array, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise InvariantViolation("bilinear form entries are not exactly symmetric")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -74,7 +51,7 @@ class AlgCurvTensor:
 
 
 def _form_entries(x) -> np.ndarray:
-    if isinstance(x, (SymBilinear, SymMatrix)):
+    if isinstance(x, SymMatrix):
         return x.entries
     return np.asarray(x, dtype=float)
 
@@ -121,13 +98,7 @@ def curvature_symmetry_residuals(t: AlgCurvTensor) -> dict[str, float]:
     }
 
 
-def _require_trace_free_matrix(a: SymMatrix, a2: float, trace_tol: float | None) -> None:
-    tol = tolerance("trace_free_tol", trace_tol)
-    if abs(a.trace()) > tol * a.n * math.sqrt(max(a2, 0.0)):
-        raise NotTraceFree(f"trace {a.trace():.3e} too large for a trace-free operator")
-
-
-def fialkow_tensor(a: SymMatrix, trace_tol: float | None = None) -> tuple[SymBilinear, float]:
+def fialkow_tensor(a: SymMatrix, trace_tol: float | None = None) -> tuple[SymMatrix, float]:
     """Fialkow tensor F = (A^2 - G I) / (n - 2) with trace G = |A|^2 / (2(n-1)).
 
     The defining trace identity tr F = G is checked on every call.
@@ -136,11 +107,11 @@ def fialkow_tensor(a: SymMatrix, trace_tol: float | None = None) -> tuple[SymBil
     if n < 4:
         raise BadDimension(f"dimension must be >= 4, got {n}")
     a2 = float((a.entries * a.entries).sum())
-    _require_trace_free_matrix(a, a2, trace_tol)
+    _require_trace_free(a.trace(), a2, n, trace_tol)
     g = a2 / (2.0 * (n - 1))
     squared = a.entries @ a.entries
     f = (0.5 * (squared + squared.T) - g * np.eye(n)) / (n - 2)
-    form = SymBilinear(0.5 * (f + f.T))
+    form = SymMatrix(0.5 * (f + f.T))
     if abs(float(np.trace(form.entries)) - g) > 1e-12 * max(1.0, g):
         raise InvariantViolation("Fialkow trace identity tr F = G failed")
     return form, g

@@ -22,11 +22,12 @@ from enum import Enum
 import numpy as np
 
 from .defaults import tolerance
-from .errors import BadDimension, BadIndex, InvariantViolation, NotTraceFree
+from .errors import BadDimension, BadIndex, InvariantViolation
 from .spectral import (
     Spectrum,
     SymFunProfile,
     SymMatrix,
+    _require_trace_free,
     eigen_spectrum,
     norms,
     symfun_from_spectrum,
@@ -107,12 +108,6 @@ def _verdict(lhs: float, rhs: float, hom_scale: float, tol: float,
         equality=abs(defect) <= threshold,
         case=case,
     )
-
-
-def _require_trace_free(s1: float, s2: float, n: int, trace_tol: float | None) -> None:
-    tol = tolerance("trace_free_tol", trace_tol)
-    if abs(s1) > tol * n * math.sqrt(max(s2, 0.0)):
-        raise NotTraceFree(f"trace {s1:.3e} too large for Frobenius norm {math.sqrt(max(s2, 0.0)):.3e}")
 
 
 def classify_spectrum(spectrum: Spectrum, umbilic_tol: float | None = None,

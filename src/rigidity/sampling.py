@@ -1,7 +1,7 @@
 """Seeded random matrices and rotations for fuzz campaigns and tests.
 
-Per-item generators are derived as ``seed ^ index`` so campaigns are
-reproducible and independent of chunking or thread count.
+Per-item generators are derived as ``seed ^ index``, so item ``index`` of a
+campaign can be regenerated on its own from the seed.
 """
 
 from __future__ import annotations

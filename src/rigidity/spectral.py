@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import tolerance
-from .errors import BadDimension, InvariantViolation, NonConvergence
+from .errors import BadDimension, InvariantViolation, NonConvergence, NotTraceFree
 
 __all__ = [
     "SymMatrix",
@@ -141,6 +141,13 @@ def trace_free_project(a: SymMatrix) -> SymMatrix:
     idx = np.arange(n)
     m[idx, idx] -= shift
     return SymMatrix(m)
+
+
+def _require_trace_free(s1: float, s2: float, n: int, trace_tol: float | None) -> None:
+    """Raise NotTraceFree unless |s1| <= trace_free_tol * n * sqrt(s2), for s1 = tr A, s2 = |A|^2."""
+    tol = tolerance("trace_free_tol", trace_tol)
+    if abs(s1) > tol * n * math.sqrt(max(s2, 0.0)):
+        raise NotTraceFree(f"trace {s1:.3e} too large for Frobenius norm {math.sqrt(max(s2, 0.0)):.3e}")
 
 
 def _cluster_sorted(w: np.ndarray, cluster_tol: float) -> tuple[tuple[int, ...], ...]:

@@ -90,8 +90,8 @@ class SamplePoint:
     umbilic_flag: bool
 
     def __post_init__(self) -> None:
-        if not self.area_weight > 0.0:
-            raise InvariantViolation(f"area weight must be positive, got {self.area_weight}")
+        if not 0.0 < self.area_weight < math.inf:
+            raise InvariantViolation(f"area weight must be positive and finite, got {self.area_weight}")
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,16 @@ def _minimal_profile_rhs(n: int, f: float, fp: float) -> tuple[float, float]:
     return fp, (n - 1) * (1.0 + fp * fp) / f
 
 
+def _rk4_step(n: int, y0: float, y1: float, h: float) -> tuple[float, float]:
+    """One classical RK4 step of the profile system (f, f')."""
+    k1a, k1b = _minimal_profile_rhs(n, y0, y1)
+    k2a, k2b = _minimal_profile_rhs(n, y0 + 0.5 * h * k1a, y1 + 0.5 * h * k1b)
+    k3a, k3b = _minimal_profile_rhs(n, y0 + 0.5 * h * k2a, y1 + 0.5 * h * k2b)
+    k4a, k4b = _minimal_profile_rhs(n, y0 + h * k3a, y1 + h * k3b)
+    return (y0 + h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0,
+            y1 + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0)
+
+
 def _integrate_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step RK4 for f'' f = (n-1)(1 + f'^2), f(0) = 1, f'(0) = 0 on [0, t_max]."""
     h = t_max / steps
@@ -225,12 +235,7 @@ def _integrate_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np
     y0, y1 = 1.0, 0.0
     f[0], fp[0] = y0, y1
     for i in range(steps):
-        k1a, k1b = _minimal_profile_rhs(n, y0, y1)
-        k2a, k2b = _minimal_profile_rhs(n, y0 + 0.5 * h * k1a, y1 + 0.5 * h * k1b)
-        k3a, k3b = _minimal_profile_rhs(n, y0 + 0.5 * h * k2a, y1 + 0.5 * h * k2b)
-        k4a, k4b = _minimal_profile_rhs(n, y0 + h * k3a, y1 + h * k3b)
-        y0 += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-        y1 += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+        y0, y1 = _rk4_step(n, y0, y1, h)
         f[i + 1], fp[i + 1] = y0, y1
     return t, f, fp
 
@@ -243,12 +248,7 @@ def _default_t_max(n: int, f_cap: float) -> float:
     for _ in range(200000):
         if y0 >= f_cap:
             break
-        k1a, k1b = _minimal_profile_rhs(n, y0, y1)
-        k2a, k2b = _minimal_profile_rhs(n, y0 + 0.5 * h * k1a, y1 + 0.5 * h * k1b)
-        k3a, k3b = _minimal_profile_rhs(n, y0 + 0.5 * h * k2a, y1 + 0.5 * h * k2b)
-        k4a, k4b = _minimal_profile_rhs(n, y0 + h * k3a, y1 + h * k3b)
-        y0 += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-        y1 += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+        y0, y1 = _rk4_step(n, y0, y1, h)
         t += h
     return 0.9 * t
 
@@ -578,13 +578,16 @@ def field_from_dict(data: dict) -> ShapeField:
     _expect(isinstance(raw_spec, dict), "spec must be an object")
     for key in ("kind", "n", "params", "grid"):
         _expect(key in raw_spec, f"spec missing key {key!r}")
-    spec = SurfaceSpec(
-        kind=str(raw_spec["kind"]),
-        n=int(raw_spec["n"]),
-        params=dict(raw_spec["params"]),
-        grid=tuple(int(g) for g in raw_spec["grid"]),
-        ambient_curvature=float(raw_spec.get("ambient_curvature", 0.0)),
-    )
+    try:
+        spec = SurfaceSpec(
+            kind=str(raw_spec["kind"]),
+            n=int(raw_spec["n"]),
+            params=dict(raw_spec["params"]),
+            grid=tuple(int(g) for g in raw_spec["grid"]),
+            ambient_curvature=float(raw_spec.get("ambient_curvature", 0.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"spec: {exc}") from exc
     raw_samples = data["samples"]
     _expect(isinstance(raw_samples, list) and raw_samples, "samples must be a nonempty list")
     samples = []
@@ -593,14 +596,16 @@ def field_from_dict(data: dict) -> ShapeField:
         for key in ("coords", "shape_operator", "area_weight", "umbilic_flag"):
             _expect(key in raw, f"sample {i} missing key {key!r}")
         try:
-            operator = SymMatrix(np.asarray(raw["shape_operator"], dtype=float))
+            entries = np.asarray(raw["shape_operator"], dtype=float)
+            coords = tuple(float(c) for c in raw["coords"])
+            weight = float(raw["area_weight"])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"sample {i}: {exc}") from exc
+        try:
+            samples.append(SamplePoint(coords, SymMatrix(entries), weight,
+                                       bool(raw["umbilic_flag"])))
         except (InvariantViolation, BadDimension) as exc:
             raise InvariantViolation(f"sample {i}: {exc}") from exc
-        weight = float(raw["area_weight"])
-        if not weight > 0.0:
-            raise InvariantViolation(f"sample {i}: area weight must be positive, got {weight}")
-        samples.append(SamplePoint(tuple(float(c) for c in raw["coords"]),
-                                   operator, weight, bool(raw["umbilic_flag"])))
     return ShapeField(spec, tuple(samples), minimal_claimed=bool(data["minimal_claimed"]))
 
 

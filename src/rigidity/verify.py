@@ -1,15 +1,13 @@
 """Randomized verification campaigns over seeded trace-free matrices.
 
 One pass per matrix runs every inequality family and records worst-case
-relative defects. Aggregation uses only min / max / integer sums, so reports
-are byte-identical regardless of chunking or thread count; per-matrix
-generators are derived as seed ^ index.
+relative defects. The campaign runs in index order on the calling thread;
+per-matrix generators are derived as seed ^ index.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,49 +45,64 @@ CHECK_FAMILIES = (
 )
 
 
-def _blank_aggregate(include_kn: bool) -> dict:
-    agg: dict = {
-        "newton_gap": {"count": 0, "min_relative_defect": math.inf, "violations": 0},
-        "prop_p3": {"count": 0, "min_relative_defect": math.inf, "violations": 0},
-        "prop_p4": {"count": 0, "min_relative_defect": math.inf, "violations": 0},
-        "cubic_bound": {"count": 0, "min_relative_defect": math.inf, "violations": 0},
-        "main_inequality": {"count": 0, "min_relative_defect": math.inf, "violations": 0,
-                            "false_equalities": 0, "max_bridge_residual": 0.0},
+def _defect_stats(**extra) -> dict:
+    return {"count": 0, "min_relative_defect": math.inf, "violations": 0, **extra}
+
+
+def _record(stats: dict, relative_defect: float, fuzz_tol: float) -> None:
+    stats["count"] += 1
+    stats["min_relative_defect"] = min(stats["min_relative_defect"], relative_defect)
+    if relative_defect < -fuzz_tol:
+        stats["violations"] += 1
+
+
+def _passes(family: str, stats: dict) -> bool:
+    if family == "main_inequality":
+        return (stats["violations"] == 0 and stats["false_equalities"] == 0
+                and stats["max_bridge_residual"] <= tolerance("bridge_tol"))
+    if family == "sigma_norm_identities":
+        return stats["max_relative_residual"] <= tolerance("sigma_identity_tol")
+    if family == "lambda_scan":
+        return (stats["min_relative_gap"] >= -tolerance("lambda_step_tol")
+                and stats["max_relative_product"] <= tolerance("lambda_step_tol"))
+    if family == "kn_identity_suite":
+        return stats["max_relative_residual"] <= tolerance("kn_identity_tol")
+    return stats["violations"] == 0
+
+
+def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int = 100,
+                              threads: int = 1, include_kn: bool = True,
+                              fuzz_tol: float | None = None) -> dict:
+    """Run every check family over a seeded random campaign and build a report.
+
+    ``samples`` counts matrices in total; dimensions cycle round-robin through
+    ``dims``. The report is a JSON-ready dict of per-family aggregates.
+    ``threads`` is accepted for compatibility and ignored: the campaign runs
+    on the calling thread, so the report never depends on it.
+    """
+    dims = [int(n) for n in dims]
+    if not dims or any(n < 4 for n in dims):
+        raise ValueError(f"dimensions must all be >= 4, got {dims}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    fuzz = tolerance("fuzz_defect_tol", fuzz_tol)
+    checks: dict = {
+        "newton_gap": _defect_stats(),
+        "prop_p3": _defect_stats(),
+        "prop_p4": _defect_stats(),
+        "cubic_bound": _defect_stats(),
+        "main_inequality": _defect_stats(false_equalities=0, max_bridge_residual=0.0),
         "sigma_norm_identities": {"count": 0, "max_relative_residual": 0.0},
         "lambda_scan": {"count": 0, "min_relative_gap": math.inf,
                         "max_relative_product": -math.inf},
-        "kn_identity_suite": {"count": 0, "max_relative_residual": 0.0},
-        "_oracle": {"max_relative_deviation": 0.0},
     }
-    if not include_kn:
-        del agg["kn_identity_suite"]
-    return agg
-
-
-def _merge(into: dict, part: dict) -> None:
-    for family, stats in part.items():
-        dest = into[family]
-        for key, value in stats.items():
-            if key.startswith("min"):
-                dest[key] = min(dest[key], value)
-            elif key.startswith("max"):
-                dest[key] = max(dest[key], value)
-            else:
-                dest[key] = dest[key] + value
-
-
-def _examine_range(lo: int, hi: int, dims: list[int], seed: int, lambda_count: int,
-                   fuzz_tol: float, include_kn: bool) -> dict:
-    agg = _blank_aggregate(include_kn)
-    newton = agg["newton_gap"]
-    p3s = agg["prop_p3"]
-    p4s = agg["prop_p4"]
-    cubic = agg["cubic_bound"]
-    main = agg["main_inequality"]
-    sigma = agg["sigma_norm_identities"]
-    lam_stats = agg["lambda_scan"]
-    oracle = agg["_oracle"]
-    for idx in range(lo, hi):
+    if include_kn:
+        checks["kn_identity_suite"] = {"count": 0, "max_relative_residual": 0.0}
+    main = checks["main_inequality"]
+    sigma = checks["sigma_norm_identities"]
+    lam_stats = checks["lambda_scan"]
+    oracle_deviation = 0.0
+    for idx in range(samples):
         rng = derived_rng(seed, idx)
         n = dims[idx % len(dims)]
         a = trace_free_project(random_symmetric(rng, n))
@@ -101,39 +114,17 @@ def _examine_range(lo: int, hi: int, dims: list[int], seed: int, lambda_count: i
         alt = symfun_from_power_sums(a)
         sigma_scale = max(1.0, max(abs(s) for s in profile.sigma))
         deviation = max(abs(x - y) for x, y in zip(profile.sigma, alt.sigma)) / sigma_scale
-        oracle["max_relative_deviation"] = max(oracle["max_relative_deviation"], deviation)
+        oracle_deviation = max(oracle_deviation, deviation)
 
         for k in range(1, n):
-            verdict = newton_gap(profile, k)
-            newton["count"] += 1
-            rel = verdict.relative_defect
-            newton["min_relative_defect"] = min(newton["min_relative_defect"], rel)
-            if rel < -fuzz_tol:
-                newton["violations"] += 1
-
-        verdict = prop_p3(profile)
-        p3s["count"] += 1
-        p3s["min_relative_defect"] = min(p3s["min_relative_defect"], verdict.relative_defect)
-        if verdict.relative_defect < -fuzz_tol:
-            p3s["violations"] += 1
-
-        verdict = prop_p4(profile)
-        p4s["count"] += 1
-        p4s["min_relative_defect"] = min(p4s["min_relative_defect"], verdict.relative_defect)
-        if verdict.relative_defect < -fuzz_tol:
-            p4s["violations"] += 1
-
-        verdict = cubic_bound((a2, a22, t3), n, trace=a.trace())
-        cubic["count"] += 1
-        cubic["min_relative_defect"] = min(cubic["min_relative_defect"], verdict.relative_defect)
-        if verdict.relative_defect < -fuzz_tol:
-            cubic["violations"] += 1
+            _record(checks["newton_gap"], newton_gap(profile, k).relative_defect, fuzz)
+        _record(checks["prop_p3"], prop_p3(profile).relative_defect, fuzz)
+        _record(checks["prop_p4"], prop_p4(profile).relative_defect, fuzz)
+        _record(checks["cubic_bound"],
+                cubic_bound((a2, a22, t3), n, trace=a.trace()).relative_defect, fuzz)
 
         verdict, case = main_inequality(a, spectrum=spectrum, profile=profile)
-        main["count"] += 1
-        main["min_relative_defect"] = min(main["min_relative_defect"], verdict.relative_defect)
-        if verdict.relative_defect < -fuzz_tol:
-            main["violations"] += 1
+        _record(main, verdict.relative_defect, fuzz)
         if verdict.equality and not case.large_eigenspace:
             main["false_equalities"] += 1
         main["max_bridge_residual"] = max(
@@ -154,64 +145,17 @@ def _examine_range(lo: int, hi: int, dims: list[int], seed: int, lambda_count: i
             lam_stats["max_relative_product"], float(values[-1]) / product_scale)
 
         if include_kn:
-            kn = agg["kn_identity_suite"]
+            kn = checks["kn_identity_suite"]
             residuals = kn_identity_suite(a)
             kn["count"] += 1
             kn["max_relative_residual"] = max(
                 kn["max_relative_residual"], max(abs(r) for r in residuals) / hom4)
-    return agg
 
-
-def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int = 100,
-                              threads: int = 1, include_kn: bool = True,
-                              fuzz_tol: float | None = None) -> dict:
-    """Run every check family over a seeded random campaign and build a report.
-
-    ``samples`` counts matrices in total; dimensions cycle round-robin through
-    ``dims``. The report is a JSON-ready dict whose check blocks contain only
-    chunk-order-independent aggregates.
-    """
-    dims = [int(n) for n in dims]
-    if not dims or any(n < 4 for n in dims):
-        raise ValueError(f"dimensions must all be >= 4, got {dims}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    fuzz = tolerance("fuzz_defect_tol", fuzz_tol)
-    agg = _blank_aggregate(include_kn)
-    if threads <= 1:
-        _merge(agg, _examine_range(0, samples, dims, seed, lambda_count, fuzz, include_kn))
-    else:
-        chunk = max(1, math.ceil(samples / (threads * 4)))
-        ranges = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_examine_range, lo, hi, dims, seed, lambda_count,
-                                   fuzz, include_kn) for lo, hi in ranges]
-            for future in futures:
-                _merge(agg, future.result())
-
-    oracle = agg.pop("_oracle")
-    checks = {}
-    for family in CHECK_FAMILIES:
-        if family not in agg:
-            continue
-        stats = dict(agg[family])
-        if family in ("newton_gap", "prop_p3", "prop_p4", "cubic_bound"):
-            stats["pass"] = stats["violations"] == 0
-        elif family == "main_inequality":
-            stats["pass"] = (stats["violations"] == 0 and stats["false_equalities"] == 0
-                             and stats["max_bridge_residual"] <= tolerance("bridge_tol"))
-        elif family == "sigma_norm_identities":
-            stats["pass"] = stats["max_relative_residual"] <= tolerance("sigma_identity_tol")
-        elif family == "lambda_scan":
-            stats["pass"] = (stats["min_relative_gap"] >= -tolerance("lambda_step_tol")
-                             and stats["max_relative_product"] <= tolerance("lambda_step_tol"))
-        elif family == "kn_identity_suite":
-            stats["pass"] = stats["max_relative_residual"] <= tolerance("kn_identity_tol")
-        checks[family] = stats
-
+    for family, stats in checks.items():
+        stats["pass"] = _passes(family, stats)
     diagnostics = {
-        "symfun_oracle_max_relative_deviation": oracle["max_relative_deviation"],
-        "symfun_oracle_pass": oracle["max_relative_deviation"] <= tolerance("oracle_agreement_tol"),
+        "symfun_oracle_max_relative_deviation": oracle_deviation,
+        "symfun_oracle_pass": oracle_deviation <= tolerance("oracle_agreement_tol"),
     }
     return {
         "artifact": ARTIFACT,

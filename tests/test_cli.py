@@ -1,9 +1,12 @@
 """CLI contract: subcommands, exit codes, determinism, file formats."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
+from rigidity import cli
 from rigidity.cli import main
 from rigidity.defaults import TOLERANCES, VERSION
 from rigidity.surfaces import field_to_dict, ingest_field, save_field
@@ -60,16 +63,6 @@ class TestVerify:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert ">= 4" in capsys.readouterr().err
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_THREADS", "2")
-        out = tmp_path / "env.json"
-        assert main(["verify", "--n", "4", "--samples", "50", "--seed", "5",
-                     "--out", str(out)]) == 0
-        ref = tmp_path / "ref.json"
-        assert main(["verify", "--n", "4", "--samples", "50", "--seed", "5",
-                     "--threads", "1", "--out", str(ref)]) == 0
-        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestCatalog:
@@ -177,3 +170,40 @@ class TestAnalyze:
         bad.write_text("{", encoding="utf-8")
         code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_infinite_weight_exit_2(self, tmp_path, catenoid_path, capsys):
+        data = field_to_dict(ingest_field(catenoid_path))
+        data["samples"][5]["area_weight"] = math.inf
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json"),
+                     "--assert-zero", "1e-6"])
+        assert code == 2
+        assert "sample 5" in capsys.readouterr().err
+
+    def test_assert_zero_fails_on_nan(self, tmp_path, catenoid_path, monkeypatch):
+        real = cli.rotational_energy
+
+        def nan_energy(field):
+            return dataclasses.replace(real(field), e_rot_conf=math.nan)
+
+        monkeypatch.setattr(cli, "rotational_energy", nan_energy)
+        code = main(["analyze", "--field", str(catenoid_path),
+                     "--out", str(tmp_path / "r.json"), "--assert-zero", "1e-6"])
+        assert code == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["spec"].update(n="four"),
+        lambda d: d["spec"].update(grid="16x4"),
+        lambda d: d["spec"].update(params=[1.0, 2.0]),
+        lambda d: d["samples"][0].update(coords="abc"),
+        lambda d: d["samples"][0]["shape_operator"][1].pop(),
+    ], ids=["string_n", "string_grid", "list_params", "string_coords", "ragged_operator"])
+    def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
+        data = field_to_dict(ingest_field(catenoid_path))
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "analyze:" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 
 from rigidity.curvature import (
     AlgCurvTensor,
-    SymBilinear,
     curvature_symmetry_residuals,
     fialkow_tensor,
     kn_identity_suite,
@@ -96,7 +95,7 @@ class TestKulkarniNomizu:
         m = np.eye(4)
         m[0, 1] = 0.5
         with pytest.raises(InvariantViolation):
-            SymBilinear(m)
+            SymMatrix(m)
         with pytest.raises(InvariantViolation):
             AlgCurvTensor(np.zeros((3, 3)))
 
