@@ -1,14 +1,14 @@
 """Command-line surface: verify / catalog / analyze.
 
 Exit codes: 0 on success, 1 when a check or assertion fails (the report is
-still written), 2 on usage or schema errors.
+still written), 2 on usage or schema errors and on any RigidityError, such
+as a report value that is not finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 
@@ -16,6 +16,7 @@ from .defaults import ARTIFACT, TOLERANCES, VERSION
 from .energy import report_csv_rows, report_to_dict, rotational_energy
 from .errors import RigidityError
 from .surfaces import (
+    _write_json,
     build_catenoid,
     build_cylinder,
     build_ellipsoid,
@@ -41,12 +42,6 @@ def _grid(text: str) -> list[int]:
     return [int(part) for part in text.lower().split("x") if part]
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=ARTIFACT,
                                      description="Trace-free inequality and rotational energy toolkit")
@@ -58,7 +53,8 @@ def make_parser() -> argparse.ArgumentParser:
                           help="comma-separated matrix dimensions (default 4,5,6)")
     p_verify.add_argument("--samples", type=int, required=True,
                           help="total number of random matrices")
-    p_verify.add_argument("--seed", type=int, required=True, help="campaign seed")
+    p_verify.add_argument("--seed", type=int, required=True,
+                          help="campaign seed, the key of its Philox stream: 0 <= seed < 2**128")
     p_verify.add_argument("--lambda-count", type=int, default=100,
                           help="shift values per matrix in the lambda scan")
     p_verify.add_argument("--threads", type=int, default=None,
@@ -104,6 +100,9 @@ def cmd_verify(args) -> int:
         return 2
     if args.lambda_count < 1:
         print("lambda-count must be >= 1", file=sys.stderr)
+        return 2
+    if not 0 <= args.seed < 2 ** 128:
+        print(f"seed must be in [0, 2**128), got {args.seed}", file=sys.stderr)
         return 2
     report = run_verification_campaign(args.n, args.samples, args.seed,
                                        lambda_count=args.lambda_count)
@@ -160,11 +159,7 @@ def _build_surface(args):
 
 
 def cmd_catalog(args) -> int:
-    try:
-        field = _build_surface(args)
-    except RigidityError as exc:
-        print(f"catalog: {exc}", file=sys.stderr)
-        return 2
+    field = _build_surface(args)
     save_field(field, args.out)
     print(f"catalog: wrote {len(field.samples)} samples ({field.spec.kind}, n={field.spec.n}) "
           f"to {args.out}")
@@ -172,12 +167,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        field = ingest_field(args.field)
-        report = rotational_energy(field)
-    except RigidityError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
+    field = ingest_field(args.field)
+    report = rotational_energy(field)
     payload = {
         "artifact": ARTIFACT,
         "version": VERSION,
@@ -191,6 +182,10 @@ def cmd_analyze(args) -> int:
         "tolerances": dict(TOLERANCES),
         "report": report_to_dict(report),
     }
+    if args.assert_zero is not None and not math.isfinite(report.e_rot_conf):
+        # the gate fails closed, and a non-finite energy cannot be written as JSON
+        print(f"analyze: E_rot_conf is {report.e_rot_conf}; no report written", file=sys.stderr)
+        return 1
     _write_json(args.out, payload)
     if args.csv:
         header, rows = report_csv_rows(report)
@@ -218,14 +213,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "catalog":
-        return cmd_catalog(args)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    parser.print_usage(sys.stderr)  # pragma: no cover
-    return 2  # pragma: no cover
+    command = {"verify": cmd_verify, "catalog": cmd_catalog, "analyze": cmd_analyze}[args.command]
+    try:
+        return command(args)
+    except RigidityError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, DimensionMismatch, InvariantViolation
-from .spectral import SymMatrix, _require_trace_free, norms
+from .spectral import SymMatrix, _require_trace_free, _require_trace_free_batch, norms, norms_batch
 
 __all__ = [
     "AlgCurvTensor",
@@ -29,7 +29,10 @@ __all__ = [
     "weyl_from_gauss_codazzi",
     "weyl_norm_closed_form",
     "kn_identity_suite",
+    "kn_identity_suite_batch",
 ]
+
+_KN_SUB_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -164,3 +167,35 @@ def kn_identity_suite(a: SymMatrix, trace_tol: float | None = None) -> list[floa
         tensor_norm_sq(kn_fg) - 4.0 * inner_a2f,
         inner_a2f - (a22 / (n - 2) - a2 * a2 / (2.0 * (n - 1) * (n - 2))),
     ]
+
+
+def kn_identity_suite_batch(a: np.ndarray) -> np.ndarray:
+    """kn_identity_suite of each matrix of a (B, n, n) stack: residuals (B, 4).
+
+    The Fialkow trace identity is checked for every matrix. The rank-4 stacks
+    hold _KN_SUB_BATCH matrices at a time, which bounds their memory.
+    """
+    n = a.shape[-1]
+    a2, a22, _ = norms_batch(a)
+    _require_trace_free_batch(np.trace(a, axis1=1, axis2=2), a2, n)
+    g, squared, eye = a2 / (2.0 * (n - 1)), a @ a, np.eye(n)
+    f = (0.5 * (squared + squared.transpose(0, 2, 1)) - g[:, None, None] * eye) / (n - 2)
+    f = 0.5 * (f + f.transpose(0, 2, 1))
+    if np.any(np.abs(np.trace(f, axis1=1, axis2=2) - g) > 1e-12 * np.maximum(1.0, g)):
+        raise InvariantViolation("Fialkow trace identity tr F = G failed")
+    inner_a2f = (squared * f).sum(axis=(1, 2))
+    norm_aa, inner, norm_fg = np.empty((3, len(a)))
+    for lo in range(0, len(a), _KN_SUB_BATCH):
+        part = slice(lo, lo + _KN_SUB_BATCH)
+        s, t = a[part], f[part]
+        # kulkarni_nomizu(A, A) and kulkarni_nomizu(F, I) in its operation order
+        u = np.einsum("xac,xbd->xabcd", s, s) * 2.0
+        aa = (u - u.transpose(0, 1, 2, 4, 3)).reshape(len(s), -1)
+        u = np.einsum("xac,bd->xabcd", t, eye) + np.einsum("ac,xbd->xabcd", eye, t)
+        fg = (u - u.transpose(0, 1, 2, 4, 3)).reshape(len(s), -1)
+        # a row sum adds like the scalar full sum, whatever the number of rows
+        norm_aa[part], inner[part], norm_fg[part] = (
+            (x * y).sum(axis=1) for x, y in ((aa, aa), (aa, fg), (fg, fg)))
+    return np.stack([norm_aa - (8.0 * a2 * a2 - 8.0 * a22), inner - (-8.0 * inner_a2f),
+                     norm_fg - 4.0 * inner_a2f,
+                     inner_a2f - (a22 / (n - 2) - a2 * a2 / (2.0 * (n - 1) * (n - 2)))], axis=1)

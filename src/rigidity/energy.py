@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .defaults import tolerance
-from .errors import BadDimension, BadParams, InvalidField
+from .errors import BadDimension, BadParams, InvalidField, NonFiniteResult
 from .inequalities import main_inequality
 from .spectral import SymMatrix, norms, trace_free_project
 from .surfaces import SamplePoint, ShapeField
@@ -63,7 +63,8 @@ def rotational_energy(field: ShapeField, cluster_tol: float | None = None,
 
     Summation is math.fsum in sample order, so results do not depend on how
     integrand evaluation is batched. Every sample is classified through the
-    sharp inequality so the report carries an equality-locus map.
+    sharp inequality so the report carries an equality-locus map. A power of
+    |tracefree(A)| too large for a double raises NonFiniteResult.
     """
     if not isinstance(field, ShapeField) or not field.samples:
         raise InvalidField("expected a nonempty ShapeField")
@@ -89,11 +90,15 @@ def rotational_energy(field: ShapeField, cluster_tol: float | None = None,
         except BadDimension as exc:  # pragma: no cover - field dimension checked above
             raise InvalidField(str(exc)) from exc
         defect = verdict.defect
-        conf_factor = 1.0 if n == 4 else a2 ** ((n - 4) / 2.0)
+        try:
+            conf_factor = 1.0 if n == 4 else a2 ** ((n - 4) / 2.0)
+            norm_n = a2 ** (n / 2.0)
+        except OverflowError as exc:
+            raise NonFiniteResult(f"sample {idx}: |A|^{n} overflows at |A|^2 = {a2:.3e}") from exc
         rot_terms.append(sp.area_weight * defect)
         conf_terms.append(sp.area_weight * conf_factor * defect)
         scale_terms.append(sp.area_weight * max(1.0, a2 * a2))
-        scale_conf_terms.append(sp.area_weight * max(1.0, a2 ** (n / 2.0)))
+        scale_conf_terms.append(sp.area_weight * max(1.0, norm_n))
         records.append(PointwiseRecord(
             index=idx,
             coords=sp.coords,

@@ -61,3 +61,7 @@ class InvariantViolation(RigidityError):
 
 class InvalidField(RigidityError):
     """Shape field cannot be analyzed (wrong dimension, empty, inconsistent)."""
+
+
+class NonFiniteResult(RigidityError):
+    """A result overflowed or is NaN, so it cannot be reported as JSON."""

@@ -28,6 +28,7 @@ from .spectral import (
     SymFunProfile,
     SymMatrix,
     _require_trace_free,
+    _require_trace_free_batch,
     eigen_spectrum,
     norms,
     symfun_from_spectrum,
@@ -47,6 +48,13 @@ __all__ = [
     "sigma_norm_identities",
     "defect_coefficient",
     "bridge_residual",
+    "newton_gap_batch",
+    "cubic_bound_batch",
+    "prop_p3_batch",
+    "prop_p4_batch",
+    "lambda_scan_batch",
+    "main_inequality_batch",
+    "sigma_norm_identities_batch",
 ]
 
 
@@ -256,7 +264,7 @@ def defect_coefficient(n: int) -> float:
 
 
 def bridge_residual(profile: SymFunProfile, a2: float, a22: float) -> float:
-    """Residual of C(n,4)(p_4 + 3 p_2^2) = -1/4 (|A^2|^2 - coef |A|^4)."""
+    """Residual of C(n,4)(p_4 + 3 p_2^2) = -1/4 (|A^2|^2 - coef |A|^4); elementwise on a batch."""
     n = profile.n
     p2, p4 = profile.p[2], profile.p[4]
     left = math.comb(n, 4) * (p4 + 3.0 * p2 * p2)
@@ -313,3 +321,89 @@ def sigma_norm_identities(a: SymMatrix, profile: SymFunProfile | None = None,
     r2 = profile.sigma[2] + 0.5 * a2
     r4 = profile.sigma[4] - 0.125 * a2 * a2 + 0.25 * a22 if a.n >= 4 else 0.0
     return r2, r4
+
+
+# ---------------------------------------------------------------------------
+# Batched twins: the scalar formulas over a batch profile (see
+# spectral.symfun_from_spectrum_batch) and (B,) arrays of norms and traces.
+# Every field of a batch verdict is an array; its case is None.
+
+
+def _verdict_batch(lhs, rhs, hom_scale, tol: float | None) -> InequalityVerdict:
+    tol = tolerance("verdict_tol", tol)
+    defect, threshold, scale = rhs - lhs, tol * hom_scale, np.maximum(1.0, hom_scale)
+    return InequalityVerdict(lhs, rhs, defect, defect / scale, scale, tol,
+                             defect >= -threshold, np.abs(defect) <= threshold)
+
+
+def newton_gap_batch(profile: SymFunProfile, tol: float | None = None) -> InequalityVerdict:
+    """newton_gap for every k at once: row k - 1 of each field holds gap k."""
+    p = np.array(profile.p)
+    lhs, rhs = p[:-2] * p[2:], p[1:-1] ** 2
+    return _verdict_batch(lhs, rhs, np.maximum(rhs, np.abs(lhs)), tol)
+
+
+def cubic_bound_batch(a_norms, n: int, trace, tol: float | None = None) -> InequalityVerdict:
+    """cubic_bound over arrays of norms_batch triples and traces."""
+    a2, _, t3 = a_norms
+    _require_trace_free_batch(trace, a2, n)
+    return _verdict_batch(t3 * t3, ((n - 2) ** 2 / (n * (n - 1))) * a2 ** 3, a2 ** 3, tol)
+
+
+def prop_p3_batch(profile: SymFunProfile, tol: float | None = None) -> InequalityVerdict:
+    """prop_p3 of a batch profile."""
+    _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
+    p2, p3 = profile.p[2], profile.p[3]
+    return _verdict_batch(p3 * p3 + 4.0 * p2 ** 3, 0.0, np.maximum(np.abs(p2) ** 3, p3 * p3), tol)
+
+
+def prop_p4_batch(profile: SymFunProfile, tol: float | None = None) -> InequalityVerdict:
+    """prop_p4 of a batch profile."""
+    _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
+    p2, p4 = profile.p[2], profile.p[4]
+    return _verdict_batch(0.0, p4 + 3.0 * p2 * p2, p2 * p2, tol)
+
+
+def lambda_scan_batch(profile: SymFunProfile, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_scan over lambda_scan_scales, one lambda grid per row of ``lam`` (B, L).
+
+    Returns the relative shifted gaps (B, L) and the relative products (B,).
+    """
+    _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
+    p2, p3, p4 = (profile.p[k][:, None] for k in (2, 3, 4))
+    lam2 = lam * lam  # and lam2 * lam for lam ** 3, which pow makes about 50x slower
+    p3s = p3 + 3.0 * lam * p2 + lam2 * lam
+    q_scale = np.maximum(1.0, np.maximum((p2 + lam2) ** 2, np.abs(lam * p3s)))
+    product = (3.0 * p3 * p3 - 4.0 * p2 * p4) * (p3 * p3 + 4.0 * p2 ** 3)
+    product_scale = np.maximum(1.0, (3.0 * p3 * p3 + 4.0 * np.abs(p2 * p4))
+                               * (p3 * p3 + 4.0 * np.abs(p2) ** 3))
+    return (p2 * p2 - lam * p3 - lam2 * p2) / q_scale, (product / product_scale)[:, 0]
+
+
+def main_inequality_batch(a_norms, trace, profile: SymFunProfile, links: np.ndarray,
+                          tol: float | None = None) -> tuple[InequalityVerdict, np.ndarray]:
+    """main_inequality over arrays, asserting the bridge identity on every row.
+
+    Also returns EqualityCase.large_eigenspace per row, from the cluster links
+    of eigen_spectrum_batch: a cluster of n - 1 or more eigenvalues is a
+    linked run over the first or the last n - 1.
+    """
+    a2, a22, _ = a_norms
+    _require_trace_free_batch(trace, a2, profile.n)
+    hom = a2 * a2
+    residual = bridge_residual(profile, a2, a22)
+    bad = np.abs(residual) > tolerance("bridge_tol") * np.maximum(1.0, hom)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation(f"bridge identity residual {residual[i]:.3e} exceeds "
+                                 f"tolerance at scale {hom[i]:.3e}")
+    verdict = _verdict_batch(a22, defect_coefficient(profile.n) * hom, hom, tol)
+    return verdict, links[:, 1:].all(axis=1) | links[:, :-1].all(axis=1)
+
+
+def sigma_norm_identities_batch(profile: SymFunProfile, a_norms,
+                                trace) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_norm_identities residuals (r2, r4) over arrays, for n >= 4."""
+    a2, a22, _ = a_norms
+    _require_trace_free_batch(trace, a2, profile.n)
+    return profile.sigma[2] + 0.5 * a2, profile.sigma[4] - 0.125 * a2 * a2 + 0.25 * a22

@@ -1,7 +1,11 @@
 """Seeded random matrices and rotations for fuzz campaigns and tests.
 
-Per-item generators are derived as ``seed ^ index``, so item ``index`` of a
-campaign can be regenerated on its own from the seed.
+Campaign matrices and lambda grids come from one Philox stream keyed by the
+seed (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+Every index owns a fixed run of counters, so different seeds never share
+matrices, and a bulk draw of any index range gives the same rows as drawing
+each index alone: results do not depend on the chunking. ``derived_rng``
+(``seed ^ index``, so nearby seeds share items) serves tests only.
 """
 
 from __future__ import annotations
@@ -11,12 +15,53 @@ import numpy as np
 from .spectral import SymMatrix, trace_free_project
 
 __all__ = [
+    "campaign_chunk",
+    "campaign_samples",
     "derived_rng",
     "random_symmetric",
     "random_trace_free",
     "random_rotation",
     "equality_family_matrix",
 ]
+
+# Stream words drawn and examined per bulk step (2 MB); bounds memory, never results.
+_CHUNK_WORDS = 1 << 18
+
+
+def _row_width(dims, lambda_count: int) -> int:
+    # words per index, in whole Philox4x64 counters of 4 words each
+    return -(-(max(dims) * (max(dims) + 1) // 2 + lambda_count) // 4) * 4
+
+
+def campaign_chunk(dims, lambda_count: int) -> int:
+    """Number of indices a campaign draws per bulk step, at least one."""
+    return max(1, _CHUNK_WORDS // _row_width(dims, lambda_count))
+
+
+def campaign_samples(seed: int, dims, lambda_count: int, start: int, count: int) -> list[tuple]:
+    """Campaign indices start .. start + count - 1, grouped by dimension in ascending n.
+
+    Each group is (n, indices, trace-free matrices (B, n, n), lambda grids
+    (B, lambda_count)). Index i has dimension dims[i % len(dims)] and reads
+    its own row of the stream: its upper triangle, uniform in [-1, 1] before
+    the trace-free projection, then, after room for the largest triangle, its
+    lambda grid, uniform in [-2, 2].
+    """
+    tri_max, width = max(dims) * (max(dims) + 1) // 2, _row_width(dims, lambda_count)
+    # numpy.random is reached here, not at import, so importing the package stays cheap
+    words = np.random.Generator(np.random.Philox(key=seed, counter=start * width // 4)).random(
+        (count, width))
+    index = np.arange(start, start + count)
+    dim_of = np.asarray(dims)[index % len(dims)]
+    groups = []
+    for n in sorted(set(dim_of.tolist())):
+        rows, (iu, ju), diag = words[dim_of == n], np.triu_indices(n), np.arange(n)
+        m = np.empty((len(rows), n, n))
+        m[:, iu, ju] = m[:, ju, iu] = -1.0 + 2.0 * rows[:, :len(iu)]
+        m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / n)[:, None]
+        lam = -2.0 + 4.0 * rows[:, tri_max:tri_max + lambda_count]
+        groups.append((n, index[dim_of == n], m, lam))
+    return groups
 
 
 def derived_rng(seed: int, index: int = 0) -> np.random.Generator:

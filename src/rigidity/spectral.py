@@ -27,6 +27,10 @@ __all__ = [
     "symfun_from_power_sums",
     "shift_profile",
     "norms",
+    "eigen_spectrum_batch",
+    "symfun_from_spectrum_batch",
+    "symfun_from_power_sums_batch",
+    "norms_batch",
 ]
 
 
@@ -148,6 +152,14 @@ def _require_trace_free(s1: float, s2: float, n: int, trace_tol: float | None) -
     tol = tolerance("trace_free_tol", trace_tol)
     if abs(s1) > tol * n * math.sqrt(max(s2, 0.0)):
         raise NotTraceFree(f"trace {s1:.3e} too large for Frobenius norm {math.sqrt(max(s2, 0.0)):.3e}")
+
+
+def _require_trace_free_batch(s1, s2, n: int, trace_tol: float | None = None) -> None:
+    """_require_trace_free over arrays; the first offender raises with its own numbers."""
+    bad = np.abs(s1) > tolerance("trace_free_tol", trace_tol) * n * np.sqrt(np.maximum(s2, 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _require_trace_free(float(s1[i]), float(s2[i]), n, trace_tol)
 
 
 def _cluster_sorted(w: np.ndarray, cluster_tol: float) -> tuple[tuple[int, ...], ...]:
@@ -329,3 +341,53 @@ def norms(a: SymMatrix) -> tuple[float, float, float]:
     a4 = float((b * b).sum())
     t3 = float((b * e).sum())
     return a2, a4, t3
+
+
+# ---------------------------------------------------------------------------
+# Batched twins over (B, n, n) stacks, checked against the scalar functions
+# above. A batch profile is a SymFunProfile whose entries are (B,) arrays.
+
+
+def eigen_spectrum_batch(m: np.ndarray,
+                         cluster_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (B, n) and links (B, n - 1) of a stack.
+
+    A link is True where eigenvalues i and i + 1 are within the cluster
+    threshold, so the clusters of eigen_spectrum are the linked runs.
+    """
+    w = np.sort(np.linalg.eigvalsh(m), axis=1)
+    threshold = tolerance("cluster_tol", cluster_tol) * np.maximum(1.0, np.max(np.abs(w), axis=1))
+    return w, np.diff(w, axis=1) <= threshold[:, None]
+
+
+def symfun_from_spectrum_batch(w: np.ndarray) -> SymFunProfile:
+    """symfun_from_spectrum of each row of ascending eigenvalues, in the same operation order."""
+    count, n = w.shape
+    c = np.zeros((n + 1, count))
+    c[0] = 1.0
+    for i in range(n):
+        c[1:i + 2] += w[:, i] * c[:i + 1]
+    # powers[j, i] = lambda_i ** (j + 1) by repeated products; cumsum adds left to right
+    powers = np.cumprod(np.broadcast_to(w.T, (n, n, count)), axis=0)
+    return _profile_from_sigma(n, c, np.cumsum(powers, axis=1)[:, -1])
+
+
+def symfun_from_power_sums_batch(m: np.ndarray) -> SymFunProfile:
+    """symfun_from_power_sums of each matrix of a stack."""
+    n = m.shape[-1]
+    s, sigma, power = np.empty((n + 1, len(m))), np.zeros((n + 1, len(m))), m
+    for j in range(1, n + 1):
+        s[j] = np.trace(power, axis1=1, axis2=2)
+        power = power @ m
+    sigma[0] = 1.0
+    signs = (-1.0) ** np.arange(n)[:, None]
+    for k in range(1, n + 1):
+        # cumsum adds in j order whatever B is; a matrix product or sum may not
+        sigma[k] = np.cumsum(signs[:k] * sigma[k - 1::-1] * s[1:k + 1], axis=0)[-1] / k
+    return _profile_from_sigma(n, sigma, s[1:])
+
+
+def norms_batch(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """norms of each matrix of a stack: (|A|^2, |A^2|^2, tr A^3) as (B,) arrays."""
+    b = m @ m
+    return tuple((x * y).sum(axis=(1, 2)) for x, y in ((m, m), (b, b), (b, m)))

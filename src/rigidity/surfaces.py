@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     BadProfile,
     DegenerateChart,
     InvariantViolation,
+    NonFiniteResult,
     ODEStepFailure,
     ParseError,
     SchemaError,
@@ -559,10 +561,23 @@ def field_to_dict(field_: ShapeField) -> dict:
     }
 
 
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON; an inf or NaN raises NonFiniteResult and leaves no file.
+
+    The text is streamed (as one string first it costs megabytes on large
+    fields), so a failed write removes its partial file.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        os.remove(path)
+        raise NonFiniteResult(f"{path} not written: {exc}") from exc
+
+
 def save_field(field_: ShapeField, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(field_to_dict(field_), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, field_to_dict(field_))
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -578,6 +593,7 @@ def field_from_dict(data: dict) -> ShapeField:
     _expect(isinstance(raw_spec, dict), "spec must be an object")
     for key in ("kind", "n", "params", "grid"):
         _expect(key in raw_spec, f"spec missing key {key!r}")
+    _expect(isinstance(raw_spec["grid"], list), "spec grid must be a list of counts")
     try:
         spec = SurfaceSpec(
             kind=str(raw_spec["kind"]),
@@ -590,11 +606,15 @@ def field_from_dict(data: dict) -> ShapeField:
         raise SchemaError(f"spec: {exc}") from exc
     raw_samples = data["samples"]
     _expect(isinstance(raw_samples, list) and raw_samples, "samples must be a nonempty list")
+    _expect(math.prod(spec.grid) == len(raw_samples),
+            f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
+            f"but there are {len(raw_samples)} samples")
     samples = []
     for i, raw in enumerate(raw_samples):
         _expect(isinstance(raw, dict), f"sample {i} must be an object")
         for key in ("coords", "shape_operator", "area_weight", "umbilic_flag"):
             _expect(key in raw, f"sample {i} missing key {key!r}")
+        _expect(isinstance(raw["coords"], list), f"sample {i}: coords must be a list")
         try:
             entries = np.asarray(raw["shape_operator"], dtype=float)
             coords = tuple(float(c) for c in raw["coords"])

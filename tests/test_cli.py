@@ -4,12 +4,20 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rigidity import cli
 from rigidity.cli import main
 from rigidity.defaults import TOLERANCES, VERSION
-from rigidity.surfaces import field_to_dict, ingest_field, save_field
+from rigidity.errors import SchemaError
+from rigidity.surfaces import (
+    build_cylinder,
+    field_from_dict,
+    field_to_dict,
+    ingest_field,
+    save_field,
+)
 from rigidity.verify import CHECK_FAMILIES
 
 
@@ -51,12 +59,19 @@ class TestVerify:
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         outputs = []
-        for threads in (1, 4):
+        for threads in (1, 2, 4, 8):
             out = tmp_path / f"t{threads}.json"
             assert main(["verify", "--n", "4,5", "--samples", "150", "--seed", "3",
                          "--threads", str(threads), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert len(set(outputs)) == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_seed_out_of_range_exit_2(self, tmp_path, capsys, seed):
+        code = main(["verify", "--samples", "10", "--seed", seed,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "seed must be in" in capsys.readouterr().err
 
     def test_bad_dimension(self, tmp_path, capsys):
         code = main(["verify", "--n", "3", "--samples", "10", "--seed", "1",
@@ -99,6 +114,18 @@ class TestCatalog:
         code = main(["catalog", "--surface", "sphere", "--n", "4", "--radius", "-1",
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("surface, grid", [
+        ("sphere", "2"), ("cylinder", "4x2"), ("catenoid", "8x2"), ("rotation", "4x2"),
+        ("ellipsoid", "2x2x2x3"),
+    ])
+    def test_every_kind_round_trips(self, tmp_path, surface, grid):
+        out = tmp_path / "field.json"
+        assert main(["catalog", "--surface", surface, "--n", "4", "--grid", grid,
+                     "--out", str(out)]) == 0
+        again = tmp_path / "again.json"
+        save_field(ingest_field(out), again)
+        assert out.read_bytes() == again.read_bytes()
 
     def test_ellipsoid_semi_axes_validation(self, tmp_path, capsys):
         code = main(["catalog", "--surface", "ellipsoid", "--n", "4",
@@ -202,6 +229,47 @@ class TestAnalyze:
     def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
         data = field_to_dict(ingest_field(catenoid_path))
         edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "analyze:" in capsys.readouterr().err
+
+    def test_overflowing_report_exit_2_and_no_file(self, tmp_path, capsys):
+        data = field_to_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]))
+        for sample in data["samples"]:
+            sample["area_weight"] = 1e308
+            sample["shape_operator"] = (1e3 * np.diag([1.0, 1.0, 1.0, 0.0])).tolist()
+        field_path = tmp_path / "field.json"
+        field_path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--field", str(field_path), "--out", str(out),
+                     "--assert-zero", "1e-6"])
+        assert code == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_entries_exit_2(self, tmp_path, capsys):
+        data = field_to_dict(build_cylinder(5, 1.0, 2.0, grid=[2, 2]))
+        for sample in data["samples"]:
+            sample["shape_operator"] = (1e100 * np.array(sample["shape_operator"])).tolist()
+        field_path = tmp_path / "field.json"
+        field_path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--field", str(field_path), "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["spec"].update(grid="22"),
+        lambda d: d["samples"][0].update(coords="12"),
+        lambda d: d["spec"].update(grid=[64, 32]),
+    ], ids=["digit_string_grid", "digit_string_coords", "grid_not_sample_count"])
+    def test_schema_holes_exit_2(self, tmp_path, capsys, edit):
+        data = field_to_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]))
+        edit(data)
+        with pytest.raises(SchemaError):
+            field_from_dict(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
         code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json")])
