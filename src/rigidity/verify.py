@@ -112,7 +112,7 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
     chunk = campaign_chunk(dims, lambda_count)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        for n, _, a, lam in campaign_samples(seed, dims, lambda_count, start, count):
+        for n, a, lam in campaign_samples(seed, dims, lambda_count, start, count):
             eigenvalues, links = eigen_spectrum_batch(a)
             profile = symfun_from_spectrum_batch(eigenvalues)
             a_norms = norms_batch(a)

@@ -235,7 +235,8 @@ class TestAnalyze:
         assert code == 2
         assert "analyze:" in capsys.readouterr().err
 
-    def test_overflowing_report_exit_2_and_no_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("previous", [None, "previous report\n"], ids=["absent", "existing"])
+    def test_overflowing_report_exit_2_and_out_untouched(self, tmp_path, capsys, previous):
         data = field_to_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]))
         for sample in data["samples"]:
             sample["area_weight"] = 1e308
@@ -243,11 +244,16 @@ class TestAnalyze:
         field_path = tmp_path / "field.json"
         field_path.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "r.json"
+        if previous is not None:
+            out.write_text(previous, encoding="utf-8")
         code = main(["analyze", "--field", str(field_path), "--out", str(out),
                      "--assert-zero", "1e-6"])
         assert code == 2
         assert "not JSON compliant" in capsys.readouterr().err
-        assert not out.exists()
+        if previous is None:
+            assert not out.exists()
+        else:
+            assert out.read_text(encoding="utf-8") == previous
 
     def test_huge_entries_exit_2(self, tmp_path, capsys):
         data = field_to_dict(build_cylinder(5, 1.0, 2.0, grid=[2, 2]))

@@ -202,15 +202,17 @@ def test_single_index_equals_its_row_of_the_bulk_draw():
     seed, dims, lambda_count = 77, [4, 7, 5, 12], 13
     chunk = campaign_chunk(dims, lambda_count)
     samples = chunk + 37
-    bulk = (campaign_samples(seed, dims, lambda_count, 0, chunk)
-            + campaign_samples(seed, dims, lambda_count, chunk, samples - chunk))
+    bulk = {0: campaign_samples(seed, dims, lambda_count, 0, chunk),
+            chunk: campaign_samples(seed, dims, lambda_count, chunk, samples - chunk)}
     for i in (0, chunk - 1, chunk, samples - 1):
-        ((n, index, matrices, lam),) = campaign_samples(seed, dims, lambda_count, i, 1)
-        assert n == dims[i % len(dims)] and list(index) == [i]
-        (group,) = [g for g in bulk if g[0] == n and i in g[1]]
-        row = int(np.flatnonzero(group[1] == i)[0])
-        assert np.array_equal(group[2][row], matrices[0])
-        assert np.array_equal(group[3][row], lam[0])
+        ((n, matrices, lam),) = campaign_samples(seed, dims, lambda_count, i, 1)
+        assert n == dims[i % len(dims)]
+        start = 0 if i < chunk else chunk
+        # a group holds its indices in ascending order
+        row = sum(dims[j % len(dims)] == n for j in range(start, i))
+        (group,) = [g for g in bulk[start] if g[0] == n]
+        assert np.array_equal(group[1][row], matrices[0])
+        assert np.array_equal(group[2][row], lam[0])
         assert np.array_equal(matrices[0], matrices[0].T) and abs(np.trace(matrices[0])) < 1e-14
 
 
