@@ -123,31 +123,17 @@ def _build_surface(args):
         return build_catenoid(args.n, grid=args.grid, profile_tol=args.profile_tol,
                               t_max=args.t_max, ode_substeps=args.ode_substeps)
     if args.surface == "rotation":
-        coeffs = args.profile_coeffs
+        # numpy.polynomial takes milliseconds to import, so only rotation surfaces load it
+        from numpy.polynomial import Polynomial
 
-        def poly(t: float) -> float:
-            acc = 0.0
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            return acc
-
-        def dpoly(t: float) -> float:
-            acc = 0.0
-            for k in range(len(coeffs) - 1, 0, -1):
-                acc = acc * t + k * coeffs[k]
-            return acc
-
-        def d2poly(t: float) -> float:
-            acc = 0.0
-            for k in range(len(coeffs) - 1, 1, -1):
-                acc = acc * t + k * (k - 1) * coeffs[k]
-            return acc
-
+        if not args.profile_coeffs:
+            raise RigidityError("profile-coeffs needs at least one value")
         if len(args.t_range) != 2:
             raise RigidityError(f"t-range needs two values, got {args.t_range}")
-        return build_rotation_hypersurface(args.n, poly, grid=args.grid,
+        profile = Polynomial(args.profile_coeffs)
+        return build_rotation_hypersurface(args.n, profile, grid=args.grid,
                                            t_range=(args.t_range[0], args.t_range[1]),
-                                           fp=dpoly, fpp=d2poly)
+                                           fp=profile.deriv(), fpp=profile.deriv(2))
     if args.surface == "ellipsoid":
         axes = args.semi_axes
         if axes is None:

@@ -12,11 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .defaults import tolerance
-from .errors import BadDimension, BadParams, InvalidField, NonFiniteResult
-from .inequalities import main_inequality
-from .spectral import SymMatrix, norms, trace_free_project
-from .surfaces import SamplePoint, ShapeField
+from .errors import BadParams, InvalidField, NonFiniteResult
+from .inequalities import classify_spectrum_batch, main_inequality_batch
+# unused here since energies are batched; bench/spans.py still wraps energy.main_inequality
+from .inequalities import main_inequality  # noqa: F401
+from .spectral import (SymMatrix, eigen_spectrum_batch, norms_batch, symfun_from_spectrum_batch,
+                       trace_free_project_batch)
+from .surfaces import SamplePoint, ShapeField, umbilic_flags
 
 __all__ = [
     "PointwiseRecord",
@@ -56,84 +61,62 @@ class EnergyReport:
     tolerances: dict
 
 
-def rotational_energy(field: ShapeField, cluster_tol: float | None = None,
-                      verdict_tol: float | None = None,
-                      umbilic_tol: float | None = None) -> EnergyReport:
+def rotational_energy(field: ShapeField) -> EnergyReport:
     """Quadrature of the pointwise defect over a shape field.
 
-    Summation is math.fsum in sample order, so results do not depend on how
-    integrand evaluation is batched. Every sample is classified through the
-    sharp inequality so the report carries an equality-locus map. A power of
-    |tracefree(A)| too large for a double raises NonFiniteResult.
+    All samples go through the batched kernels of the verify campaigns as one
+    (N, n, n) stack; summation is math.fsum in sample order. Every sample is
+    classified through the sharp inequality, so the report carries an
+    equality-locus map. A norm or power of |tracefree(A)| too large for a
+    double raises NonFiniteResult naming the first such sample.
     """
     if not isinstance(field, ShapeField) or not field.samples:
         raise InvalidField("expected a nonempty ShapeField")
     n = field.n
     if n < 4:
         raise InvalidField(f"energies need dimension >= 4, got {n}")
-    u_tol = tolerance("umbilic_tol", umbilic_tol)
-    records: list[PointwiseRecord] = []
-    rot_terms: list[float] = []
-    conf_terms: list[float] = []
-    scale_terms: list[float] = []
-    scale_conf_terms: list[float] = []
-    all_umbilic = True
-    all_large = True
-    any_nonumbilic = False
-    for idx, sp in enumerate(field.samples):
-        devi = trace_free_project(sp.shape_operator)
-        a2, a22, _ = norms(devi)
-        umbilic = math.sqrt(a2) <= u_tol * max(1.0, sp.shape_operator.frobenius())
-        try:
-            verdict, case = main_inequality(devi, tol=verdict_tol, cluster_tol=cluster_tol,
-                                            umbilic_tol=umbilic_tol)
-        except BadDimension as exc:  # pragma: no cover - field dimension checked above
-            raise InvalidField(str(exc)) from exc
-        defect = verdict.defect
-        try:
-            conf_factor = 1.0 if n == 4 else a2 ** ((n - 4) / 2.0)
-            norm_n = a2 ** (n / 2.0)
-        except OverflowError as exc:
-            raise NonFiniteResult(f"sample {idx}: |A|^{n} overflows at |A|^2 = {a2:.3e}") from exc
-        rot_terms.append(sp.area_weight * defect)
-        conf_terms.append(sp.area_weight * conf_factor * defect)
-        scale_terms.append(sp.area_weight * max(1.0, a2 * a2))
-        scale_conf_terms.append(sp.area_weight * max(1.0, norm_n))
-        records.append(PointwiseRecord(
-            index=idx,
-            coords=sp.coords,
-            weight=sp.area_weight,
-            tracefree_norm_sq=a2,
-            tracefree_sq_norm_sq=a22,
-            defect=defect,
-            relative_defect=verdict.relative_defect,
-            equality_kind=case.kind.value,
-            umbilic=umbilic,
-        ))
-        all_umbilic = all_umbilic and umbilic
-        all_large = all_large and case.large_eigenspace
-        any_nonumbilic = any_nonumbilic or not umbilic
-    if all_umbilic:
+    operators = np.stack([sp.shape_operator.entries for sp in field.samples])
+    weights = np.array([sp.area_weight for sp in field.samples])
+    devi = trace_free_project_batch(operators)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_norms = norms_batch(devi)
+        a2, a22, _ = a_norms
+        # a numpy scalar's pow rounds as Python's float pow, as reports always did; np.power does not
+        norm_n = np.array([x ** (n / 2.0) for x in a2])
+        conf_factor = 1.0 if n == 4 else np.array([x ** ((n - 4) / 2.0) for x in a2])
+    finite = np.isfinite(norm_n) & np.isfinite(a22)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        raise NonFiniteResult(f"sample {idx}: |A|^{n} overflows at |A|^2 = {a2[idx]:.3e}")
+
+    w, links = eigen_spectrum_batch(devi)
+    verdict, large = main_inequality_batch(a_norms, np.trace(devi, axis1=1, axis2=2),
+                                           symfun_from_spectrum_batch(w), links)
+    kinds = classify_spectrum_batch(w, links)
+    umbilic = umbilic_flags(operators)
+    if umbilic.all():
         classification = "AllUmbilic"
-    elif all_large and any_nonumbilic:
+    elif large.all():
         classification = "CatenoidCandidate" if field.minimal_claimed else "RotationCandidate"
     else:
         classification = "Generic"
-    rels = [r.relative_defect for r in records]
+    defect, rels = verdict.defect, verdict.relative_defect
+    with np.errstate(over="ignore"):  # an overflowing sum is left for the report writer to reject
+        # E_rot, E_rot_conf and the two quadrature scales, in EnergyReport's field order
+        terms = (weights * defect, weights * conf_factor * defect,
+                 weights * np.maximum(1.0, a2 * a2), weights * np.maximum(1.0, norm_n))
+    # the columns after coords and weight, in PointwiseRecord's field order
+    columns = zip(a2.tolist(), a22.tolist(), defect.tolist(), rels.tolist(), kinds.tolist(),
+                  umbilic.tolist())
+    records = tuple(PointwiseRecord(idx, sp.coords, sp.area_weight, *values)
+                    for idx, (sp, values) in enumerate(zip(field.samples, columns)))
     return EnergyReport(
-        e_rot=math.fsum(rot_terms),
-        e_rot_conf=math.fsum(conf_terms),
-        quadrature_scale=math.fsum(scale_terms),
-        quadrature_scale_conf=math.fsum(scale_conf_terms),
-        max_relative_defect=max(rels),
-        min_relative_defect=min(rels),
+        *(math.fsum(t.tolist()) for t in terms),
+        max_relative_defect=float(rels.max()),
+        min_relative_defect=float(rels.min()),
         classification=classification,
-        pointwise=tuple(records),
-        tolerances={
-            "cluster_tol": tolerance("cluster_tol", cluster_tol),
-            "verdict_tol": tolerance("verdict_tol", verdict_tol),
-            "umbilic_tol": u_tol,
-        },
+        pointwise=records,
+        tolerances={name: tolerance(name) for name in ("cluster_tol", "verdict_tol", "umbilic_tol")},
     )
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "EqualityCase",
     "InequalityVerdict",
     "classify_spectrum",
+    "classify_spectrum_batch",
     "newton_gap",
     "cubic_bound",
     "prop_p3",
@@ -118,8 +119,7 @@ def _verdict(lhs: float, rhs: float, hom_scale: float, tol: float,
     )
 
 
-def classify_spectrum(spectrum: Spectrum, umbilic_tol: float | None = None,
-                      newton_k: int | None = None) -> EqualityCase:
+def classify_spectrum(spectrum: Spectrum, newton_k: int | None = None) -> EqualityCase:
     """Classify a spectrum against the sharp equality structures.
 
     With ``newton_k`` set, the kernel case dim ker >= n - k + 1 of the sharp
@@ -127,12 +127,11 @@ def classify_spectrum(spectrum: Spectrum, umbilic_tol: float | None = None,
     n - 1 get the exact classification with the distinguished pair
     (mu, -(n-1) mu).
     """
-    u_tol = tolerance("umbilic_tol", umbilic_tol)
     w = spectrum.eigenvalues
     n = spectrum.n
     mult = spectrum.multiplicities
     radius = spectrum.spectral_radius
-    if radius <= u_tol:
+    if radius <= tolerance("umbilic_tol"):
         return EqualityCase(EqualityKind.ZERO, (n,))
     if len(mult) == 1:
         return EqualityCase(EqualityKind.PROPORTIONAL, mult)
@@ -272,10 +271,7 @@ def bridge_residual(profile: SymFunProfile, a2: float, a22: float) -> float:
     return left - right
 
 
-def main_inequality(a: SymMatrix, tol: float | None = None,
-                    cluster_tol: float | None = None,
-                    umbilic_tol: float | None = None,
-                    trace_tol: float | None = None,
+def main_inequality(a: SymMatrix, trace_tol: float | None = None,
                     spectrum: Spectrum | None = None,
                     profile: SymFunProfile | None = None,
                     ) -> tuple[InequalityVerdict, EqualityCase]:
@@ -291,9 +287,8 @@ def main_inequality(a: SymMatrix, tol: float | None = None,
         raise BadDimension(f"dimension must be >= 4, got {n}")
     a2, a22, _ = norms(a)
     _require_trace_free(a.trace(), a2, n, trace_tol)
-    tol = tolerance("verdict_tol", tol)
     if spectrum is None:
-        spectrum = eigen_spectrum(a, cluster_tol)
+        spectrum = eigen_spectrum(a)
     if profile is None:
         profile = symfun_from_spectrum(spectrum)
     hom = a2 * a2
@@ -301,8 +296,8 @@ def main_inequality(a: SymMatrix, tol: float | None = None,
     if abs(residual) > tolerance("bridge_tol") * max(1.0, hom):
         raise InvariantViolation(
             f"bridge identity residual {residual:.3e} exceeds tolerance at scale {hom:.3e}")
-    case = classify_spectrum(spectrum, umbilic_tol)
-    verdict = _verdict(a22, defect_coefficient(n) * hom, hom, tol, case)
+    case = classify_spectrum(spectrum)
+    verdict = _verdict(a22, defect_coefficient(n) * hom, hom, tolerance("verdict_tol"), case)
     return verdict, case
 
 
@@ -334,6 +329,23 @@ def _verdict_batch(lhs, rhs, hom_scale) -> InequalityVerdict:
     defect, threshold, scale = rhs - lhs, tol * hom_scale, np.maximum(1.0, hom_scale)
     return InequalityVerdict(lhs, rhs, defect, defect / scale, scale, tol,
                              defect >= -threshold, np.abs(defect) <= threshold)
+
+
+def _large_eigenspace_batch(links: np.ndarray) -> np.ndarray:
+    # a cluster of n - 1 or more eigenvalues is a linked run over the first or the last n - 1
+    return links[:, 1:].all(axis=1) | links[:, :-1].all(axis=1)
+
+
+def classify_spectrum_batch(w: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """EqualityKind values (B,) of classify_spectrum (no newton_k) from eigen_spectrum_batch output."""
+    radius = np.max(np.abs(w), axis=1)
+    large = _large_eigenspace_batch(links)  # past the one-cluster case, exactly n - 1 eigenvalues
+    trace_free = (np.abs(w.sum(axis=1))
+                  <= tolerance("trace_free_tol") * w.shape[1] * np.maximum(1.0, radius))
+    conditions = [radius <= tolerance("umbilic_tol"), links.all(axis=1), large & trace_free, large]
+    kinds = (EqualityKind.ZERO, EqualityKind.PROPORTIONAL, EqualityKind.EIGENSPACE_EXACT,
+             EqualityKind.EIGENSPACE_AT_LEAST)
+    return np.select(conditions, [k.value for k in kinds], EqualityKind.NONE.value)
 
 
 def newton_gap_batch(profile: SymFunProfile) -> InequalityVerdict:
@@ -385,8 +397,7 @@ def main_inequality_batch(a_norms, trace, profile: SymFunProfile,
     """main_inequality over arrays, asserting the bridge identity on every row.
 
     Also returns EqualityCase.large_eigenspace per row, from the cluster links
-    of eigen_spectrum_batch: a cluster of n - 1 or more eigenvalues is a
-    linked run over the first or the last n - 1.
+    of eigen_spectrum_batch.
     """
     a2, a22, _ = a_norms
     _require_trace_free_batch(trace, a2, profile.n)
@@ -398,7 +409,7 @@ def main_inequality_batch(a_norms, trace, profile: SymFunProfile,
         raise InvariantViolation(f"bridge identity residual {residual[i]:.3e} exceeds "
                                  f"tolerance at scale {hom[i]:.3e}")
     verdict = _verdict_batch(a22, defect_coefficient(profile.n) * hom, hom)
-    return verdict, links[:, 1:].all(axis=1) | links[:, :-1].all(axis=1)
+    return verdict, _large_eigenspace_batch(links)
 
 
 def sigma_norm_identities_batch(profile: SymFunProfile, a_norms,

@@ -4,15 +4,15 @@ Campaign matrices and lambda grids come from one Philox stream keyed by the
 seed (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 Every index owns a fixed run of counters, so different seeds never share
 matrices, and a bulk draw of any index range gives the same rows as drawing
-each index alone: results do not depend on the chunking. ``derived_rng``
-(``seed ^ index``, so nearby seeds share items) serves tests only.
+each index alone: results do not depend on the chunking. ``derived_rng``,
+keyed by the pair (seed, index), serves tests and the equality-family check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spectral import SymMatrix, trace_free_project
+from .spectral import SymMatrix, trace_free_project, trace_free_project_batch
 
 __all__ = [
     "campaign_chunk",
@@ -54,17 +54,18 @@ def campaign_samples(seed: int, dims, lambda_count: int, start: int, count: int)
     dim_of = np.asarray(dims)[np.arange(start, start + count) % len(dims)]
     groups = []
     for n in sorted(set(dim_of.tolist())):
-        rows, (iu, ju), diag = words[dim_of == n], np.triu_indices(n), np.arange(n)
+        rows, (iu, ju) = words[dim_of == n], np.triu_indices(n)
         m = np.empty((len(rows), n, n))
         m[:, iu, ju] = m[:, ju, iu] = -1.0 + 2.0 * rows[:, :len(iu)]
-        m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / n)[:, None]
+        m = trace_free_project_batch(m)
         lam = -2.0 + 4.0 * rows[:, tri_max:tri_max + lambda_count]
         groups.append((n, m, lam))
     return groups
 
 
 def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(seed ^ index)
+    """Generator keyed by the pair (seed, index): distinct pairs draw distinct streams."""
+    return np.random.default_rng([seed, index])
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> SymMatrix:

@@ -27,6 +27,7 @@ __all__ = [
     "symfun_from_power_sums",
     "shift_profile",
     "norms",
+    "trace_free_project_batch",
     "eigen_spectrum_batch",
     "symfun_from_spectrum_batch",
     "symfun_from_power_sums_batch",
@@ -346,6 +347,13 @@ def norms(a: SymMatrix) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # Batched twins over (B, n, n) stacks, checked against the scalar functions
 # above. A batch profile is a SymFunProfile whose entries are (B,) arrays.
+
+
+def trace_free_project_batch(m: np.ndarray) -> np.ndarray:
+    """trace_free_project of each matrix of a stack (B, n, n), as a new stack."""
+    out, diag = np.array(m, dtype=float), np.arange(m.shape[-1])
+    out[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / len(diag))[:, None]
+    return out
 
 
 def eigen_spectrum_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

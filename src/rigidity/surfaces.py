@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     StepTooLarge,
 )
-from .spectral import SymMatrix, trace_free_project
+from .spectral import SymMatrix, trace_free_project_batch
 
 __all__ = [
     "SURFACE_KINDS",
@@ -42,6 +42,7 @@ __all__ = [
     "SamplePoint",
     "ShapeField",
     "unit_sphere_volume",
+    "umbilic_flags",
     "build_sphere",
     "build_cylinder",
     "catenoid_profile",
@@ -138,10 +139,12 @@ def _midpoints(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (np.arange(count) + 0.5) * step
 
 
-def _umbilic(a: SymMatrix, umbilic_tol: float | None = None) -> bool:
-    tol = tolerance("umbilic_tol", umbilic_tol)
-    devi = trace_free_project(a)
-    return devi.frobenius() <= tol * max(1.0, a.frobenius())
+def umbilic_flags(operators: np.ndarray) -> np.ndarray:
+    """Umbilic test of each operator of a stack (N, n, n): |tracefree(A)| <= umbilic_tol * max(1, |A|)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        frob = [np.sqrt((m * m).sum(axis=(1, 2)))
+                for m in (trace_free_project_batch(operators), operators)]
+        return frob[0] <= tolerance("umbilic_tol") * np.maximum(1.0, frob[1])
 
 
 def _grid_counts(grid, directions: int, default: int) -> tuple[int, ...]:
@@ -190,11 +193,10 @@ def _orbit_samples(n: int, spec: SurfaceSpec, t_values: np.ndarray, dt: float,
     thetas = _midpoints(0.0, 2.0 * math.pi, m_theta)
     d_theta = 2.0 * math.pi / m_theta
     orbit_factor = unit_sphere_volume(n - 1) / (2.0 * math.pi)
+    diagonals = np.stack([np.diag([k] * (n - 1) + [p]) for k, p in zip(kr, kp)])
     samples = []
-    for i, t in enumerate(t_values):
-        diag = np.diag([kr[i]] * (n - 1) + [kp[i]])
-        operator = SymMatrix(diag)
-        umb = _umbilic(operator)
+    for i, (t, umb) in enumerate(zip(t_values, umbilic_flags(diagonals).tolist())):
+        operator = SymMatrix(diagonals[i])
         weight = density[i] * dt * orbit_factor * d_theta
         for theta in thetas:
             samples.append(SamplePoint((float(t), float(theta)), operator, weight, umb))
@@ -326,15 +328,11 @@ def build_catenoid(n: int, grid=None, profile_tol: float | None = None,
 
     # midpoints of [-t_max, t_max] land on ODE nodes: |2i + 1 - m_t| * substeps
     dt = 2.0 * t_max / m_t
-    t_values = np.empty(m_t)
-    f_mid = np.empty(m_t)
-    fp_mid = np.empty(m_t)
-    for i in range(m_t):
-        offset = 2 * i + 1 - m_t
-        node = abs(offset) * substeps
-        t_values[i] = t_max * offset / m_t
-        f_mid[i] = f[node]
-        fp_mid[i] = math.copysign(1.0, offset) * fp[node] if offset != 0 else fp[node]
+    offset = 2 * np.arange(m_t) + 1 - m_t
+    node = np.abs(offset) * substeps
+    t_values = t_max * offset / m_t
+    # f is even and f' odd; at offset 0, f'(0) = 0 exactly
+    f_mid, fp_mid = f[node], np.sign(offset) * fp[node]
     kr, kp = _catenoid_curvatures(n, f_mid, fp_mid)
     density = f_mid ** (n - 1) * np.sqrt(1.0 + fp_mid ** 2)
     return _orbit_samples(n, spec, t_values, dt, kr, kp, density, m_theta, minimal=True)
@@ -377,58 +375,67 @@ def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, floa
     return _orbit_samples(n, spec, t_values, dt, kr, kp, density, m_theta, minimal=False)
 
 
-def _chart_operator_at(chart, u: np.ndarray, h: float, orientation: float,
-                       rank_tol: float) -> tuple[SymMatrix, float]:
-    """Shape operator in an orthonormal tangent frame and the area density at u."""
-    n = u.shape[0]
-    x0 = np.asarray(chart(u), dtype=float)
-    plus = []
-    minus = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        plus.append(np.asarray(chart(u + e), dtype=float))
-        minus.append(np.asarray(chart(u - e), dtype=float))
-    jac = np.stack([(plus[i] - minus[i]) / (2.0 * h) for i in range(n)], axis=1)
-    gram = jac.T @ jac
+def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray,
+                     orientation: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shape operators (N, n, n) in orthonormal tangent frames and area densities (N,).
+
+    ``h`` is the step: a float, or an (N, 1) column of one step per point. The chart
+    is called once per offset of the (2n^2 + 1)-point stencil, over all N points.
+    """
+    count, n = points.shape
+
+    def at(offset) -> np.ndarray:
+        x = np.asarray(chart(points + offset), dtype=float)
+        if x.shape != (count, n + 1):
+            raise BadParams(f"a chart must map (N, {n}) parameters to (N, {n + 1}) points; "
+                            f"got shape {x.shape} for input shape {points.shape}")
+        return x
+
+    e = [h * unit for unit in np.eye(n)]
+    x0, plus, minus = at(0.0), [at(ei) for ei in e], [at(-ei) for ei in e]
+    jac = np.stack([(plus[i] - minus[i]) / (2.0 * h) for i in range(n)], axis=2)
+    gram = np.swapaxes(jac, 1, 2) @ jac
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateChart(f"chart Jacobian is rank deficient at {tuple(u)}") from exc
-    pivots = np.diag(chol)
-    if float(np.min(pivots)) <= rank_tol * float(np.max(pivots)):
-        raise DegenerateChart(f"chart Jacobian is nearly rank deficient at {tuple(u)}")
+        for k in range(count):  # find the first point whose Gram matrix is not positive definite
+            try:
+                np.linalg.cholesky(gram[k])
+            except np.linalg.LinAlgError:
+                break
+        raise DegenerateChart(f"chart Jacobian is rank deficient at {tuple(points[k].tolist())}") from exc
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    thin = pivots.min(axis=1) <= tolerance("chart_rank_tol") * pivots.max(axis=1)
+    if thin.any():
+        raise DegenerateChart("chart Jacobian is nearly rank deficient at "
+                              f"{tuple(points[np.argmax(thin)].tolist())}")
 
     q, _ = np.linalg.qr(jac, mode="complete")
-    normal = q[:, n]
-    sign, _ = np.linalg.slogdet(np.column_stack([jac, normal]))
+    normal = q[:, :, n]
+    sign, _ = np.linalg.slogdet(np.concatenate([jac, normal[:, :, None]], axis=2))
     # det([J | normal]) < 0 by default: the standard hyperspherical chart of
     # the round sphere then yields A = +I/r, matching the analytic builders
-    normal = -orientation * sign * normal
+    normal = -orientation * sign[:, None] * normal
 
-    second = np.empty((n, n))
+    # projections onto the normal: the builtin sum adds ambient terms in a fixed order, point by point
+    second = np.empty((count, n, n))
     for i in range(n):
-        dii = (plus[i] - 2.0 * x0 + minus[i]) / (h * h)
-        second[i, i] = float(dii @ normal)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
+        second[:, i, i] = sum(((plus[i] - 2.0 * x0 + minus[i]) / (h * h) * normal).T)
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            dij = (np.asarray(chart(u + ei + ej), dtype=float)
-                   - np.asarray(chart(u + ei - ej), dtype=float)
-                   - np.asarray(chart(u - ei + ej), dtype=float)
-                   + np.asarray(chart(u - ei - ej), dtype=float)) / (4.0 * h * h)
-            val = float(dij @ normal)
-            second[i, j] = val
-            second[j, i] = val
+            ei, ej = e[i], e[j]
+            dij = (at(ei + ej) - at(ei - ej) - at(ej - ei) + at(-ei - ej)) / (4.0 * h * h)
+            second[:, i, j] = second[:, j, i] = sum((dij * normal).T)
 
-    # orthonormal frame via g = L L^T: A = L^-1 II L^-T
+    # orthonormal frame via g = L L^T: A = L^-1 II L^-T, symmetrised as SymMatrix.from_array does
     y = np.linalg.solve(chol, second)
-    a_frame = np.linalg.solve(chol, y.T).T
-    density = float(np.prod(pivots))  # sqrt(det g)
-    return SymMatrix.from_array(a_frame, asym_tol=1e-9), density
+    a_frame = np.swapaxes(np.linalg.solve(chol, np.swapaxes(y, 1, 2)), 1, 2)
+    a_flip = np.swapaxes(a_frame, 1, 2)
+    skew = (np.abs(a_frame - a_flip).max(axis=(1, 2))
+            > 1e-9 * np.maximum(1.0, np.abs(a_frame).max(axis=(1, 2))))
+    if skew.any():
+        raise InvariantViolation("shape operator asymmetry exceeds tolerance at "
+                                 f"{tuple(points[np.argmax(skew)].tolist())}")
+    return 0.5 * (a_frame + a_flip), np.prod(pivots, axis=1)  # sqrt(det g)
 
 
 def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
@@ -437,12 +444,13 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
                          kind: str = "Chart") -> ShapeField:
     """Shape operators of a parametric immersion into flat (n+1)-space.
 
-    ``chart`` maps an n-vector of parameters to an (n+1)-vector; ``domain``
-    is a list of (lo, hi) bounds per direction. First and second fundamental
-    forms come from central differences with step ``fd_step``; the normal is
-    the QR complement of the tangent space with a determinant-consistent sign.
-    A step-halving self-consistency probe raises :class:`StepTooLarge` when
-    the finite differences are unreliable.
+    ``chart`` maps an (N, n) array of parameter points to the (N, n + 1)
+    array of their images (BadParams otherwise); ``domain`` is a list of
+    (lo, hi) bounds per direction. First and second fundamental forms come
+    from central differences with step ``fd_step``, one chart call over all
+    points per stencil offset; the normal is the QR complement of the tangent
+    space with a determinant-consistent sign. A step-halving self-consistency
+    probe raises :class:`StepTooLarge` when the differences are unreliable.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in domain]
     dims = len(bounds)
@@ -453,44 +461,45 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     counts = _grid_counts(grid, dims, 6)
     span = max(hi - lo for lo, hi in bounds)
     h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, span)
-    rank_tol = tolerance("chart_rank_tol")
     spec = SurfaceSpec(kind, dims, dict(params or {}, fd_step=h), counts)
 
     axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
     cell = math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, counts))
-    points = [np.array(p) for p in itertools.product(*axes)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
 
-    if self_check:
-        check_tol = tolerance("fd_self_check_tol")
-        for idx in {0, len(points) // 2, len(points) - 1}:
-            a_full, _ = _chart_operator_at(chart, points[idx], h, orientation, rank_tol)
-            a_half, _ = _chart_operator_at(chart, points[idx], h / 2.0, orientation, rank_tol)
-            diff = float(np.max(np.abs(a_full.entries - a_half.entries)))
-            if diff > check_tol * max(1.0, a_full.frobenius()):
-                raise StepTooLarge(
-                    f"fd_step {h:.3e} fails self-consistency at sample {idx}: diff {diff:.3e}")
+    if self_check:  # the probes at step h and at h / 2 share one stencil pass
+        probes = sorted({0, len(points) // 2, len(points) - 1})
+        steps = np.repeat([h, h / 2.0], len(probes))[:, None]
+        full, half = np.split(_chart_operators(chart, points[probes * 2], steps, orientation)[0], 2)
+        diff = np.abs(full - half).max(axis=(1, 2))
+        bad = diff > tolerance("fd_self_check_tol") * np.maximum(
+            1.0, np.sqrt((full * full).sum(axis=(1, 2))))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise StepTooLarge(
+                f"fd_step {h:.3e} fails self-consistency at sample {probes[k]}: diff {diff[k]:.3e}")
 
-    samples = []
-    for p in points:
-        operator, density = _chart_operator_at(chart, p, h, orientation, rank_tol)
-        samples.append(SamplePoint(tuple(float(x) for x in p), operator,
-                                   density * cell, _umbilic(operator)))
+    operators, density = _chart_operators(chart, points, h, orientation)
+    samples = [SamplePoint(tuple(p), SymMatrix(a), w, umb)
+               for p, a, w, umb in zip(points.tolist(), operators, (density * cell).tolist(),
+                                       umbilic_flags(operators).tolist())]
     return ShapeField(spec, tuple(samples), minimal_claimed=False)
 
 
 def _sphere_embed(angles: np.ndarray) -> np.ndarray:
-    n = angles.shape[0]
-    x = np.empty(n + 1)
+    """Hyperspherical angles [..., n] to points [..., n + 1] of the unit n-sphere."""
+    n = angles.shape[-1]
+    x = np.empty(angles.shape[:-1] + (n + 1,))
     sin_prod = 1.0
     for d in range(n):
-        x[d] = sin_prod * math.cos(angles[d])
-        sin_prod *= math.sin(angles[d])
-    x[n] = sin_prod
+        x[..., d] = sin_prod * np.cos(angles[..., d])
+        sin_prod = sin_prod * np.sin(angles[..., d])
+    x[..., n] = sin_prod
     return x
 
 
 def sphere_chart(n: int, radius: float):
-    """Hyperspherical chart of the round n-sphere and its parameter domain."""
+    """Hyperspherical chart of the round n-sphere, on [..., n] arrays, and its parameter domain."""
 
     def chart(u: np.ndarray) -> np.ndarray:
         return radius * _sphere_embed(np.asarray(u, dtype=float))
@@ -504,17 +513,14 @@ def cylinder_chart(n: int, radius: float, height: float):
 
     def chart(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        x = np.empty(n + 1)
-        x[:n] = radius * _sphere_embed(u[: n - 1])
-        x[n] = u[n - 1]
-        return x
+        return np.concatenate([radius * _sphere_embed(u[..., : n - 1]), u[..., n - 1:]], axis=-1)
 
     domain = [(0.0, math.pi)] * (n - 2) + [(0.0, 2.0 * math.pi), (0.0, height)]
     return chart, domain
 
 
 def ellipsoid_chart(semi_axes):
-    """Chart of the ellipsoid sum (x_i / a_i)^2 = 1; dimension len(a) - 1."""
+    """Chart of the ellipsoid sum (x_i / a_i)^2 = 1, on [..., n] arrays; dimension len(a) - 1."""
     axes = np.asarray(semi_axes, dtype=float)
     if np.any(axes <= 0):
         raise BadParams(f"semi-axes must be positive, got {semi_axes}")
@@ -632,7 +638,12 @@ def field_from_dict(data: dict) -> ShapeField:
                                        bool(raw["umbilic_flag"])))
         except (InvariantViolation, BadDimension) as exc:
             raise InvariantViolation(f"sample {i}: {exc}") from exc
-    return ShapeField(spec, tuple(samples), minimal_claimed=bool(data["minimal_claimed"]))
+    field_ = ShapeField(spec, tuple(samples), minimal_claimed=bool(data["minimal_claimed"]))
+    wrong = (umbilic_flags(np.stack([sp.shape_operator.entries for sp in samples]))
+             != [sp.umbilic_flag for sp in samples])
+    _expect(not wrong.any(), f"sample {int(np.argmax(wrong))}: umbilic_flag contradicts "
+                             "its shape operator under the umbilic test")
+    return field_
 
 
 def ingest_field(path) -> ShapeField:

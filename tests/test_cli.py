@@ -115,6 +115,12 @@ class TestCatalog:
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    def test_rotation_without_coefficients_exit_2(self, tmp_path, capsys):
+        code = main(["catalog", "--surface", "rotation", "--n", "4", "--profile-coeffs", "",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "profile-coeffs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("surface, grid", [
         ("sphere", "2"), ("cylinder", "4x2"), ("catenoid", "8x2"), ("rotation", "4x2"),
         ("ellipsoid", "2x2x2x3"),

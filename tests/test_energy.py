@@ -11,9 +11,11 @@ from rigidity.energy import (
     report_to_dict,
     rotational_energy,
 )
-from rigidity.errors import BadParams, InvalidField
+from rigidity.defaults import tolerance
+from rigidity.errors import BadParams, InvalidField, NonFiniteResult
+from rigidity.inequalities import main_inequality
 from rigidity.sampling import derived_rng, random_trace_free
-from rigidity.spectral import SymMatrix
+from rigidity.spectral import SymMatrix, norms, trace_free_project
 from rigidity.surfaces import (
     SamplePoint,
     ShapeField,
@@ -103,6 +105,14 @@ class TestRotationalEnergy:
         rate = math.log(e_large / e_small) / math.log(10.0)
         assert rate >= 1.9  # quadratic or faster onset
 
+    def test_overflow_names_the_sample(self, cylinder4):
+        samples = list(cylinder4.samples)
+        big = samples[7]
+        samples[7] = SamplePoint(big.coords, SymMatrix(1e100 * big.shape_operator.entries),
+                                 big.area_weight, False)
+        with pytest.raises(NonFiniteResult, match="sample 7: .* overflows"):
+            rotational_energy(ShapeField(cylinder4.spec, samples))
+
     def test_invalid_field(self):
         with pytest.raises(InvalidField):
             rotational_energy("not a field")
@@ -116,6 +126,42 @@ class TestRotationalEnergy:
         assert header[:2] == ["coord0", "coord1"]
         assert len(rows) == len(cylinder4.samples)
         assert rows[0][-1] == "EigenspaceDimExactlyNMinus1"
+
+
+CATALOG = {
+    "sphere": lambda: build_sphere(5, 1.5, grid=[3]),
+    "cylinder": lambda: build_cylinder(4, 1.0, 2.0, grid=[6, 4]),
+    "catenoid": lambda: build_catenoid(5, grid=[16, 4]),
+    "rotation": lambda: build_rotation_hypersurface(6, lambda t: 1.0 + 0.5 * t * t, grid=[8, 3],
+                                                    fp=lambda t: t, fpp=lambda t: 1.0),
+    "ellipsoid": lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4],
+                                         fd_step=1e-4),
+}
+
+
+@pytest.mark.parametrize("build", CATALOG.values(), ids=CATALOG.keys())
+def test_batched_records_match_per_sample_oracle(build):
+    field = build()
+    report = rotational_energy(field)
+    n, u_tol = field.n, tolerance("umbilic_tol")
+    rot, conf, scale, scale_conf = [], [], [], []
+    for sp, r in zip(field.samples, report.pointwise):
+        devi = trace_free_project(sp.shape_operator)
+        a2, a22, _ = norms(devi)
+        verdict, case = main_inequality(devi)
+        assert (r.tracefree_norm_sq, r.tracefree_sq_norm_sq, r.defect, r.relative_defect,
+                r.equality_kind) == (a2, a22, verdict.defect, verdict.relative_defect,
+                                     case.kind.value)
+        assert r.umbilic == (math.sqrt(a2) <= u_tol * max(1.0, sp.shape_operator.frobenius()))
+        conf_factor = 1.0 if n == 4 else a2 ** ((n - 4) / 2.0)
+        rot.append(sp.area_weight * verdict.defect)
+        conf.append(sp.area_weight * conf_factor * verdict.defect)
+        scale.append(sp.area_weight * max(1.0, a2 * a2))
+        scale_conf.append(sp.area_weight * max(1.0, a2 ** (n / 2.0)))
+    assert (report.e_rot, report.e_rot_conf, report.quadrature_scale,
+            report.quadrature_scale_conf) == tuple(map(math.fsum, (rot, conf, scale, scale_conf)))
+    rels = [r.relative_defect for r in report.pointwise]
+    assert (report.min_relative_defect, report.max_relative_defect) == (min(rels), max(rels))
 
 
 class TestConformalRescale:

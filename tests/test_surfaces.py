@@ -15,6 +15,7 @@ from rigidity.errors import (
     ODEStepFailure,
     ParseError,
     SchemaError,
+    RigidityError,
     StepTooLarge,
 )
 from rigidity.inequalities import main_inequality
@@ -261,7 +262,7 @@ class TestChart:
         q = random_rotation(derived_rng(401), 5)
 
         def rotated(u):
-            return q @ e_chart(u)
+            return e_chart(u) @ q.T  # q @ x for each row x
 
         base = chart_shape_operator(e_chart, e_domain, grid=[2, 2, 2, 3], fd_step=1e-2,
                                     self_check=False)
@@ -285,12 +286,46 @@ class TestChart:
     def test_degenerate_chart(self):
         def collapsed(u):
             # image is a curve: rank 1 Jacobian everywhere
-            s = float(np.sum(u))
-            return np.array([s, 2.0 * s, 3.0 * s, 4.0 * s, 5.0 * s])
+            s = np.sum(u, axis=-1, keepdims=True)
+            return s * np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 
         with pytest.raises(DegenerateChart):
             chart_shape_operator(collapsed, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2],
                                  self_check=False)
+
+    @pytest.mark.parametrize("grid", [[2, 2, 2, 2], [3, 2, 4, 3]])
+    def test_one_chart_call_per_stencil_offset(self, grid):
+        chart, domain = sphere_chart(4, 1.0)
+        shapes = []
+
+        def counted(u):
+            shapes.append(u.shape)
+            return chart(u)
+
+        field = chart_shape_operator(counted, domain, grid=grid, fd_step=1e-4)
+        # 2n^2 + 1 offsets for the self-check probes (3 points at h and h / 2), then for all points
+        assert shapes == [(6, 4)] * 33 + [(len(field.samples), 4)] * 33
+
+    @pytest.mark.parametrize("wrong", [
+        lambda x: x[:, :-1],
+        lambda x: x[0],
+        lambda x: x.T,
+    ], ids=["too_few_coordinates", "one_point", "transposed"])
+    def test_chart_of_wrong_shape_is_named(self, wrong):
+        chart, domain = sphere_chart(4, 1.0)
+        with pytest.raises(RigidityError, match=r"\(N, 4\) parameters to \(N, 5\) points"):
+            chart_shape_operator(lambda u: wrong(chart(u)), domain, grid=[2, 2, 2, 2])
+
+    @pytest.mark.parametrize("squash", [0.0, 1e-9], ids=["singular", "below_rank_floor"])
+    def test_degenerate_chart_names_first_point(self, squash):
+        def chart(u):
+            # graph of a paraboloid over (u0, u1, u2), with u3 squashed where u0 > 0.5
+            scale = np.where(u[..., :1] > 0.5, squash, 1.0)
+            height = np.sum(u[..., :3] ** 2, axis=-1, keepdims=True)
+            return np.concatenate([u[..., :3], scale * u[..., 3:], height], axis=-1)
+
+        with pytest.raises(DegenerateChart, match=r"rank deficient at \(0\.75, 0\.25, 0\.25, 0\.25\)"):
+            chart_shape_operator(chart, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2], self_check=False)
 
     def test_step_too_large(self):
         chart, domain = sphere_chart(4, 1.0)
@@ -312,6 +347,16 @@ class TestFieldIO:
             assert np.array_equal(a.shape_operator.entries, b.shape_operator.entries)
             assert a.area_weight == b.area_weight
             assert a.umbilic_flag == b.umbilic_flag
+
+    @pytest.mark.parametrize("build, index", [
+        (lambda: build_cylinder(4, 1.0, 1.0, grid=[4, 2]), 5),
+        (lambda: build_sphere(4, 1.0, grid=[2]), 9),
+    ], ids=["cylinder_claims_umbilic", "sphere_denies_umbilic"])
+    def test_tampered_umbilic_flag_rejected(self, build, index):
+        data = field_to_dict(build())
+        data["samples"][index]["umbilic_flag"] = not data["samples"][index]["umbilic_flag"]
+        with pytest.raises(SchemaError, match=f"sample {index}: umbilic_flag"):
+            field_from_dict(data)
 
     def test_asymmetric_matrix_names_sample(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[4, 2])

@@ -11,6 +11,8 @@ from rigidity.curvature import kn_identity_suite, kn_identity_suite_batch
 from rigidity.errors import NotTraceFree
 from rigidity.inequalities import (
     bridge_residual,
+    classify_spectrum,
+    classify_spectrum_batch,
     cubic_bound,
     cubic_bound_batch,
     lambda_scan,
@@ -78,6 +80,16 @@ def near_cluster_corpus(n):
         q = random_rotation(rng, n)
         out.append(SymMatrix.from_array(q @ np.diag(w) @ q.T).entries)
     return out
+
+
+def proportional_corpus(n):
+    # c I, projected by stack() to zero up to rounding; classified before projection below
+    return [derived_rng(970 + n, i).uniform(-2.0, 2.0) * np.eye(n) for i in range(COUNT)]
+
+
+def zero_corpus(n):
+    # entries at most about 1e-11: the spectral radius is below umbilic_tol
+    return [1e-11 * m for m in random_corpus(n)]
 
 
 def clusters_from_links(links):
@@ -222,3 +234,37 @@ def test_report_does_not_depend_on_the_chunk(monkeypatch, chunk):
     whole = verify.run_verification_campaign(*args)
     monkeypatch.setattr(verify, "campaign_chunk", lambda dims, lambda_count: chunk)
     assert verify.run_verification_campaign(*args) == whole
+
+
+def shifted_corpus(n):
+    # an eigenspace of dimension n - 1 in a matrix that is not trace-free
+    return [m + 0.5 * np.eye(n) for m in equality_corpus(n)]
+
+
+CLASSIFY_CORPORA = {"random": random_corpus, "equality_family": equality_corpus,
+                    "near_cluster": near_cluster_corpus, "proportional": proportional_corpus,
+                    "zero": zero_corpus, "shifted_equality": shifted_corpus}
+
+
+@pytest.mark.parametrize("project", [True, False], ids=["trace_free", "raw"])
+@pytest.mark.parametrize("corpus", CLASSIFY_CORPORA.values(), ids=CLASSIFY_CORPORA.keys())
+@pytest.mark.parametrize("n", DIMS)
+def test_classify_spectrum_batch_matches_scalar(n, corpus, project):
+    a = stack(corpus, n) if project else np.stack(corpus(n))
+    w, links = eigen_spectrum_batch(a)
+    want = [classify_spectrum(eigen_spectrum(SymMatrix.from_array(m))).kind.value for m in a]
+    assert classify_spectrum_batch(w, links).tolist() == want
+
+
+def test_classify_corpora_reach_every_kind():
+    a = np.concatenate([np.stack(corpus(6)) for corpus in CLASSIFY_CORPORA.values()])
+    kinds = set(classify_spectrum_batch(*eigen_spectrum_batch(a)).tolist())
+    assert kinds == {"Zero", "ProportionalToIdentity", "EigenspaceDimExactlyNMinus1",
+                     "EigenspaceDimAtLeastNMinus1", "None"}
+
+
+def test_derived_streams_of_nearby_seeds_differ():
+    # seed ^ index made these three the same generator
+    draws = [derived_rng(seed, index).random(4).tolist()
+             for seed, index in ((20241, 0), (20242, 3), (20243, 2))]
+    assert draws[0] != draws[1] and draws[0] != draws[2] and draws[1] != draws[2]
