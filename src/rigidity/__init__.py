@@ -40,7 +40,6 @@ from .curvature import (
 )
 from .surfaces import (
     SurfaceSpec,
-    SamplePoint,
     ShapeField,
     build_sphere,
     build_cylinder,

@@ -148,7 +148,7 @@ def _build_surface(args):
 def cmd_catalog(args) -> int:
     field = _build_surface(args)
     save_field(field, args.out)
-    print(f"catalog: wrote {len(field.samples)} samples ({field.spec.kind}, n={field.spec.n}) "
+    print(f"catalog: wrote {len(field.weights)} samples ({field.spec.kind}, n={field.spec.n}) "
           f"to {args.out}")
     return 0
 

@@ -19,9 +19,9 @@ from .errors import BadParams, InvalidField, NonFiniteResult
 from .inequalities import classify_spectrum_batch, main_inequality_batch
 # unused here since energies are batched; bench/spans.py still wraps energy.main_inequality
 from .inequalities import main_inequality  # noqa: F401
-from .spectral import (SymMatrix, eigen_spectrum_batch, norms_batch, symfun_from_spectrum_batch,
+from .spectral import (eigen_spectrum_batch, norms_batch, symfun_from_spectrum_batch,
                        trace_free_project_batch)
-from .surfaces import SamplePoint, ShapeField, umbilic_flags
+from .surfaces import ShapeField, umbilic_flags
 
 __all__ = [
     "PointwiseRecord",
@@ -68,15 +68,12 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     (N, n, n) stack; summation is math.fsum in sample order. Every sample is
     classified through the sharp inequality, so the report carries an
     equality-locus map. A norm or power of |tracefree(A)| too large for a
-    double raises NonFiniteResult naming the first such sample.
+    double raises NonFiniteResult naming the first such sample, and a sum
+    beyond the double range raises it naming the sum.
     """
-    if not isinstance(field, ShapeField) or not field.samples:
-        raise InvalidField("expected a nonempty ShapeField")
-    n = field.n
-    if n < 4:
-        raise InvalidField(f"energies need dimension >= 4, got {n}")
-    operators = np.stack([sp.shape_operator.entries for sp in field.samples])
-    weights = np.array([sp.area_weight for sp in field.samples])
+    if not isinstance(field, ShapeField):
+        raise InvalidField("expected a ShapeField")
+    n, operators, weights = field.spec.n, field.operators, field.weights  # SurfaceSpec keeps n >= 4
     devi = trace_free_project_batch(operators)
     with np.errstate(over="ignore", invalid="ignore"):
         a_norms = norms_batch(devi)
@@ -101,17 +98,22 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     else:
         classification = "Generic"
     defect, rels = verdict.defect, verdict.relative_defect
-    with np.errstate(over="ignore"):  # an overflowing sum is left for the report writer to reject
+    with np.errstate(over="ignore"):  # an infinite term is left for the report writer to reject
         # E_rot, E_rot_conf and the two quadrature scales, in EnergyReport's field order
         terms = (weights * defect, weights * conf_factor * defect,
                  weights * np.maximum(1.0, a2 * a2), weights * np.maximum(1.0, norm_n))
-    # the columns after coords and weight, in PointwiseRecord's field order
-    columns = zip(a2.tolist(), a22.tolist(), defect.tolist(), rels.tolist(), kinds.tolist(),
-                  umbilic.tolist())
-    records = tuple(PointwiseRecord(idx, sp.coords, sp.area_weight, *values)
-                    for idx, (sp, values) in enumerate(zip(field.samples, columns)))
+    sums = []
+    for name, t in zip(("E_rot", "E_rot_conf", "quadrature_scale", "quadrature_scale_conf"), terms):
+        try:
+            sums.append(math.fsum(t.tolist()))
+        except (OverflowError, ValueError) as exc:  # finite terms past the double range, or inf - inf
+            raise NonFiniteResult(f"{name}: {exc}") from exc
+    # the columns of PointwiseRecord after its index, in field order
+    columns = zip(map(tuple, field.coords.tolist()), weights.tolist(), a2.tolist(), a22.tolist(),
+                  defect.tolist(), rels.tolist(), kinds.tolist(), umbilic.tolist())
+    records = tuple(PointwiseRecord(idx, *values) for idx, values in enumerate(columns))
     return EnergyReport(
-        *(math.fsum(t.tolist()) for t in terms),
+        *sums,
         max_relative_defect=float(rels.max()),
         min_relative_defect=float(rels.min()),
         classification=classification,
@@ -128,18 +130,12 @@ def conformal_rescale(field: ShapeField, t: float) -> ShapeField:
     """
     if not t > 0.0:
         raise BadParams(f"scale factor must be positive, got {t}")
-    n = field.n
-    weight_factor = t ** n
-    samples = tuple(
-        SamplePoint(sp.coords, SymMatrix(sp.shape_operator.entries / t),
-                    sp.area_weight * weight_factor, sp.umbilic_flag)
-        for sp in field.samples
-    )
-    return ShapeField(field.spec, samples, minimal_claimed=field.minimal_claimed)
+    return ShapeField(field.spec, field.coords, field.operators / t, field.weights * t ** field.spec.n,
+                      minimal_claimed=field.minimal_claimed)
 
 
-def report_to_dict(report: EnergyReport, include_pointwise: bool = True) -> dict:
-    out = {
+def report_to_dict(report: EnergyReport) -> dict:
+    return {
         "E_rot": report.e_rot,
         "E_rot_conf": report.e_rot_conf,
         "quadrature_scale": report.quadrature_scale,
@@ -149,9 +145,7 @@ def report_to_dict(report: EnergyReport, include_pointwise: bool = True) -> dict
         "classification": report.classification,
         "samples": len(report.pointwise),
         "tolerances": dict(report.tolerances),
-    }
-    if include_pointwise:
-        out["pointwise"] = [
+        "pointwise": [
             {
                 "index": r.index,
                 "coords": list(r.coords),
@@ -164,18 +158,14 @@ def report_to_dict(report: EnergyReport, include_pointwise: bool = True) -> dict
                 "umbilic": r.umbilic,
             }
             for r in report.pointwise
-        ]
-    return out
+        ],
+    }
 
 
 def report_csv_rows(report: EnergyReport) -> tuple[list[str], list[list]]:
     """Header and rows for the flat per-sample export."""
-    width = max(len(r.coords) for r in report.pointwise)
-    header = [f"coord{i}" for i in range(width)]
+    header = [f"coord{i}" for i in range(len(report.pointwise[0].coords))]
     header += ["tracefree_norm_sq", "tracefree_sq_norm_sq", "defect", "equality_kind"]
-    rows = []
-    for r in report.pointwise:
-        coords = list(r.coords) + [""] * (width - len(r.coords))
-        rows.append(coords + [r.tracefree_norm_sq, r.tracefree_sq_norm_sq,
-                              r.defect, r.equality_kind])
+    rows = [[*r.coords, r.tracefree_norm_sq, r.tracefree_sq_norm_sq, r.defect, r.equality_kind]
+            for r in report.pointwise]
     return header, rows

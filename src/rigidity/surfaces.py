@@ -12,12 +12,11 @@ the tensor-product midpoint rule everywhere, which keeps weights positive.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,12 +33,11 @@ from .errors import (
     SchemaError,
     StepTooLarge,
 )
-from .spectral import SymMatrix, trace_free_project_batch
+from .spectral import trace_free_project_batch
 
 __all__ = [
     "SURFACE_KINDS",
     "SurfaceSpec",
-    "SamplePoint",
     "ShapeField",
     "unit_sphere_volume",
     "umbilic_flags",
@@ -84,49 +82,52 @@ class SurfaceSpec:
             raise BadParams("constructed surfaces support only flat ambient space")
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    """One sample: parameter coordinates, shape operator, quadrature weight."""
-
-    coords: tuple[float, ...]
-    shape_operator: SymMatrix
-    area_weight: float
-    umbilic_flag: bool
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.area_weight < math.inf:
-            raise InvariantViolation(f"area weight must be positive and finite, got {self.area_weight}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeField:
-    """Finite sample set representing an immersed hypersurface patch."""
+    """Samples of an immersed hypersurface patch as read-only arrays: parameter ``coords``
+    (N, len(spec.grid)), exactly symmetric finite shape ``operators`` (N, n, n) and positive
+    finite quadrature ``weights`` (N,). Built and ingested fields pass the same checks, each
+    naming the first sample that fails it; umbilic samples are ``umbilic_flags(operators)``.
+    """
 
     spec: SurfaceSpec
-    samples: tuple[SamplePoint, ...] = field(default_factory=tuple)
+    coords: np.ndarray
+    operators: np.ndarray
+    weights: np.ndarray
     minimal_claimed: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
+        coords, operators, weights = (np.array(a, dtype=float)
+                                      for a in (self.coords, self.operators, self.weights))
+        count, n = weights.size, self.spec.n
+        if not count:
             raise InvariantViolation("shape field must contain at least one sample")
-        n = self.samples[0].shape_operator.n
-        if self.spec.n != n:
-            raise InvariantViolation(f"spec dimension {self.spec.n} != operator dimension {n}")
-        for i, sp in enumerate(self.samples):
-            if sp.shape_operator.n != n:
-                raise InvariantViolation(f"sample {i}: dimension {sp.shape_operator.n} != {n}")
+        for name, array, shape in (("weights", weights, (count,)),
+                                   ("operators", operators, (count, n, n)),
+                                   ("coords", coords, (count, len(self.spec.grid)))):
+            if array.shape != shape:
+                raise InvariantViolation(f"{name} have shape {array.shape}, expected {shape}")
+        _first_bad(~np.isfinite(operators).all(axis=(1, 2)), "shape operator entries must be finite")
+        _first_bad((operators != np.swapaxes(operators, 1, 2)).any(axis=(1, 2)),
+                   "shape operator entries are not exactly symmetric")
+        _first_bad(~((weights > 0.0) & (weights < math.inf)),
+                   lambda i: f"area weight must be positive and finite, got {weights[i]}")
         if self.minimal_claimed:
             tol = tolerance("minimality_tol")
-            for i, sp in enumerate(self.samples):
-                residual = abs(sp.shape_operator.trace()) / (1.0 + sp.shape_operator.frobenius())
-                if residual > tol:
-                    raise InvariantViolation(
-                        f"sample {i}: minimality residual {residual:.3e} exceeds {tol:.1e}")
+            residual = (np.abs(np.trace(operators, axis1=1, axis2=2))
+                        / (1.0 + np.sqrt((operators * operators).sum(axis=(1, 2)))))
+            _first_bad(residual > tol,
+                       lambda i: f"minimality residual {residual[i]:.3e} exceeds {tol:.1e}")
+        for name, array in (("coords", coords), ("operators", operators), ("weights", weights)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    @property
-    def n(self) -> int:
-        return self.samples[0].shape_operator.n
+
+def _first_bad(bad: np.ndarray, message) -> None:
+    """InvariantViolation naming the first sample where ``bad`` holds; ``message`` may take its index."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation(f"sample {i}: {message(i) if callable(message) else message}")
 
 
 def unit_sphere_volume(m: int) -> float:
@@ -145,6 +146,11 @@ def umbilic_flags(operators: np.ndarray) -> np.ndarray:
         frob = [np.sqrt((m * m).sum(axis=(1, 2)))
                 for m in (trace_free_project_batch(operators), operators)]
         return frob[0] <= tolerance("umbilic_tol") * np.maximum(1.0, frob[1])
+
+
+def _grid_points(axes) -> np.ndarray:
+    """Row-major grid of the axes' values as an (N, len(axes)) array, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _grid_counts(grid, directions: int, default: int) -> tuple[int, ...]:
@@ -170,16 +176,14 @@ def build_sphere(n: int, radius: float, grid=None) -> ShapeField:
     axes = [_midpoints(0.0, math.pi, counts[d]) for d in range(n - 1)]
     axes.append(_midpoints(0.0, 2.0 * math.pi, counts[n - 1]))
     cell = math.prod((math.pi if d < n - 1 else 2.0 * math.pi) / counts[d] for d in range(n))
-    operator = SymMatrix(np.eye(n) / radius)
-    rn = radius ** n
-    samples = []
-    for angles in itertools.product(*axes):
-        density = 1.0
-        for d in range(n - 1):
-            density *= math.sin(angles[d]) ** (n - 1 - d)
-        samples.append(SamplePoint(tuple(float(x) for x in angles), operator,
-                                   rn * density * cell, True))
-    return ShapeField(spec, tuple(samples), minimal_claimed=False)
+    # sin(angle_d)^(n-1-d) per axis in Python floats, multiplied across the grid in axis order
+    density = 1.0
+    for d in range(n - 1):
+        factor = np.array([math.sin(x) ** (n - 1 - d) for x in axes[d].tolist()])
+        density = density * factor.reshape((-1,) + (1,) * (n - 1 - d))
+    weights = np.broadcast_to(radius ** n * density * cell, counts).reshape(-1)
+    operators = np.broadcast_to(np.eye(n) / radius, (len(weights), n, n))
+    return ShapeField(spec, _grid_points(axes), operators, weights, minimal_claimed=False)
 
 
 def _orbit_samples(n: int, spec: SurfaceSpec, t_values: np.ndarray, dt: float,
@@ -193,14 +197,13 @@ def _orbit_samples(n: int, spec: SurfaceSpec, t_values: np.ndarray, dt: float,
     thetas = _midpoints(0.0, 2.0 * math.pi, m_theta)
     d_theta = 2.0 * math.pi / m_theta
     orbit_factor = unit_sphere_volume(n - 1) / (2.0 * math.pi)
-    diagonals = np.stack([np.diag([k] * (n - 1) + [p]) for k, p in zip(kr, kp)])
-    samples = []
-    for i, (t, umb) in enumerate(zip(t_values, umbilic_flags(diagonals).tolist())):
-        operator = SymMatrix(diagonals[i])
-        weight = density[i] * dt * orbit_factor * d_theta
-        for theta in thetas:
-            samples.append(SamplePoint((float(t), float(theta)), operator, weight, umb))
-    return ShapeField(spec, tuple(samples), minimal_claimed=minimal)
+    diagonals = np.zeros((len(t_values), n, n))
+    diagonals[:, range(n), range(n)] = np.column_stack([kr] * (n - 1) + [kp])
+    # every orbit angle of a profile node repeats the node's operator and weight
+    return ShapeField(spec, _grid_points([t_values, thetas]),
+                      np.repeat(diagonals, m_theta, axis=0),
+                      np.repeat(density * dt * orbit_factor * d_theta, m_theta),
+                      minimal_claimed=minimal)
 
 
 def build_cylinder(n: int, radius: float, height: float, grid=None) -> ShapeField:
@@ -440,8 +443,7 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray,
 
 def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
                          orientation: float = 1.0, self_check: bool = True,
-                         n: int | None = None, params: dict | None = None,
-                         kind: str = "Chart") -> ShapeField:
+                         params: dict | None = None) -> ShapeField:
     """Shape operators of a parametric immersion into flat (n+1)-space.
 
     ``chart`` maps an (N, n) array of parameter points to the (N, n + 1)
@@ -454,18 +456,16 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     """
     bounds = [(float(lo), float(hi)) for lo, hi in domain]
     dims = len(bounds)
-    if n is not None and n != dims:
-        raise BadParams(f"domain has {dims} directions, expected {n}")
     if any(not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo for lo, hi in bounds):
         raise BadParams("domain bounds must be finite and ordered")
     counts = _grid_counts(grid, dims, 6)
     span = max(hi - lo for lo, hi in bounds)
     h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, span)
-    spec = SurfaceSpec(kind, dims, dict(params or {}, fd_step=h), counts)
+    spec = SurfaceSpec("Chart", dims, dict(params or {}, fd_step=h), counts)
 
     axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
     cell = math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, counts))
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
+    points = _grid_points(axes)
 
     if self_check:  # the probes at step h and at h / 2 share one stencil pass
         probes = sorted({0, len(points) // 2, len(points) - 1})
@@ -480,10 +480,7 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
                 f"fd_step {h:.3e} fails self-consistency at sample {probes[k]}: diff {diff[k]:.3e}")
 
     operators, density = _chart_operators(chart, points, h, orientation)
-    samples = [SamplePoint(tuple(p), SymMatrix(a), w, umb)
-               for p, a, w, umb in zip(points.tolist(), operators, (density * cell).tolist(),
-                                       umbilic_flags(operators).tolist())]
-    return ShapeField(spec, tuple(samples), minimal_claimed=False)
+    return ShapeField(spec, points, operators, density * cell, minimal_claimed=False)
 
 
 def _sphere_embed(angles: np.ndarray) -> np.ndarray:
@@ -548,21 +545,11 @@ def build_ellipsoid(semi_axes, grid=None, fd_step: float | None = None) -> Shape
 
 def field_to_dict(field_: ShapeField) -> dict:
     return {
-        "spec": {
-            "kind": field_.spec.kind,
-            "n": field_.spec.n,
-            "params": field_.spec.params,
-            "grid": list(field_.spec.grid),
-            "ambient_curvature": field_.spec.ambient_curvature,
-        },
+        "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
         "samples": [
-            {
-                "coords": list(sp.coords),
-                "shape_operator": sp.shape_operator.entries.tolist(),
-                "area_weight": sp.area_weight,
-                "umbilic_flag": sp.umbilic_flag,
-            }
-            for sp in field_.samples
+            {"coords": c, "shape_operator": a, "area_weight": w, "umbilic_flag": u}
+            for c, a, w, u in zip(field_.coords.tolist(), field_.operators.tolist(),
+                                  field_.weights.tolist(), umbilic_flags(field_.operators).tolist())
         ],
         "minimal_claimed": field_.minimal_claimed,
     }
@@ -597,21 +584,44 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``value`` as a float array if it is JSON numbers nested to ``shape``, else None."""
+    try:
+        array = np.array(value)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an integer beyond int64
+        return None
+    return array.astype(float) if array.dtype.kind in "if" and array.shape == shape else None
+
+
+def _stacked(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The per-sample ``values`` as one (N, *shape) float array; SchemaError names the first bad one."""
+    array = _numbers(values, (len(values),) + shape)
+    if array is None:
+        bad = next(i for i, value in enumerate(values) if _numbers(value, shape) is None)
+        raise SchemaError(f"sample {bad}: {what}")
+    return array
+
+
 def field_from_dict(data: dict) -> ShapeField:
+    """The ShapeField of a parsed field file; SchemaError on wrong keys, types or shapes."""
     _expect(isinstance(data, dict), "top level must be an object")
     for key in ("spec", "samples", "minimal_claimed"):
         _expect(key in data, f"missing top-level key {key!r}")
+    _expect(type(data["minimal_claimed"]) is bool, "minimal_claimed must be true or false")
     raw_spec = data["spec"]
     _expect(isinstance(raw_spec, dict), "spec must be an object")
     for key in ("kind", "n", "params", "grid"):
         _expect(key in raw_spec, f"spec missing key {key!r}")
-    _expect(isinstance(raw_spec["grid"], list), "spec grid must be a list of counts")
+    # type() is int: a JSON integer, where isinstance would also let a bool through
+    _expect(type(raw_spec["n"]) is int, "spec n must be an integer")
+    _expect(isinstance(raw_spec["grid"], list) and all(type(g) is int for g in raw_spec["grid"]),
+            "spec grid must be a list of integer counts")
     try:
         spec = SurfaceSpec(
             kind=str(raw_spec["kind"]),
-            n=int(raw_spec["n"]),
+            n=raw_spec["n"],
             params=dict(raw_spec["params"]),
-            grid=tuple(int(g) for g in raw_spec["grid"]),
+            grid=tuple(raw_spec["grid"]),
             ambient_curvature=float(raw_spec.get("ambient_curvature", 0.0)),
         )
     except (TypeError, ValueError) as exc:
@@ -621,26 +631,22 @@ def field_from_dict(data: dict) -> ShapeField:
     _expect(math.prod(spec.grid) == len(raw_samples),
             f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
             f"but there are {len(raw_samples)} samples")
-    samples = []
+    keys = ("coords", "shape_operator", "area_weight", "umbilic_flag")
     for i, raw in enumerate(raw_samples):
         _expect(isinstance(raw, dict), f"sample {i} must be an object")
-        for key in ("coords", "shape_operator", "area_weight", "umbilic_flag"):
+        for key in keys:
             _expect(key in raw, f"sample {i} missing key {key!r}")
-        _expect(isinstance(raw["coords"], list), f"sample {i}: coords must be a list")
-        try:
-            entries = np.asarray(raw["shape_operator"], dtype=float)
-            coords = tuple(float(c) for c in raw["coords"])
-            weight = float(raw["area_weight"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"sample {i}: {exc}") from exc
-        try:
-            samples.append(SamplePoint(coords, SymMatrix(entries), weight,
-                                       bool(raw["umbilic_flag"])))
-        except (InvariantViolation, BadDimension) as exc:
-            raise InvariantViolation(f"sample {i}: {exc}") from exc
-    field_ = ShapeField(spec, tuple(samples), minimal_claimed=bool(data["minimal_claimed"]))
-    wrong = (umbilic_flags(np.stack([sp.shape_operator.entries for sp in samples]))
-             != [sp.umbilic_flag for sp in samples])
+        _expect(type(raw["area_weight"]) in (int, float), f"sample {i}: area_weight must be a number")
+        _expect(type(raw["umbilic_flag"]) is bool, f"sample {i}: umbilic_flag must be true or false")
+    coords, operators, weights, flags = ([raw[key] for raw in raw_samples] for key in keys)
+    n, d = spec.n, len(spec.grid)
+    field_ = ShapeField(
+        spec,
+        _stacked(coords, (d,), f"coords must be a list of {d} numbers, one per grid direction"),
+        _stacked(operators, (n, n), f"shape_operator must be a list of {n} lists of {n} numbers"),
+        _stacked(weights, (), "area_weight must be a number"),
+        minimal_claimed=data["minimal_claimed"])
+    wrong = umbilic_flags(field_.operators) != flags
     _expect(not wrong.any(), f"sample {int(np.argmax(wrong))}: umbilic_flag contradicts "
                              "its shape operator under the umbilic test")
     return field_

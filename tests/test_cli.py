@@ -3,16 +3,22 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigidity
 from rigidity import cli
 from rigidity.cli import main
 from rigidity.defaults import TOLERANCES, VERSION
 from rigidity.errors import SchemaError
 from rigidity.surfaces import (
     build_cylinder,
+    build_ellipsoid,
     field_from_dict,
     field_to_dict,
     ingest_field,
@@ -99,9 +105,7 @@ class TestCatalog:
                      "--grid", "4x4", "--out", str(out)])
         assert code == 0
         field = ingest_field(out)
-        first = field.samples[0].shape_operator.entries
-        for sample in field.samples:
-            assert (sample.shape_operator.entries == first).all()
+        assert (field.operators == field.operators[0]).all()
 
     def test_unknown_surface_lists_names(self, tmp_path, capsys):
         code = main(["catalog", "--surface", "torus", "--n", "4",
@@ -186,7 +190,7 @@ class TestAnalyze:
                      "--csv", str(csv_path)]) == 0
         lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("coord0,coord1,tracefree_norm_sq")
-        assert len(lines) == 1 + len(ingest_field(catenoid_path).samples)
+        assert len(lines) == 1 + len(ingest_field(catenoid_path).weights)
 
     def test_schema_error_names_sample(self, tmp_path, catenoid_path, capsys):
         field = ingest_field(catenoid_path)
@@ -231,7 +235,17 @@ class TestAnalyze:
         lambda d: d["spec"].update(params=[1.0, 2.0]),
         lambda d: d["samples"][0].update(coords="abc"),
         lambda d: d["samples"][0]["shape_operator"][1].pop(),
-    ], ids=["string_n", "string_grid", "list_params", "string_coords", "ragged_operator"])
+        lambda d: d.update(minimal_claimed="no"),
+        lambda d: d["spec"].update(n=4.9),
+        lambda d: d["spec"].update(grid=[16.7, 4.2]),
+        lambda d: d["samples"][0].update(area_weight=True),
+        lambda d: d["samples"][0].update(umbilic_flag=""),
+        lambda d: d["samples"][0].update(coords=[1.0, 2.0, 3.0]),
+        lambda d: d["samples"][0].update(coords=[]),
+        lambda d: d["samples"][0].update(area_weight=10 ** 400),
+    ], ids=["string_n", "string_grid", "list_params", "string_coords", "ragged_operator",
+            "string_minimal_claimed", "float_n", "float_grid", "bool_weight", "string_umbilic_flag",
+            "coords_too_long", "coords_empty", "integer_weight_beyond_double"])
     def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
         data = field_to_dict(ingest_field(catenoid_path))
         edit(data)
@@ -256,6 +270,24 @@ class TestAnalyze:
                      "--assert-zero", "1e-6"])
         assert code == 2
         assert "not JSON compliant" in capsys.readouterr().err
+        if previous is None:
+            assert not out.exists()
+        else:
+            assert out.read_text(encoding="utf-8") == previous
+
+    @pytest.mark.parametrize("previous", [None, "previous report\n"], ids=["absent", "existing"])
+    def test_overflowing_sum_exit_2_and_out_untouched(self, tmp_path, capsys, previous):
+        data = field_to_dict(build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 3],
+                                             fd_step=1e-3))
+        for sample in data["samples"]:
+            sample["area_weight"] = 1e308
+        field_path = tmp_path / "field.json"
+        field_path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "r.json"
+        if previous is not None:
+            out.write_text(previous, encoding="utf-8")
+        assert main(["analyze", "--field", str(field_path), "--out", str(out)]) == 2
+        assert "quadrature_scale: intermediate overflow" in capsys.readouterr().err
         if previous is None:
             assert not out.exists()
         else:
@@ -287,3 +319,13 @@ class TestAnalyze:
         code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "analyze:" in capsys.readouterr().err
+
+
+def test_import_loads_neither_numpy_random_nor_polynomial():
+    # both cost milliseconds of start-up; verify and the rotation surfaces load them when called
+    probe = ("import sys, rigidity, rigidity.cli; "
+             "print([m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(rigidity.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -17,7 +17,6 @@ from rigidity.inequalities import main_inequality
 from rigidity.sampling import derived_rng, random_trace_free
 from rigidity.spectral import SymMatrix, norms, trace_free_project
 from rigidity.surfaces import (
-    SamplePoint,
     ShapeField,
     build_catenoid,
     build_cylinder,
@@ -92,12 +91,9 @@ class TestRotationalEnergy:
         bump = random_trace_free(rng, 4)
 
         def perturbed(eps):
-            samples = tuple(
-                SamplePoint(sp.coords,
-                            SymMatrix(sp.shape_operator.entries + eps * bump.entries),
-                            sp.area_weight, False)
-                for sp in cylinder4.samples)
-            return ShapeField(cylinder4.spec, samples, minimal_claimed=False)
+            return ShapeField(cylinder4.spec, cylinder4.coords,
+                              cylinder4.operators + eps * bump.entries, cylinder4.weights,
+                              minimal_claimed=False)
 
         e_small = rotational_energy(perturbed(1e-2)).e_rot
         e_large = rotational_energy(perturbed(1e-1)).e_rot
@@ -106,12 +102,18 @@ class TestRotationalEnergy:
         assert rate >= 1.9  # quadratic or faster onset
 
     def test_overflow_names_the_sample(self, cylinder4):
-        samples = list(cylinder4.samples)
-        big = samples[7]
-        samples[7] = SamplePoint(big.coords, SymMatrix(1e100 * big.shape_operator.entries),
-                                 big.area_weight, False)
+        operators = cylinder4.operators.copy()
+        operators[7] *= 1e100
         with pytest.raises(NonFiniteResult, match="sample 7: .* overflows"):
-            rotational_energy(ShapeField(cylinder4.spec, samples))
+            rotational_energy(ShapeField(cylinder4.spec, cylinder4.coords, operators,
+                                         cylinder4.weights))
+
+    def test_sum_overflow_names_the_sum(self, ellipsoid4):
+        # each term of the quadrature scale is 1e308 * max(1, |A|^4) = 1e308; their sum is not finite
+        huge = ShapeField(ellipsoid4.spec, ellipsoid4.coords, ellipsoid4.operators,
+                          np.full(len(ellipsoid4.weights), 1e308))
+        with pytest.raises(NonFiniteResult, match="^quadrature_scale: .*overflow"):
+            rotational_energy(huge)
 
     def test_invalid_field(self):
         with pytest.raises(InvalidField):
@@ -121,10 +123,10 @@ class TestRotationalEnergy:
         report = rotational_energy(cylinder4)
         data = report_to_dict(report)
         assert data["classification"] == "RotationCandidate"
-        assert len(data["pointwise"]) == len(cylinder4.samples)
+        assert len(data["pointwise"]) == len(cylinder4.weights)
         header, rows = report_csv_rows(report)
         assert header[:2] == ["coord0", "coord1"]
-        assert len(rows) == len(cylinder4.samples)
+        assert len(rows) == len(cylinder4.weights)
         assert rows[0][-1] == "EigenspaceDimExactlyNMinus1"
 
 
@@ -143,21 +145,22 @@ CATALOG = {
 def test_batched_records_match_per_sample_oracle(build):
     field = build()
     report = rotational_energy(field)
-    n, u_tol = field.n, tolerance("umbilic_tol")
+    n, u_tol = field.spec.n, tolerance("umbilic_tol")
     rot, conf, scale, scale_conf = [], [], [], []
-    for sp, r in zip(field.samples, report.pointwise):
-        devi = trace_free_project(sp.shape_operator)
+    for entries, weight, r in zip(field.operators, field.weights.tolist(), report.pointwise):
+        a = SymMatrix(entries)
+        devi = trace_free_project(a)
         a2, a22, _ = norms(devi)
         verdict, case = main_inequality(devi)
         assert (r.tracefree_norm_sq, r.tracefree_sq_norm_sq, r.defect, r.relative_defect,
                 r.equality_kind) == (a2, a22, verdict.defect, verdict.relative_defect,
                                      case.kind.value)
-        assert r.umbilic == (math.sqrt(a2) <= u_tol * max(1.0, sp.shape_operator.frobenius()))
+        assert r.umbilic == (math.sqrt(a2) <= u_tol * max(1.0, a.frobenius()))
         conf_factor = 1.0 if n == 4 else a2 ** ((n - 4) / 2.0)
-        rot.append(sp.area_weight * verdict.defect)
-        conf.append(sp.area_weight * conf_factor * verdict.defect)
-        scale.append(sp.area_weight * max(1.0, a2 * a2))
-        scale_conf.append(sp.area_weight * max(1.0, a2 ** (n / 2.0)))
+        rot.append(weight * verdict.defect)
+        conf.append(weight * conf_factor * verdict.defect)
+        scale.append(weight * max(1.0, a2 * a2))
+        scale_conf.append(weight * max(1.0, a2 ** (n / 2.0)))
     assert (report.e_rot, report.e_rot_conf, report.quadrature_scale,
             report.quadrature_scale_conf) == tuple(map(math.fsum, (rot, conf, scale, scale_conf)))
     rels = [r.relative_defect for r in report.pointwise]
@@ -167,9 +170,8 @@ def test_batched_records_match_per_sample_oracle(build):
 class TestConformalRescale:
     def test_identity_factor(self, cylinder4):
         out = conformal_rescale(cylinder4, 1.0)
-        for a, b in zip(cylinder4.samples, out.samples):
-            assert np.array_equal(a.shape_operator.entries, b.shape_operator.entries)
-            assert a.area_weight == b.area_weight
+        assert np.array_equal(cylinder4.operators, out.operators)
+        assert np.array_equal(cylinder4.weights, out.weights)
 
     def test_rejects_nonpositive(self, cylinder4):
         with pytest.raises(BadParams):

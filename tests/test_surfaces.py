@@ -20,8 +20,9 @@ from rigidity.errors import (
 )
 from rigidity.inequalities import main_inequality
 from rigidity.sampling import derived_rng, random_rotation
-from rigidity.spectral import trace_free_project
+from rigidity.spectral import SymMatrix, trace_free_project
 from rigidity.surfaces import (
+    ShapeField,
     build_catenoid,
     build_cylinder,
     build_ellipsoid,
@@ -36,29 +37,33 @@ from rigidity.surfaces import (
     minimality_residual,
     save_field,
     sphere_chart,
+    umbilic_flags,
     unit_sphere_volume,
 )
 
 
 def field_volume(field):
-    return math.fsum(s.area_weight for s in field.samples)
+    return math.fsum(field.weights.tolist())
 
 
 def field_minimality(field):
-    return max(abs(s.shape_operator.trace()) / (1.0 + s.shape_operator.frobenius())
-               for s in field.samples)
+    return max(abs(a.trace()) / (1.0 + a.frobenius()) for a in map(SymMatrix, field.operators))
+
+
+def tracefree_at(field, index):
+    return trace_free_project(SymMatrix(field.operators[index]))
 
 
 class TestSphere:
     def test_unit_shape_operator(self):
         field = build_sphere(4, 1.0, grid=[4])
-        for sample in field.samples:
-            assert np.array_equal(sample.shape_operator.entries, np.eye(4))
-            assert sample.umbilic_flag
+        for a in field.operators:
+            assert np.array_equal(a, np.eye(4))
+        assert umbilic_flags(field.operators).all()
 
     def test_scaled_radius(self):
         field = build_sphere(4, 2.0, grid=[4])
-        assert np.array_equal(field.samples[0].shape_operator.entries, np.eye(4) / 2.0)
+        assert np.array_equal(field.operators[0], np.eye(4) / 2.0)
 
     def test_volume_within_two_percent(self):
         field = build_sphere(4, 1.0)
@@ -89,19 +94,19 @@ class TestCylinder:
     def test_shape_operator(self):
         field = build_cylinder(4, 1.0, 2.0, grid=[4, 4])
         expected = np.diag([1.0, 1.0, 1.0, 0.0])
-        for sample in field.samples:
-            assert np.array_equal(sample.shape_operator.entries, expected)
-            assert not sample.umbilic_flag
+        for a in field.operators:
+            assert np.array_equal(a, expected)
+        assert not umbilic_flags(field.operators).any()
 
     def test_trace_free_part_structure(self):
         field = build_cylinder(4, 1.0, 2.0, grid=[2, 2])
-        devi = trace_free_project(field.samples[0].shape_operator)
+        devi = tracefree_at(field, 0)
         assert np.allclose(devi.entries, np.diag([0.25, 0.25, 0.25, -0.75]), atol=0)
 
     def test_pointwise_equality(self):
         for radius in (1.0, 3.0):
             field = build_cylinder(4, radius, 2.0, grid=[3, 3])
-            devi = trace_free_project(field.samples[0].shape_operator)
+            devi = tracefree_at(field, 0)
             verdict, case = main_inequality(devi)
             assert verdict.equality
             assert max(case.multiplicities) == 3
@@ -120,9 +125,9 @@ class TestCatenoid:
     def test_waist_shape_operator(self):
         # f(0) = 1, f'(0) = 0: curvatures (1, 1, 1, -(n-1)) at the waist
         field = build_catenoid(4, grid=[9, 4], t_max=0.3)
-        middle = [s for s in field.samples if s.coords[0] == 0.0]
-        assert middle
-        a = middle[0].shape_operator.entries
+        middle = field.operators[field.coords[:, 0] == 0.0]
+        assert len(middle)
+        a = middle[0]
         assert np.allclose(np.diag(a), [1.0, 1.0, 1.0, -3.0], atol=1e-10)
 
     def test_minimality_residual_default(self):
@@ -132,9 +137,8 @@ class TestCatenoid:
 
     def test_pointwise_equality(self):
         field = build_catenoid(4, grid=[12, 2])
-        for sample in field.samples:
-            devi = trace_free_project(sample.shape_operator)
-            verdict, _ = main_inequality(devi)
+        for i in range(len(field.operators)):
+            verdict, _ = main_inequality(tracefree_at(field, i))
             assert abs(verdict.relative_defect) <= 1e-8
 
     def test_ode_fourth_order_convergence(self):
@@ -153,7 +157,7 @@ class TestCatenoid:
         for n in (5, 6):
             field = build_catenoid(n, grid=[10, 2])
             assert field_minimality(field) <= 1e-8
-            devi = trace_free_project(field.samples[0].shape_operator)
+            devi = tracefree_at(field, 0)
             verdict, _ = main_inequality(devi)
             assert abs(verdict.relative_defect) <= 1e-8
 
@@ -164,8 +168,8 @@ class TestRotationHypersurface:
                                             t_range=(0.0, 2.0),
                                             fp=lambda t: 0.0, fpp=lambda t: 0.0)
         expected = np.diag([0.5, 0.5, 0.5, 0.0])
-        for sample in field.samples:
-            assert np.allclose(sample.shape_operator.entries, expected, atol=1e-12)
+        for a in field.operators:
+            assert np.allclose(a, expected, atol=1e-12)
         cylinder = build_cylinder(4, 2.0, 2.0, grid=[4, 4])
         assert field_volume(field) == pytest.approx(field_volume(cylinder), rel=1e-12)
 
@@ -190,17 +194,14 @@ class TestRotationHypersurface:
                                               t_range=(-t_max, t_max),
                                               fp=fp_at, fpp=fpp_at)
         direct = build_catenoid(n, grid=[m_t, 2], t_max=t_max, ode_substeps=substeps)
-        for a, b in zip(generic.samples, direct.samples):
-            assert np.allclose(a.shape_operator.entries, b.shape_operator.entries,
-                               rtol=1e-12, atol=1e-12)
-            assert a.area_weight == pytest.approx(b.area_weight, rel=1e-12)
+        assert np.allclose(generic.operators, direct.operators, rtol=1e-12, atol=1e-12)
+        assert generic.weights == pytest.approx(direct.weights, rel=1e-12)
 
     def test_polynomial_profile_is_rotation_candidate(self):
         field = build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[10, 3],
                                             fp=lambda t: 2.0 * t, fpp=lambda t: 2.0)
-        for sample in field.samples:
-            devi = trace_free_project(sample.shape_operator)
-            verdict, case = main_inequality(devi)
+        for i in range(len(field.operators)):
+            verdict, case = main_inequality(tracefree_at(field, i))
             assert abs(verdict.relative_defect) <= 1e-9
             assert case.large_eigenspace
 
@@ -208,9 +209,7 @@ class TestRotationHypersurface:
         exact = build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[6, 2],
                                             fp=lambda t: 2.0 * t, fpp=lambda t: 2.0)
         fd = build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[6, 2])
-        for a, b in zip(exact.samples, fd.samples):
-            assert np.allclose(a.shape_operator.entries, b.shape_operator.entries,
-                               atol=1e-6)
+        assert np.allclose(exact.operators, fd.operators, atol=1e-6)
 
     def test_rejects_nonpositive_profile(self):
         with pytest.raises(BadProfile):
@@ -221,8 +220,7 @@ class TestChart:
     def test_sphere_recovery(self):
         chart, domain = sphere_chart(4, 2.0)
         field = chart_shape_operator(chart, domain, grid=[3, 3, 3, 4], fd_step=1e-4)
-        for sample in field.samples:
-            assert np.max(np.abs(sample.shape_operator.entries - np.eye(4) / 2.0)) <= 1e-6
+        assert np.max(np.abs(field.operators - np.eye(4) / 2.0)) <= 1e-6
 
     def test_sphere_quadratic_convergence(self):
         chart, domain = sphere_chart(4, 1.0)
@@ -230,8 +228,7 @@ class TestChart:
         def worst_error(h):
             field = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2],
                                          fd_step=h, self_check=False)
-            return max(np.max(np.abs(s.shape_operator.entries - np.eye(4)))
-                       for s in field.samples)
+            return np.max(np.abs(field.operators - np.eye(4)))
 
         e_coarse = worst_error(2e-2)
         e_fine = worst_error(1e-2)
@@ -240,19 +237,18 @@ class TestChart:
     def test_cylinder_recovery(self):
         chart, domain = cylinder_chart(4, 2.0, 1.0)
         field = chart_shape_operator(chart, domain, grid=[3, 4, 3], fd_step=1e-4)
-        for sample in field.samples:
-            eigs = np.sort(np.linalg.eigvalsh(sample.shape_operator.entries))
+        for a in field.operators:
+            eigs = np.sort(np.linalg.eigvalsh(a))
             assert np.max(np.abs(eigs - np.array([0.0, 0.5, 0.5, 0.5]))) <= 1e-6
 
     def test_ellipsoid_strictly_generic(self):
         field = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4], fd_step=1e-4)
         positive = 0
-        for sample in field.samples:
-            devi = trace_free_project(sample.shape_operator)
-            verdict, _ = main_inequality(devi)
+        for i in range(len(field.operators)):
+            verdict, _ = main_inequality(tracefree_at(field, i))
             if verdict.defect > 1e-6 * verdict.scale:
                 positive += 1
-        assert positive == len(field.samples)
+        assert positive == len(field.operators)
 
     def test_ambient_rotation_invariance(self):
         # truncation-dominated step: rounding in the rotated chart evaluations
@@ -268,9 +264,9 @@ class TestChart:
                                     self_check=False)
         turned = chart_shape_operator(rotated, e_domain, grid=[2, 2, 2, 3], fd_step=1e-2,
                                       self_check=False)
-        for a, b in zip(base.samples, turned.samples):
-            ea = np.sort(np.linalg.eigvalsh(a.shape_operator.entries))
-            eb = np.sort(np.linalg.eigvalsh(b.shape_operator.entries))
+        for a, b in zip(base.operators, turned.operators):
+            ea = np.sort(np.linalg.eigvalsh(a))
+            eb = np.sort(np.linalg.eigvalsh(b))
             assert np.max(np.abs(ea - eb)) <= 1e-10 * max(1.0, np.max(np.abs(ea)))
 
     def test_orientation_flip_preserves_invariants(self):
@@ -279,9 +275,8 @@ class TestChart:
                                     self_check=False)
         minus = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=1e-4,
                                      orientation=-1.0, self_check=False)
-        for a, b in zip(plus.samples, minus.samples):
-            assert np.allclose(a.shape_operator.entries, -b.shape_operator.entries, atol=0)
-            assert a.area_weight == b.area_weight
+        assert np.allclose(plus.operators, -minus.operators, atol=0)
+        assert np.array_equal(plus.weights, minus.weights)
 
     def test_degenerate_chart(self):
         def collapsed(u):
@@ -304,7 +299,7 @@ class TestChart:
 
         field = chart_shape_operator(counted, domain, grid=grid, fd_step=1e-4)
         # 2n^2 + 1 offsets for the self-check probes (3 points at h and h / 2), then for all points
-        assert shapes == [(6, 4)] * 33 + [(len(field.samples), 4)] * 33
+        assert shapes == [(6, 4)] * 33 + [(len(field.weights), 4)] * 33
 
     @pytest.mark.parametrize("wrong", [
         lambda x: x[:, :-1],
@@ -333,6 +328,45 @@ class TestChart:
             chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=0.9)
 
 
+class TestShapeField:
+    def test_built_arrays_are_read_only(self):
+        field = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
+        for array in (field.coords, field.operators, field.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_arrays_are_copied_on_construction(self):
+        base = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
+        weights = base.weights.copy()
+        field = ShapeField(base.spec, base.coords, base.operators, weights)
+        weights[0] = -1.0
+        assert field.weights[0] == base.weights[0]
+
+    @pytest.mark.parametrize("target, index, value, message", [
+        ("operators", (5, 0, 1), 0.25, "sample 5: .*not exactly symmetric"),
+        ("operators", (6, 2, 2), math.nan, "sample 6: .*finite"),
+        ("operators", (3, 1, 1), math.inf, "sample 3: .*finite"),
+        ("weights", 4, 0.0, "sample 4: area weight"),
+    ], ids=["asymmetric", "nan_entry", "infinite_entry", "zero_weight"])
+    def test_rejects_bad_sample_by_index(self, target, index, value, message):
+        base = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
+        arrays = {"operators": base.operators.copy(), "weights": base.weights.copy()}
+        arrays[target][index] = value
+        with pytest.raises(InvariantViolation, match=message):
+            ShapeField(base.spec, base.coords, **arrays)
+
+    def test_rejects_shapes_disagreeing_with_spec(self):
+        base = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
+        with pytest.raises(InvariantViolation, match="operators"):
+            ShapeField(base.spec, base.coords, base.operators[:, :3, :3], base.weights)
+        with pytest.raises(InvariantViolation, match="coords"):
+            ShapeField(base.spec, base.coords[:, :1], base.operators, base.weights)
+        with pytest.raises(InvariantViolation, match="weights"):
+            ShapeField(base.spec, base.coords, base.operators, base.weights[:, None])
+        with pytest.raises(InvariantViolation, match="at least one sample"):
+            ShapeField(base.spec, base.coords[:0], base.operators[:0], base.weights[:0])
+
+
 class TestFieldIO:
     def test_round_trip_identity(self, tmp_path):
         field = build_cylinder(4, 2.0, 1.5, grid=[3, 4])
@@ -341,12 +375,9 @@ class TestFieldIO:
         loaded = ingest_field(path)
         assert loaded.spec == field.spec
         assert loaded.minimal_claimed == field.minimal_claimed
-        assert len(loaded.samples) == len(field.samples)
-        for a, b in zip(field.samples, loaded.samples):
-            assert a.coords == b.coords
-            assert np.array_equal(a.shape_operator.entries, b.shape_operator.entries)
-            assert a.area_weight == b.area_weight
-            assert a.umbilic_flag == b.umbilic_flag
+        for name in ("coords", "operators", "weights"):
+            assert np.array_equal(getattr(loaded, name), getattr(field, name))
+        assert np.array_equal(umbilic_flags(loaded.operators), umbilic_flags(field.operators))
 
     @pytest.mark.parametrize("build, index", [
         (lambda: build_cylinder(4, 1.0, 1.0, grid=[4, 2]), 5),
