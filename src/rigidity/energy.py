@@ -21,10 +21,9 @@ from .inequalities import classify_spectrum_batch, main_inequality_batch
 from .inequalities import main_inequality  # noqa: F401
 from .spectral import (eigen_spectrum_batch, norms_batch, symfun_from_spectrum_batch,
                        trace_free_project_batch)
-from .surfaces import ShapeField, umbilic_flags
+from .surfaces import SampleTable, ShapeField, umbilic_flags
 
 __all__ = [
-    "PointwiseRecord",
     "EnergyReport",
     "rotational_energy",
     "conformal_rescale",
@@ -34,22 +33,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PointwiseRecord:
-    """Per-sample energy data: norms of the trace-free part and the defect."""
-
-    index: int
-    coords: tuple[float, ...]
-    weight: float
-    tracefree_norm_sq: float
-    tracefree_sq_norm_sq: float
-    defect: float
-    relative_defect: float
-    equality_kind: str
-    umbilic: bool
-
-
-@dataclass(frozen=True)
 class EnergyReport:
+    """Energies and classification of a field; ``pointwise`` maps each per-sample
+    quantity to its column: ``coords`` (N, d), ``weight``, ``tracefree_norm_sq``,
+    ``tracefree_sq_norm_sq``, ``defect``, ``relative_defect``, ``equality_kind``
+    (EqualityKind values) and ``umbilic``, each (N,).
+    """
+
     e_rot: float
     e_rot_conf: float
     quadrature_scale: float
@@ -57,24 +47,30 @@ class EnergyReport:
     max_relative_defect: float
     min_relative_defect: float
     classification: str
-    pointwise: tuple[PointwiseRecord, ...]
+    pointwise: dict
     tolerances: dict
 
 
 def rotational_energy(field: ShapeField) -> EnergyReport:
     """Quadrature of the pointwise defect over a shape field.
 
-    All samples go through the batched kernels of the verify campaigns as one
-    (N, n, n) stack; summation is math.fsum in sample order. Every sample is
-    classified through the sharp inequality, so the report carries an
-    equality-locus map. A norm or power of |tracefree(A)| too large for a
-    double raises NonFiniteResult naming the first such sample, and a sum
-    beyond the double range raises it naming the sum.
+    The operators go through the batched kernels of the verify campaigns as one
+    stack, each run of equal consecutive operators once; summation is
+    math.fsum in sample order. Every sample is classified through the sharp
+    inequality, so the report carries an equality-locus map. A norm or power
+    of |tracefree(A)| too large for a double raises NonFiniteResult naming the
+    first such sample, and a sum beyond the double range raises it naming the
+    sum.
     """
     if not isinstance(field, ShapeField):
         raise InvalidField("expected a ShapeField")
     n, operators, weights = field.spec.n, field.operators, field.weights  # SurfaceSpec keeps n >= 4
-    devi = trace_free_project_batch(operators)
+    # a rotation field repeats each operator along an orbit and a sphere's is constant, so the
+    # kernels run once per run of bitwise-equal consecutive operators; results are per matrix
+    bits = operators.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))])
+    runs = np.diff(np.r_[starts, len(operators)])
+    devi = trace_free_project_batch(operators[starts])
     with np.errstate(over="ignore", invalid="ignore"):
         a_norms = norms_batch(devi)
         a2, a22, _ = a_norms
@@ -84,20 +80,22 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     finite = np.isfinite(norm_n) & np.isfinite(a22)
     if not finite.all():
         idx = int(np.argmin(finite))
-        raise NonFiniteResult(f"sample {idx}: |A|^{n} overflows at |A|^2 = {a2[idx]:.3e}")
+        raise NonFiniteResult(f"sample {starts[idx]}: |A|^{n} overflows at |A|^2 = {a2[idx]:.3e}")
 
     w, links = eigen_spectrum_batch(devi)
     verdict, large = main_inequality_batch(a_norms, np.trace(devi, axis1=1, axis2=2),
                                            symfun_from_spectrum_batch(w), links)
-    kinds = classify_spectrum_batch(w, links)
-    umbilic = umbilic_flags(operators)
+    umbilic = umbilic_flags(operators[starts])
     if umbilic.all():
         classification = "AllUmbilic"
     elif large.all():
         classification = "CatenoidCandidate" if field.minimal_claimed else "RotationCandidate"
     else:
         classification = "Generic"
-    defect, rels = verdict.defect, verdict.relative_defect
+    a2, a22, norm_n, conf_factor, defect, rels, kinds, umbilic = (
+        np.repeat(x, runs) if np.ndim(x) else x
+        for x in (a2, a22, norm_n, conf_factor, verdict.defect, verdict.relative_defect,
+                  classify_spectrum_batch(w, links), umbilic))
     with np.errstate(over="ignore"):  # an infinite term is left for the report writer to reject
         # E_rot, E_rot_conf and the two quadrature scales, in EnergyReport's field order
         terms = (weights * defect, weights * conf_factor * defect,
@@ -108,16 +106,14 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
             sums.append(math.fsum(t.tolist()))
         except (OverflowError, ValueError) as exc:  # finite terms past the double range, or inf - inf
             raise NonFiniteResult(f"{name}: {exc}") from exc
-    # the columns of PointwiseRecord after its index, in field order
-    columns = zip(map(tuple, field.coords.tolist()), weights.tolist(), a2.tolist(), a22.tolist(),
-                  defect.tolist(), rels.tolist(), kinds.tolist(), umbilic.tolist())
-    records = tuple(PointwiseRecord(idx, *values) for idx, values in enumerate(columns))
     return EnergyReport(
         *sums,
         max_relative_defect=float(rels.max()),
         min_relative_defect=float(rels.min()),
         classification=classification,
-        pointwise=records,
+        pointwise={"coords": field.coords, "weight": weights, "tracefree_norm_sq": a2,
+                   "tracefree_sq_norm_sq": a22, "defect": defect, "relative_defect": rels,
+                   "equality_kind": kinds, "umbilic": umbilic},
         tolerances={name: tolerance(name) for name in ("cluster_tol", "verdict_tol", "umbilic_tol")},
     )
 
@@ -135,6 +131,8 @@ def conformal_rescale(field: ShapeField, t: float) -> ShapeField:
 
 
 def report_to_dict(report: EnergyReport) -> dict:
+    """The report's JSON object; its ``pointwise`` list is a SampleTable for ``_write_json``."""
+    count = len(report.pointwise["weight"])
     return {
         "E_rot": report.e_rot,
         "E_rot_conf": report.e_rot_conf,
@@ -143,29 +141,17 @@ def report_to_dict(report: EnergyReport) -> dict:
         "max_relative_defect": report.max_relative_defect,
         "min_relative_defect": report.min_relative_defect,
         "classification": report.classification,
-        "samples": len(report.pointwise),
+        "samples": count,
         "tolerances": dict(report.tolerances),
-        "pointwise": [
-            {
-                "index": r.index,
-                "coords": list(r.coords),
-                "weight": r.weight,
-                "tracefree_norm_sq": r.tracefree_norm_sq,
-                "tracefree_sq_norm_sq": r.tracefree_sq_norm_sq,
-                "defect": r.defect,
-                "relative_defect": r.relative_defect,
-                "equality_kind": r.equality_kind,
-                "umbilic": r.umbilic,
-            }
-            for r in report.pointwise
-        ],
+        "pointwise": SampleTable(dict(report.pointwise, index=np.arange(count))),
     }
 
 
 def report_csv_rows(report: EnergyReport) -> tuple[list[str], list[list]]:
     """Header and rows for the flat per-sample export."""
-    header = [f"coord{i}" for i in range(len(report.pointwise[0].coords))]
+    p = report.pointwise
+    header = [f"coord{i}" for i in range(p["coords"].shape[1])]
     header += ["tracefree_norm_sq", "tracefree_sq_norm_sq", "defect", "equality_kind"]
-    rows = [[*r.coords, r.tracefree_norm_sq, r.tracefree_sq_norm_sq, r.defect, r.equality_kind]
-            for r in report.pointwise]
+    rows = [[*c, *rest] for c, *rest in zip(*(p[key].tolist() for key in (
+        "coords", "tracefree_norm_sq", "tracefree_sq_norm_sq", "defect", "equality_kind")))]
     return header, rows

@@ -17,6 +17,7 @@ import math
 import shutil
 import tempfile
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +53,7 @@ __all__ = [
     "cylinder_chart",
     "ellipsoid_chart",
     "build_ellipsoid",
-    "field_to_dict",
+    "SampleTable",
     "field_from_dict",
     "save_field",
     "ingest_field",
@@ -107,6 +108,7 @@ class ShapeField:
                                    ("coords", coords, (count, len(self.spec.grid)))):
             if array.shape != shape:
                 raise InvariantViolation(f"{name} have shape {array.shape}, expected {shape}")
+        _first_bad(~np.isfinite(coords).all(axis=1), "coords must be finite")
         _first_bad(~np.isfinite(operators).all(axis=(1, 2)), "shape operator entries must be finite")
         _first_bad((operators != np.swapaxes(operators, 1, 2)).any(axis=(1, 2)),
                    "shape operator entries are not exactly symmetric")
@@ -543,40 +545,96 @@ def build_ellipsoid(semi_axes, grid=None, fd_step: float | None = None) -> Shape
 # ---------------------------------------------------------------------------
 # serialization
 
-def field_to_dict(field_: ShapeField) -> dict:
-    return {
-        "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
-        "samples": [
-            {"coords": c, "shape_operator": a, "area_weight": w, "umbilic_flag": u}
-            for c, a, w, u in zip(field_.coords.tolist(), field_.operators.tolist(),
-                                  field_.weights.tolist(), umbilic_flags(field_.operators).tolist())
-        ],
-        "minimal_claimed": field_.minimal_claimed,
-    }
+_CHUNK = 256  # samples per piece of text that SampleTable writes
+
+
+def _json_texts(part: np.ndarray) -> np.ndarray:
+    """The JSON text of each entry of ``part``, made once per distinct value (floats by bit
+    pattern, so -0.0 keeps its sign): the repr of a Python float or int is what json writes."""
+    keys = part.view(np.int64) if part.dtype.kind == "f" else part
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    render = repr if part.dtype.kind in "fiu" else json.dumps
+    texts = [render(value) for value in part.ravel()[first].tolist()]
+    return np.array(texts, dtype=object)[inverse].reshape(part.shape)
+
+
+class SampleTable:
+    """Columns of per-sample arrays (numbers, booleans or strings; trailing axes become nested
+    lists) that ``_write_json`` writes as a list of one JSON object per sample."""
+
+    def __init__(self, columns: dict) -> None:
+        self.columns = {key: np.asarray(value) for key, value in sorted(columns.items())}
+        self.count = len(next(iter(self.columns.values())))
+
+    def nonfinite(self) -> str | None:
+        """The first inf or NaN, by key then sample, as a message."""
+        for key, column in self.columns.items():
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                i = int(np.argmin(np.isfinite(column).all(axis=tuple(range(1, column.ndim)))))
+                return f"sample {i}: {key} {column[i].tolist()} is not JSON compliant"
+        return None
+
+    def pieces(self, indent: str):
+        """The list's JSON text at ``indent``, ``_CHUNK`` samples a piece, each row filled into
+        a %s template that json.dumps makes of a row of placeholders."""
+        # "\0s", not "\0": numpy strips a trailing NUL from the fill value
+        marks = {key: np.full(column.shape[1:], "\0s", dtype=object).tolist()
+                 for key, column in self.columns.items()}
+        row = json.dumps(marks, indent=2, sort_keys=True).replace("%", "%%").replace('"\\u0000s"', "%s")
+        row = f"{indent}  " + row.replace("\n", f"\n{indent}  ")
+        yield "[\n"
+        for lo in range(0, self.count, _CHUNK):
+            hi = min(lo + _CHUNK, self.count)
+            values = np.concatenate([_json_texts(column[lo:hi].reshape(hi - lo, -1))
+                                     for column in self.columns.values()], axis=1)
+            yield (",\n" if lo else "") + ",\n".join([row] * (hi - lo)) % tuple(values.ravel().tolist())
+        yield f"\n{indent}]"
 
 
 def _write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON; an inf or NaN raises NonFiniteResult and leaves ``path`` untouched.
+    """Write ``payload`` as ``json.dump(payload, indent=2, sort_keys=True)`` does, plus a newline.
 
-    The text is streamed into an anonymous temporary file (as one string it
-    costs megabytes on large fields) and copied to ``path`` once complete, so
-    ``path`` is opened only for a finite payload.
+    A SampleTable anywhere in ``payload`` is streamed from its columns, so no
+    per-sample object or whole text is built. An inf or NaN raises
+    NonFiniteResult before anything is written; the text goes into an
+    anonymous temporary file, copied to ``path`` once complete.
     """
+    tables = []
+
+    def mark(value):
+        if not isinstance(value, SampleTable):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        tables.append(value)
+        return f"\0table{len(tables) - 1}\0"
+
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=mark)
+    except ValueError as exc:
+        raise NonFiniteResult(f"{path} not written: {exc}") from exc
+    for table in tables:
+        if problem := table.nonfinite():
+            raise NonFiniteResult(f"{path} not written: {problem}")
     with tempfile.TemporaryFile() as tmp:
-        # write-only text layer: json.dump's many small writes are slow on a read-write one
-        with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as text:
-            try:
-                json.dump(payload, text, indent=2, sort_keys=True, allow_nan=False)
-            except ValueError as exc:
-                raise NonFiniteResult(f"{path} not written: {exc}") from exc
-            text.write("\n")
+        for i, table in enumerate(tables):  # in text order, the order json.dumps met them
+            head, text = text.split(f'"\\u0000table{i}\\u0000"', 1)
+            line = head[head.rfind("\n") + 1:]
+            tmp.write(head.encode())
+            for piece in table.pieces(line[:len(line) - len(line.lstrip(" "))]):
+                tmp.write(piece.encode())
+        tmp.write(f"{text}\n".encode())
         tmp.seek(0)
         with open(path, "wb") as fh:
             shutil.copyfileobj(tmp, fh)
 
 
 def save_field(field_: ShapeField, path) -> None:
-    _write_json(path, field_to_dict(field_))
+    _write_json(path, {
+        "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
+        "samples": SampleTable({"coords": field_.coords, "shape_operator": field_.operators,
+                                "area_weight": field_.weights,
+                                "umbilic_flag": umbilic_flags(field_.operators)}),
+        "minimal_claimed": field_.minimal_claimed,
+    })
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -585,12 +643,18 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def _numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``value`` as a float array if it is JSON numbers nested to ``shape``, else None."""
+    """``value`` as a float array if it is JSON numbers, not booleans, nested to ``shape``; else None."""
     try:
         array = np.array(value)
     except (TypeError, ValueError, OverflowError):  # ragged, or an integer beyond int64
         return None
-    return array.astype(float) if array.dtype.kind in "if" and array.shape == shape else None
+    if array.dtype.kind not in "if" or array.shape != shape:
+        return None
+    items = [value]
+    for _ in shape:
+        items = chain.from_iterable(items)
+    # numpy reads true and false among numbers as 1.0 and 0.0
+    return array.astype(float) if set(map(type, items)) <= {int, float} else None
 
 
 def _stacked(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -632,13 +696,16 @@ def field_from_dict(data: dict) -> ShapeField:
             f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
             f"but there are {len(raw_samples)} samples")
     keys = ("coords", "shape_operator", "area_weight", "umbilic_flag")
-    for i, raw in enumerate(raw_samples):
+    required = set(keys)
+    if not all(isinstance(raw, dict) and raw.keys() >= required for raw in raw_samples):
+        i, raw = next((i, raw) for i, raw in enumerate(raw_samples)
+                      if not (isinstance(raw, dict) and raw.keys() >= required))
         _expect(isinstance(raw, dict), f"sample {i} must be an object")
-        for key in keys:
-            _expect(key in raw, f"sample {i} missing key {key!r}")
-        _expect(type(raw["area_weight"]) in (int, float), f"sample {i}: area_weight must be a number")
-        _expect(type(raw["umbilic_flag"]) is bool, f"sample {i}: umbilic_flag must be true or false")
+        raise SchemaError(f"sample {i} missing key {next(k for k in keys if k not in raw)!r}")
     coords, operators, weights, flags = ([raw[key] for raw in raw_samples] for key in keys)
+    if not set(map(type, flags)) <= {bool}:
+        bad = next(i for i, flag in enumerate(flags) if type(flag) is not bool)
+        raise SchemaError(f"sample {bad}: umbilic_flag must be true or false")
     n, d = spec.n, len(spec.grid)
     field_ = ShapeField(
         spec,

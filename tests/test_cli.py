@@ -20,11 +20,12 @@ from rigidity.surfaces import (
     build_cylinder,
     build_ellipsoid,
     field_from_dict,
-    field_to_dict,
     ingest_field,
     save_field,
 )
 from rigidity.verify import CHECK_FAMILIES
+
+from json_reference import saved_dict
 
 
 def read_json(path):
@@ -193,8 +194,7 @@ class TestAnalyze:
         assert len(lines) == 1 + len(ingest_field(catenoid_path).weights)
 
     def test_schema_error_names_sample(self, tmp_path, catenoid_path, capsys):
-        field = ingest_field(catenoid_path)
-        data = field_to_dict(field)
+        data = read_json(catenoid_path)
         data["samples"][3]["shape_operator"][0][1] = 99.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
@@ -209,7 +209,7 @@ class TestAnalyze:
         assert code == 2
 
     def test_infinite_weight_exit_2(self, tmp_path, catenoid_path, capsys):
-        data = field_to_dict(ingest_field(catenoid_path))
+        data = read_json(catenoid_path)
         data["samples"][5]["area_weight"] = math.inf
         bad = tmp_path / "inf.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
@@ -217,6 +217,17 @@ class TestAnalyze:
                      "--assert-zero", "1e-6"])
         assert code == 2
         assert "sample 5" in capsys.readouterr().err
+
+    def test_nan_coordinate_exit_2_naming_sample(self, tmp_path, catenoid_path, capsys):
+        data = read_json(catenoid_path)
+        data["samples"][6]["coords"][1] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")  # json writes NaN, and reads it back
+        assert math.isnan(read_json(bad)["samples"][6]["coords"][1])
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--field", str(bad), "--out", str(out)]) == 2
+        assert "sample 6: coords must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_assert_zero_fails_on_nan(self, tmp_path, catenoid_path, monkeypatch):
         real = cli.rotational_energy
@@ -247,7 +258,7 @@ class TestAnalyze:
             "string_minimal_claimed", "float_n", "float_grid", "bool_weight", "string_umbilic_flag",
             "coords_too_long", "coords_empty", "integer_weight_beyond_double"])
     def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
-        data = field_to_dict(ingest_field(catenoid_path))
+        data = read_json(catenoid_path)
         edit(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
@@ -257,7 +268,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("previous", [None, "previous report\n"], ids=["absent", "existing"])
     def test_overflowing_report_exit_2_and_out_untouched(self, tmp_path, capsys, previous):
-        data = field_to_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]))
+        data = saved_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]), tmp_path)
         for sample in data["samples"]:
             sample["area_weight"] = 1e308
             sample["shape_operator"] = (1e3 * np.diag([1.0, 1.0, 1.0, 0.0])).tolist()
@@ -277,8 +288,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("previous", [None, "previous report\n"], ids=["absent", "existing"])
     def test_overflowing_sum_exit_2_and_out_untouched(self, tmp_path, capsys, previous):
-        data = field_to_dict(build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 3],
-                                             fd_step=1e-3))
+        data = saved_dict(build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 3],
+                                          fd_step=1e-3), tmp_path)
         for sample in data["samples"]:
             sample["area_weight"] = 1e308
         field_path = tmp_path / "field.json"
@@ -294,7 +305,7 @@ class TestAnalyze:
             assert out.read_text(encoding="utf-8") == previous
 
     def test_huge_entries_exit_2(self, tmp_path, capsys):
-        data = field_to_dict(build_cylinder(5, 1.0, 2.0, grid=[2, 2]))
+        data = saved_dict(build_cylinder(5, 1.0, 2.0, grid=[2, 2]), tmp_path)
         for sample in data["samples"]:
             sample["shape_operator"] = (1e100 * np.array(sample["shape_operator"])).tolist()
         field_path = tmp_path / "field.json"
@@ -310,7 +321,7 @@ class TestAnalyze:
         lambda d: d["spec"].update(grid=[64, 32]),
     ], ids=["digit_string_grid", "digit_string_coords", "grid_not_sample_count"])
     def test_schema_holes_exit_2(self, tmp_path, capsys, edit):
-        data = field_to_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]))
+        data = saved_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]), tmp_path)
         edit(data)
         with pytest.raises(SchemaError):
             field_from_dict(data)

@@ -47,7 +47,7 @@ class TestRotationalEnergy:
         report = rotational_energy(cylinder4)
         assert report.classification == "RotationCandidate"
         assert abs(report.e_rot) <= 1e-12 * report.quadrature_scale
-        assert all(r.equality_kind == "EigenspaceDimExactlyNMinus1" for r in report.pointwise)
+        assert (report.pointwise["equality_kind"] == "EigenspaceDimExactlyNMinus1").all()
 
     def test_catenoid_candidate(self):
         field = build_catenoid(4, grid=[16, 4])
@@ -80,10 +80,9 @@ class TestRotationalEnergy:
         for field in (cylinder4, ellipsoid4):
             report = rotational_energy(field)
             zero = abs(report.e_rot_conf) <= 1e-10 * report.quadrature_scale_conf
-            pointwise = all(
-                r.equality_kind in ("Zero", "EigenspaceDimAtLeastNMinus1",
-                                    "EigenspaceDimExactlyNMinus1")
-                for r in report.pointwise)
+            pointwise = np.isin(report.pointwise["equality_kind"],
+                                ("Zero", "EigenspaceDimAtLeastNMinus1",
+                                 "EigenspaceDimExactlyNMinus1")).all()
             assert zero == pointwise
 
     def test_perturbation_onset(self, cylinder4):
@@ -123,10 +122,11 @@ class TestRotationalEnergy:
         report = rotational_energy(cylinder4)
         data = report_to_dict(report)
         assert data["classification"] == "RotationCandidate"
-        assert len(data["pointwise"]) == len(cylinder4.weights)
+        assert data["samples"] == data["pointwise"].count == len(cylinder4.weights)
         header, rows = report_csv_rows(report)
         assert header[:2] == ["coord0", "coord1"]
         assert len(rows) == len(cylinder4.weights)
+        assert {type(value) for value in rows[0][:-1]} == {float}  # csv writes repr of a float
         assert rows[0][-1] == "EigenspaceDimExactlyNMinus1"
 
 
@@ -147,15 +147,17 @@ def test_batched_records_match_per_sample_oracle(build):
     report = rotational_energy(field)
     n, u_tol = field.spec.n, tolerance("umbilic_tol")
     rot, conf, scale, scale_conf = [], [], [], []
-    for entries, weight, r in zip(field.operators, field.weights.tolist(), report.pointwise):
+    p = report.pointwise
+    assert np.array_equal(p["coords"], field.coords) and np.array_equal(p["weight"], field.weights)
+    for i, (entries, weight) in enumerate(zip(field.operators, field.weights.tolist())):
         a = SymMatrix(entries)
         devi = trace_free_project(a)
         a2, a22, _ = norms(devi)
         verdict, case = main_inequality(devi)
-        assert (r.tracefree_norm_sq, r.tracefree_sq_norm_sq, r.defect, r.relative_defect,
-                r.equality_kind) == (a2, a22, verdict.defect, verdict.relative_defect,
-                                     case.kind.value)
-        assert r.umbilic == (math.sqrt(a2) <= u_tol * max(1.0, a.frobenius()))
+        assert tuple(p[key][i] for key in ("tracefree_norm_sq", "tracefree_sq_norm_sq", "defect",
+                                           "relative_defect", "equality_kind")) == (
+            a2, a22, verdict.defect, verdict.relative_defect, case.kind.value)
+        assert p["umbilic"][i] == (math.sqrt(a2) <= u_tol * max(1.0, a.frobenius()))
         conf_factor = 1.0 if n == 4 else a2 ** ((n - 4) / 2.0)
         rot.append(weight * verdict.defect)
         conf.append(weight * conf_factor * verdict.defect)
@@ -163,7 +165,7 @@ def test_batched_records_match_per_sample_oracle(build):
         scale_conf.append(weight * max(1.0, a2 ** (n / 2.0)))
     assert (report.e_rot, report.e_rot_conf, report.quadrature_scale,
             report.quadrature_scale_conf) == tuple(map(math.fsum, (rot, conf, scale, scale_conf)))
-    rels = [r.relative_defect for r in report.pointwise]
+    rels = p["relative_defect"].tolist()
     assert (report.min_relative_defect, report.max_relative_defect) == (min(rels), max(rels))
 
 

@@ -32,7 +32,6 @@ from rigidity.surfaces import (
     chart_shape_operator,
     cylinder_chart,
     field_from_dict,
-    field_to_dict,
     ingest_field,
     minimality_residual,
     save_field,
@@ -40,6 +39,8 @@ from rigidity.surfaces import (
     umbilic_flags,
     unit_sphere_volume,
 )
+
+from json_reference import saved_dict
 
 
 def field_volume(field):
@@ -383,22 +384,22 @@ class TestFieldIO:
         (lambda: build_cylinder(4, 1.0, 1.0, grid=[4, 2]), 5),
         (lambda: build_sphere(4, 1.0, grid=[2]), 9),
     ], ids=["cylinder_claims_umbilic", "sphere_denies_umbilic"])
-    def test_tampered_umbilic_flag_rejected(self, build, index):
-        data = field_to_dict(build())
+    def test_tampered_umbilic_flag_rejected(self, tmp_path, build, index):
+        data = saved_dict(build(), tmp_path)
         data["samples"][index]["umbilic_flag"] = not data["samples"][index]["umbilic_flag"]
         with pytest.raises(SchemaError, match=f"sample {index}: umbilic_flag"):
             field_from_dict(data)
 
     def test_asymmetric_matrix_names_sample(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
-        data = field_to_dict(field)
+        data = saved_dict(field, tmp_path)
         data["samples"][7]["shape_operator"][0][1] = 0.25
         with pytest.raises(InvariantViolation, match="sample 7"):
             field_from_dict(data)
 
     def test_negative_weight_rejected(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[2, 2])
-        data = field_to_dict(field)
+        data = saved_dict(field, tmp_path)
         data["samples"][2]["area_weight"] = -1.0
         with pytest.raises(InvariantViolation, match="sample 2"):
             field_from_dict(data)
@@ -407,10 +408,29 @@ class TestFieldIO:
         with pytest.raises(SchemaError):
             field_from_dict({"spec": {}, "samples": []})
         field = build_cylinder(4, 1.0, 1.0, grid=[2, 2])
-        data = field_to_dict(field)
+        data = saved_dict(field, tmp_path)
         del data["samples"][0]["coords"]
         with pytest.raises(SchemaError, match="sample 0"):
             field_from_dict(data)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("coords", lambda sample: sample["coords"].__setitem__(0, True)),
+        ("shape_operator", lambda sample: sample["shape_operator"][3].__setitem__(3, False)),
+    ], ids=["coords", "shape_operator"])
+    def test_boolean_in_row_rejected(self, tmp_path, key, edit):
+        # numpy would read [true, 0.5] as [1.0, 0.5]; a row holds JSON numbers only
+        data = saved_dict(build_cylinder(4, 1.0, 1.0, grid=[4, 2]), tmp_path)
+        edit(data["samples"][5])
+        with pytest.raises(SchemaError, match=f"sample 5: {key}"):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_nonfinite_coords_rejected(self, bad):
+        field = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
+        coords = field.coords.copy()
+        coords[3, 1] = bad
+        with pytest.raises(InvariantViolation, match="sample 3: coords must be finite"):
+            ShapeField(field.spec, coords, field.operators, field.weights)
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -418,9 +438,9 @@ class TestFieldIO:
         with pytest.raises(ParseError):
             ingest_field(path)
 
-    def test_minimality_claim_enforced(self):
+    def test_minimality_claim_enforced(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[2, 2])
-        data = field_to_dict(field)
+        data = saved_dict(field, tmp_path)
         data["minimal_claimed"] = True  # cylinder is not minimal
         with pytest.raises(InvariantViolation, match="minimality"):
             field_from_dict(data)
