@@ -70,17 +70,16 @@ class SurfaceSpec:
     n: int
     params: dict
     grid: tuple[int, ...]
-    ambient_curvature: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in SURFACE_KINDS:
             raise BadParams(f"unknown surface kind {self.kind!r}; valid: {SURFACE_KINDS}")
         if self.n < 4:
             raise BadDimension(f"hypersurface dimension must be >= 4, got {self.n}")
+        if not self.grid:
+            raise BadParams("grid must contain at least one count")
         if any(g < 2 for g in self.grid):
             raise BadParams(f"grid counts must be >= 2, got {self.grid}")
-        if self.kind in ("Chart", "Catenoid", "RotationHypersurface") and self.ambient_curvature != 0.0:
-            raise BadParams("constructed surfaces support only flat ambient space")
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,7 +430,8 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray,
             dij = (at(ei + ej) - at(ei - ej) - at(ej - ei) + at(-ei - ej)) / (4.0 * h * h)
             second[:, i, j] = second[:, j, i] = sum((dij * normal).T)
 
-    # orthonormal frame via g = L L^T: A = L^-1 II L^-T, symmetrised as SymMatrix.from_array does
+    # orthonormal frame via g = L L^T: A = L^-1 II L^-T, then symmetrised once its asymmetry
+    # is checked against a tolerance relative to max(1, max |A|)
     y = np.linalg.solve(chol, second)
     a_frame = np.swapaxes(np.linalg.solve(chol, np.swapaxes(y, 1, 2)), 1, 2)
     a_flip = np.swapaxes(a_frame, 1, 2)
@@ -680,13 +680,16 @@ def field_from_dict(data: dict) -> ShapeField:
     _expect(type(raw_spec["n"]) is int, "spec n must be an integer")
     _expect(isinstance(raw_spec["grid"], list) and all(type(g) is int for g in raw_spec["grid"]),
             "spec grid must be a list of integer counts")
+    # earlier files carry the flat ambient space as this key; the toolkit models no other
+    curvature = raw_spec.get("ambient_curvature", 0.0)
+    _expect(type(curvature) in (int, float) and curvature == 0,
+            "spec ambient_curvature must be 0.0 (flat ambient space) when present")
     try:
         spec = SurfaceSpec(
             kind=str(raw_spec["kind"]),
             n=raw_spec["n"],
             params=dict(raw_spec["params"]),
             grid=tuple(raw_spec["grid"]),
-            ambient_curvature=float(raw_spec.get("ambient_curvature", 0.0)),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"spec: {exc}") from exc

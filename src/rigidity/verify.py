@@ -20,20 +20,13 @@ from .inequalities import (
     bridge_residual,
     cubic_bound_batch,
     lambda_scan_batch,
-    main_inequality,
     main_inequality_batch,
     newton_gap_batch,
     prop_p3_batch,
     prop_p4_batch,
     sigma_norm_identities_batch,
 )
-from .sampling import (
-    campaign_chunk,
-    campaign_samples,
-    derived_rng,
-    equality_family_matrix,
-    random_rotation,
-)
+from .sampling import campaign_chunk, campaign_samples, derived_rng, random_rotation
 from .spectral import (
     eigen_spectrum_batch,
     norms_batch,
@@ -177,20 +170,29 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
 
 
 def equality_family_stats(dims, count: int, seed: int) -> dict:
-    """Verdicts over random orthogonal conjugates of diag(mu, ..., mu, -(n-1) mu)."""
+    """Verdicts over random orthogonal conjugates of diag(mu, ..., mu, -(n-1) mu), run on the
+    campaign kernels as one stack per dimension."""
     dims = [int(n) for n in dims]
-    worst_defect = 0.0
-    all_equality = True
-    all_mult = True
+    stacks: dict = {}
     for idx in range(count):
         rng = derived_rng(seed, idx)
         n = dims[idx % len(dims)]
         mu = rng.uniform(0.5, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        a = equality_family_matrix(n, mu, rotation=random_rotation(rng, n))
-        verdict, case = main_inequality(a)
-        worst_defect = max(worst_defect, abs(verdict.relative_defect))
-        all_equality = all_equality and verdict.equality
-        all_mult = all_mult and max(case.multiplicities) == n - 1
+        q = random_rotation(rng, n)
+        stacks.setdefault(n, []).append(q @ np.diag([mu] * (n - 1) + [-(n - 1) * mu]) @ q.T)
+    worst_defect = 0.0
+    all_equality = True
+    all_mult = True
+    for n, conjugates in stacks.items():
+        a = np.stack(conjugates)
+        a = 0.5 * (a + a.transpose(0, 2, 1))  # exactly symmetric
+        w, links = eigen_spectrum_batch(a)
+        verdict, large = main_inequality_batch(norms_batch(a), np.trace(a, axis1=1, axis2=2),
+                                               symfun_from_spectrum_batch(w), links)
+        worst_defect = _most(worst_defect, np.abs(verdict.relative_defect))
+        all_equality = all_equality and bool(verdict.equality.all())
+        # the largest cluster holds exactly n - 1 eigenvalues: at least n - 1, and not all n
+        all_mult = all_mult and bool((large & ~links.all(axis=1)).all())
     return {
         "count": count,
         "max_abs_relative_defect": worst_defect,

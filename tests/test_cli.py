@@ -254,9 +254,11 @@ class TestAnalyze:
         lambda d: d["samples"][0].update(coords=[1.0, 2.0, 3.0]),
         lambda d: d["samples"][0].update(coords=[]),
         lambda d: d["samples"][0].update(area_weight=10 ** 400),
+        # no grid direction: one sample with no coordinates
+        lambda d: d.update(spec=dict(d["spec"], grid=[]), samples=[dict(d["samples"][0], coords=[])]),
     ], ids=["string_n", "string_grid", "list_params", "string_coords", "ragged_operator",
             "string_minimal_claimed", "float_n", "float_grid", "bool_weight", "string_umbilic_flag",
-            "coords_too_long", "coords_empty", "integer_weight_beyond_double"])
+            "coords_too_long", "coords_empty", "integer_weight_beyond_double", "empty_grid"])
     def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
         data = read_json(catenoid_path)
         edit(data)
@@ -319,7 +321,9 @@ class TestAnalyze:
         lambda d: d["spec"].update(grid="22"),
         lambda d: d["samples"][0].update(coords="12"),
         lambda d: d["spec"].update(grid=[64, 32]),
-    ], ids=["digit_string_grid", "digit_string_coords", "grid_not_sample_count"])
+        lambda d: d["spec"].update(ambient_curvature=5.0),
+    ], ids=["digit_string_grid", "digit_string_coords", "grid_not_sample_count",
+            "nonzero_ambient_curvature"])
     def test_schema_holes_exit_2(self, tmp_path, capsys, edit):
         data = saved_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]), tmp_path)
         edit(data)

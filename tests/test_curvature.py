@@ -3,28 +3,27 @@
 import numpy as np
 import pytest
 
-from rigidity.curvature import (
+from rigidity.errors import BadDimension, DimensionMismatch, InvariantViolation, NotTraceFree
+from rigidity.sampling import derived_rng, random_rotation
+
+from reference import (
     AlgCurvTensor,
+    SymMatrix,
     curvature_symmetry_residuals,
+    equality_family_matrix,
     fialkow_tensor,
     kn_identity_suite,
     kulkarni_nomizu,
+    main_inequality,
+    norms,
+    random_symmetric,
+    random_trace_free,
     rotate_tensor,
     tensor_inner,
     tensor_norm_sq,
     weyl_from_gauss_codazzi,
     weyl_norm_closed_form,
 )
-from rigidity.errors import BadDimension, DimensionMismatch, InvariantViolation, NotTraceFree
-from rigidity.inequalities import main_inequality
-from rigidity.sampling import (
-    derived_rng,
-    equality_family_matrix,
-    random_rotation,
-    random_symmetric,
-    random_trace_free,
-)
-from rigidity.spectral import SymMatrix, norms
 
 
 def diag(*values):

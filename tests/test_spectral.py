@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from rigidity.errors import BadDimension, InvariantViolation, NonConvergence
-from rigidity.sampling import derived_rng, random_symmetric
-from rigidity.spectral import (
+from rigidity.sampling import derived_rng
+
+from reference import (
     SymMatrix,
     eigen_spectrum,
     jacobi_eigensystem,
     norms,
+    random_symmetric,
     shift_profile,
     symfun_from_power_sums,
     symfun_from_spectrum,

@@ -18,9 +18,7 @@ from rigidity.errors import (
     RigidityError,
     StepTooLarge,
 )
-from rigidity.inequalities import main_inequality
 from rigidity.sampling import derived_rng, random_rotation
-from rigidity.spectral import SymMatrix, trace_free_project
 from rigidity.surfaces import (
     ShapeField,
     build_catenoid,
@@ -41,6 +39,7 @@ from rigidity.surfaces import (
 )
 
 from json_reference import saved_dict
+from reference import SymMatrix, main_inequality, trace_free_project
 
 
 def field_volume(field):
@@ -431,6 +430,25 @@ class TestFieldIO:
         coords[3, 1] = bad
         with pytest.raises(InvariantViolation, match="sample 3: coords must be finite"):
             ShapeField(field.spec, coords, field.operators, field.weights)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_sphere(4, 1.0, grid=[2]),
+        lambda: build_cylinder(4, 1.0, 1.0, grid=[2, 2]),
+        lambda: build_catenoid(4, grid=[2, 2]),
+        lambda: build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[2, 2]),
+        lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 2], fd_step=1e-3),
+    ], ids=["sphere", "cylinder", "catenoid", "rotation", "chart"])
+    def test_ambient_curvature_key(self, tmp_path, build):
+        # files written before the key was dropped carry the flat ambient space as 0.0
+        field = build()
+        data = saved_dict(field, tmp_path)
+        assert "ambient_curvature" not in data["spec"]
+        data["spec"]["ambient_curvature"] = 0.0
+        assert field_from_dict(data).spec == field.spec
+        for value in (5.0, -1e-300, True, "0.0"):
+            data["spec"]["ambient_curvature"] = value
+            with pytest.raises(SchemaError, match="ambient_curvature"):
+                field_from_dict(data)
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"

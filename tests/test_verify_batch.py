@@ -5,48 +5,47 @@ import json
 import numpy as np
 import pytest
 
-from rigidity import verify
+from rigidity import inequalities, verify
 from rigidity.cli import main
-from rigidity.curvature import kn_identity_suite, kn_identity_suite_batch
-from rigidity.errors import NotTraceFree
+from rigidity.curvature import kn_identity_suite_batch
+from rigidity.errors import BadDimension, InvariantViolation, NotTraceFree
 from rigidity.inequalities import (
     bridge_residual,
-    classify_spectrum,
     classify_spectrum_batch,
-    cubic_bound,
     cubic_bound_batch,
-    lambda_scan,
     lambda_scan_batch,
-    lambda_scan_scales,
-    main_inequality,
     main_inequality_batch,
-    newton_gap,
     newton_gap_batch,
-    prop_p3,
     prop_p3_batch,
-    prop_p4,
     prop_p4_batch,
-    sigma_norm_identities,
     sigma_norm_identities_batch,
 )
-from rigidity.sampling import (
-    campaign_chunk,
-    campaign_samples,
-    derived_rng,
-    equality_family_matrix,
-    random_rotation,
-    random_trace_free,
-)
+from rigidity.sampling import campaign_chunk, campaign_samples, derived_rng, random_rotation
 from rigidity.spectral import (
-    SymMatrix,
-    eigen_spectrum,
     eigen_spectrum_batch,
-    norms,
     norms_batch,
-    symfun_from_power_sums,
     symfun_from_power_sums_batch,
-    symfun_from_spectrum,
     symfun_from_spectrum_batch,
+)
+
+from reference import (
+    SymMatrix,
+    classify_spectrum,
+    cubic_bound,
+    eigen_spectrum,
+    equality_family_matrix,
+    kn_identity_suite,
+    lambda_scan,
+    lambda_scan_scales,
+    main_inequality,
+    newton_gap,
+    norms,
+    prop_p3,
+    prop_p4,
+    random_trace_free,
+    sigma_norm_identities,
+    symfun_from_power_sums,
+    symfun_from_spectrum,
     trace_free_project,
 )
 
@@ -173,6 +172,36 @@ def test_batched_kernel_matches_scalar(n, corpus):
         np.testing.assert_allclose(gaps[b], values[:-1] / q_scale, rtol=TOL, atol=TOL)
         assert abs(products[b] - values[-1] / product_scale) <= TOL
         np.testing.assert_allclose(kn[b], kn_identity_suite(m), rtol=0, atol=TOL * hom4)
+
+
+@pytest.mark.parametrize("corpus", [random_corpus, equality_corpus, near_cluster_corpus],
+                         ids=["random", "equality_family", "near_cluster"])
+@pytest.mark.parametrize("n", DIMS)
+def test_single_matrix_main_inequality_matches_reference(n, corpus):
+    for m in stack(corpus, n):
+        verdict, kind = inequalities.main_inequality(m)
+        want, case = main_inequality(SymMatrix(m))
+        assert (verdict.defect, verdict.relative_defect, verdict.holds, verdict.equality, kind) == (
+            want.defect, want.relative_defect, want.holds, want.equality, case.kind)
+
+
+def _asymmetric():
+    m = np.diag([1.0, 1.0, 1.0, -3.0])
+    m[0, 1] = 0.25
+    return m
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    (np.zeros((4, 5)), InvariantViolation, "expected a square matrix"),
+    (np.diag([1.0, 1.0, -2.0]), BadDimension, "dimension must be >= 4"),
+    (np.diag([np.nan, 1.0, 1.0, -2.0]), InvariantViolation, "not exactly symmetric"),
+    (_asymmetric(), InvariantViolation, "not exactly symmetric"),
+], ids=["non_square", "n3", "nan_entry", "asymmetric"])
+def test_single_matrix_main_inequality_rejects_as_the_reference(entries, error, message):
+    with pytest.raises(error, match=message):
+        inequalities.main_inequality(entries)
+    with pytest.raises(error, match=message):
+        main_inequality(SymMatrix(entries))
 
 
 def test_equality_family_is_flagged_in_batch():
