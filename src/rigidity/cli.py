@@ -9,15 +9,15 @@ any RigidityError, such as a report value that is not finite.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
 from .defaults import ARTIFACT, TOLERANCES, VERSION
-from .energy import report_csv_rows, report_to_dict, rotational_energy
+from .energy import report_csv, report_to_dict, rotational_energy
 from .errors import RigidityError
 from .surfaces import (
     _write_json,
+    _write_text,
     build_catenoid,
     build_cylinder,
     build_ellipsoid,
@@ -93,18 +93,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        print("samples must be >= 1", file=sys.stderr)
-        return 2
-    if not args.n or any(n < 4 for n in args.n):
-        print(f"dimensions must all be >= 4, got {args.n}", file=sys.stderr)
-        return 2
-    if args.lambda_count < 1:
-        print("lambda-count must be >= 1", file=sys.stderr)
-        return 2
-    if not 0 <= args.seed < 2 ** 128:
-        print(f"seed must be in [0, 2**128), got {args.seed}", file=sys.stderr)
-        return 2
     report = run_verification_campaign(args.n, args.samples, args.seed,
                                        lambda_count=args.lambda_count)
     _write_json(args.out, report)
@@ -175,11 +163,7 @@ def cmd_analyze(args) -> int:
         return 1
     _write_json(args.out, payload)
     if args.csv:
-        header, rows = report_csv_rows(report)
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_text(args.csv, report_csv(report))
     print(f"analyze: {field.spec.kind} n={field.spec.n} classification={report.classification} "
           f"E_rot={report.e_rot:.6e} E_rot_conf={report.e_rot_conf:.6e}")
     if args.assert_zero is not None:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvariantViolation
-from .spectral import _require_trace_free_batch, norms_batch
+from .spectral import TraceFreeStack
 
 __all__ = ["kn_identity_suite_batch"]
 
 _KN_SUB_BATCH = 8
 
 
-def kn_identity_suite_batch(a: np.ndarray) -> np.ndarray:
+def kn_identity_suite_batch(stack: TraceFreeStack) -> np.ndarray:
     """Residuals (B, 4) of the four Kulkarni-Nomizu identities for each matrix of a stack.
 
     Left sides by direct rank-4 contraction, right sides from matrix norms:
@@ -34,9 +34,7 @@ def kn_identity_suite_batch(a: np.ndarray) -> np.ndarray:
     rank-4 stacks hold _KN_SUB_BATCH matrices at a time, which bounds their
     memory.
     """
-    n = a.shape[-1]
-    a2, a22, _ = norms_batch(a)
-    _require_trace_free_batch(np.trace(a, axis1=1, axis2=2), a2, n)
+    a, n, (a2, a22, _) = stack.a, stack.profile.n, stack.norms
     g, squared, eye = a2 / (2.0 * (n - 1)), a @ a, np.eye(n)
     f = (0.5 * (squared + squared.transpose(0, 2, 1)) - g[:, None, None] * eye) / (n - 2)
     f = 0.5 * (f + f.transpose(0, 2, 1))

@@ -17,18 +17,16 @@ import numpy as np
 from .defaults import tolerance
 from .errors import BadParams, InvalidField, NonFiniteResult
 from .inequalities import classify_spectrum_batch, main_inequality_batch
-# unused here since energies are batched; bench/spans.py still wraps energy.main_inequality
-from .inequalities import main_inequality  # noqa: F401
-from .spectral import (eigen_spectrum_batch, norms_batch, symfun_from_spectrum_batch,
-                       trace_free_project_batch)
-from .surfaces import SampleTable, ShapeField, umbilic_flags
+from .inequalities import main_inequality  # noqa: F401  (unused; the benchmark's tests read it)
+from .spectral import examine_batch, trace_free_project_batch
+from .surfaces import _CHUNK, SampleTable, ShapeField, _json_texts, umbilic_flags
 
 __all__ = [
     "EnergyReport",
     "rotational_energy",
     "conformal_rescale",
     "report_to_dict",
-    "report_csv_rows",
+    "report_csv",
 ]
 
 
@@ -54,8 +52,8 @@ class EnergyReport:
 def rotational_energy(field: ShapeField) -> EnergyReport:
     """Quadrature of the pointwise defect over a shape field.
 
-    The operators go through the batched kernels of the verify campaigns as one
-    stack, each run of equal consecutive operators once; summation is
+    The operators go through the examination and kernels of the verify campaigns
+    as one stack, each run of equal consecutive operators once; summation is
     math.fsum in sample order. Every sample is classified through the sharp
     inequality, so the report carries an equality-locus map. A norm or power
     of |tracefree(A)| too large for a double raises NonFiniteResult naming the
@@ -70,21 +68,17 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     bits = operators.view(np.int64)
     starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))])
     runs = np.diff(np.r_[starts, len(operators)])
-    devi = trace_free_project_batch(operators[starts])
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_norms = norms_batch(devi)
-        a2, a22, _ = a_norms
+    try:
+        stack = examine_batch(trace_free_project_batch(operators[starts]))
+    except NonFiniteResult:  # an overflow is at a run's first sample; the whole stack names it
+        examine_batch(trace_free_project_batch(operators))
+        raise
+    a2, a22, _ = stack.norms
+    with np.errstate(over="ignore"):
         # a numpy scalar's pow rounds as Python's float pow, as reports always did; np.power does not
         norm_n = np.array([x ** (n / 2.0) for x in a2])
         conf_factor = 1.0 if n == 4 else np.array([x ** ((n - 4) / 2.0) for x in a2])
-    finite = np.isfinite(norm_n) & np.isfinite(a22)
-    if not finite.all():
-        idx = int(np.argmin(finite))
-        raise NonFiniteResult(f"sample {starts[idx]}: |A|^{n} overflows at |A|^2 = {a2[idx]:.3e}")
-
-    w, links = eigen_spectrum_batch(devi)
-    verdict, large = main_inequality_batch(a_norms, np.trace(devi, axis1=1, axis2=2),
-                                           symfun_from_spectrum_batch(w), links)
+    verdict, large = main_inequality_batch(stack)
     umbilic = umbilic_flags(operators[starts])
     if umbilic.all():
         classification = "AllUmbilic"
@@ -95,7 +89,7 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     a2, a22, norm_n, conf_factor, defect, rels, kinds, umbilic = (
         np.repeat(x, runs) if np.ndim(x) else x
         for x in (a2, a22, norm_n, conf_factor, verdict.defect, verdict.relative_defect,
-                  classify_spectrum_batch(w, links), umbilic))
+                  classify_spectrum_batch(stack.w, stack.links), umbilic))
     with np.errstate(over="ignore"):  # an infinite term is left for the report writer to reject
         # E_rot, E_rot_conf and the two quadrature scales, in EnergyReport's field order
         terms = (weights * defect, weights * conf_factor * defect,
@@ -147,11 +141,16 @@ def report_to_dict(report: EnergyReport) -> dict:
     }
 
 
-def report_csv_rows(report: EnergyReport) -> tuple[list[str], list[list]]:
-    """Header and rows for the flat per-sample export."""
+def report_csv(report: EnergyReport):
+    """The flat per-sample export as the text pieces of a header and one row per sample, with
+    the bytes of csv.writer: the repr of each float, made once per distinct value in a piece."""
     p = report.pointwise
-    header = [f"coord{i}" for i in range(p["coords"].shape[1])]
-    header += ["tracefree_norm_sq", "tracefree_sq_norm_sq", "defect", "equality_kind"]
-    rows = [[*c, *rest] for c, *rest in zip(*(p[key].tolist() for key in (
-        "coords", "tracefree_norm_sq", "tracefree_sq_norm_sq", "defect", "equality_kind")))]
-    return header, rows
+    keys = ("tracefree_norm_sq", "tracefree_sq_norm_sq", "defect")
+    header = [f"coord{i}" for i in range(p["coords"].shape[1])] + [*keys, "equality_kind"]
+    row = ",".join(["%s"] * len(header)) + "\r\n"
+    yield ",".join(header) + "\r\n"
+    for lo in range(0, len(p["weight"]), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        texts = [_json_texts(p["coords"][part])] + [_json_texts(p[key][part, None]) for key in keys]
+        texts.append(p["equality_kind"][part, None].astype(object))
+        yield row * len(texts[0]) % tuple(np.concatenate(texts, axis=1).ravel().tolist())

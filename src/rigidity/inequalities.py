@@ -7,8 +7,9 @@ p_4 + 3 p_2^2 >= 0), the cubic bound
 |A^2|^2 <= ((n^2-3n+3) / (n(n-1))) |A|^4 whose equality case is an
 eigenspace of dimension at least n-1.
 
-Each check runs over a stack at once, on a batch profile (see
-spectral.symfun_from_spectrum_batch) and (B,) arrays of norms and traces.
+Each check runs over a stack at once and reads the one record of it that
+spectral.examine_batch makes: norms, spectrum and profile, computed and
+checked trace-free once.
 Every verdict carries an explicit scale matched to the homogeneity degree of
 its inequality; the holds/equality decisions use the homogeneous part of the
 scale so they are invariant under rescaling the matrix, while the reported
@@ -25,13 +26,7 @@ import numpy as np
 
 from .defaults import tolerance
 from .errors import BadDimension, InvariantViolation
-from .spectral import (
-    SymFunProfile,
-    _require_trace_free_batch,
-    eigen_spectrum_batch,
-    norms_batch,
-    symfun_from_spectrum_batch,
-)
+from .spectral import TraceFreeStack, examine_batch
 
 __all__ = [
     "EqualityKind",
@@ -81,10 +76,10 @@ def defect_coefficient(n: int) -> float:
     return (n * n - 3 * n + 3) / (n * (n - 1))
 
 
-def bridge_residual(profile: SymFunProfile, a2: float, a22: float) -> float:
-    """Residual of C(n,4)(p_4 + 3 p_2^2) = -1/4 (|A^2|^2 - coef |A|^4); elementwise on a batch."""
-    n = profile.n
-    p2, p4 = profile.p[2], profile.p[4]
+def bridge_residual(stack: TraceFreeStack) -> np.ndarray:
+    """Residuals (B,) of C(n,4)(p_4 + 3 p_2^2) = -1/4 (|A^2|^2 - coef |A|^4)."""
+    n, (a2, a22, _) = stack.profile.n, stack.norms
+    p2, p4 = stack.profile.p[2], stack.profile.p[4]
     left = math.comb(n, 4) * (p4 + 3.0 * p2 * p2)
     right = -0.25 * (a22 - defect_coefficient(n) * a2 * a2)
     return left - right
@@ -93,11 +88,11 @@ def bridge_residual(profile: SymFunProfile, a2: float, a22: float) -> float:
 def main_inequality(a) -> tuple[InequalityVerdict, EqualityKind]:
     """|A^2|^2 <= ((n^2-3n+3)/(n(n-1))) |A|^4 for one trace-free symmetric matrix, n >= 4.
 
-    A stack of one matrix through the kernels that verify and analyze run; the
-    verdict's fields are Python scalars. Equality holds exactly when A has an
-    eigenspace of dimension >= n - 1, and the kind says which. A matrix that is
-    not square, finite and exactly symmetric raises InvariantViolation, n < 4
-    raises BadDimension, and a trace beyond trace_free_tol raises NotTraceFree.
+    A stack of one matrix through the examination and kernels of verify and
+    analyze; the verdict's fields are Python scalars. Equality holds exactly when
+    A has an eigenspace of dimension >= n - 1, and the kind says which. Raises what
+    examine_batch raises, InvariantViolation unless A is square, finite and
+    exactly symmetric, and BadDimension for n < 4.
     """
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -108,12 +103,10 @@ def main_inequality(a) -> tuple[InequalityVerdict, EqualityKind]:
         raise InvariantViolation("matrix entries are not exactly symmetric")
     if not np.all(np.isfinite(m)):
         raise InvariantViolation("matrix entries must be finite")
-    m = m[None]
-    w, links = eigen_spectrum_batch(m)
-    verdict, _ = main_inequality_batch(norms_batch(m), np.trace(m, axis1=1, axis2=2),
-                                       symfun_from_spectrum_batch(w), links)
+    stack = examine_batch(m[None])
+    verdict, _ = main_inequality_batch(stack)
     scalars = (np.ravel(getattr(verdict, f.name))[0].item() for f in fields(verdict))
-    return InequalityVerdict(*scalars), EqualityKind(classify_spectrum_batch(w, links)[0])
+    return InequalityVerdict(*scalars), EqualityKind(classify_spectrum_batch(stack.w, stack.links)[0])
 
 
 def _verdict_batch(lhs, rhs, hom_scale) -> InequalityVerdict:
@@ -145,39 +138,36 @@ def classify_spectrum_batch(w: np.ndarray, links: np.ndarray) -> np.ndarray:
     return np.select(conditions, [k.value for k in kinds], EqualityKind.NONE.value)
 
 
-def newton_gap_batch(profile: SymFunProfile) -> InequalityVerdict:
+def newton_gap_batch(stack: TraceFreeStack) -> InequalityVerdict:
     """Sharp Newton gaps p_k^2 >= p_{k-1} p_{k+1} for every 1 <= k <= n-1 at once: row k - 1
     of each field holds gap k. Equality holds exactly for matrices proportional to the
     identity or with kernel of dimension >= n - k + 1."""
-    p = np.array(profile.p)
+    p = np.array(stack.profile.p)
     lhs, rhs = p[:-2] * p[2:], p[1:-1] ** 2
     return _verdict_batch(lhs, rhs, np.maximum(rhs, np.abs(lhs)))
 
 
-def cubic_bound_batch(a_norms, n: int, trace) -> InequalityVerdict:
-    """(tr A^3)^2 <= ((n-2)^2 / (n(n-1))) |A|^6 over norms_batch triples and traces."""
-    a2, _, t3 = a_norms
-    _require_trace_free_batch(trace, a2, n)
+def cubic_bound_batch(stack: TraceFreeStack) -> InequalityVerdict:
+    """(tr A^3)^2 <= ((n-2)^2 / (n(n-1))) |A|^6, on the entries' norms."""
+    n, (a2, _, t3) = stack.profile.n, stack.norms
     return _verdict_batch(t3 * t3, ((n - 2) ** 2 / (n * (n - 1))) * a2 ** 3, a2 ** 3)
 
 
-def prop_p3_batch(profile: SymFunProfile) -> InequalityVerdict:
+def prop_p3_batch(stack: TraceFreeStack) -> InequalityVerdict:
     """p_3^2 + 4 p_2^3 <= 0 for trace-free profiles, with equality exactly at an eigenspace of
     dimension >= n - 1."""
-    _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
-    p2, p3 = profile.p[2], profile.p[3]
+    p2, p3 = stack.profile.p[2], stack.profile.p[3]
     return _verdict_batch(p3 * p3 + 4.0 * p2 ** 3, 0.0, np.maximum(np.abs(p2) ** 3, p3 * p3))
 
 
-def prop_p4_batch(profile: SymFunProfile) -> InequalityVerdict:
+def prop_p4_batch(stack: TraceFreeStack) -> InequalityVerdict:
     """p_4 + 3 p_2^2 >= 0 for trace-free profiles, n >= 4, with equality exactly at an
     eigenspace of dimension >= n - 1."""
-    _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
-    p2, p4 = profile.p[2], profile.p[4]
+    p2, p4 = stack.profile.p[2], stack.profile.p[4]
     return _verdict_batch(0.0, p4 + 3.0 * p2 * p2, p2 * p2)
 
 
-def lambda_scan_batch(profile: SymFunProfile, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lambda_scan_batch(stack: TraceFreeStack, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shifted gaps q(t) = p_2^2 - t p_3 - t^2 p_2, one lambda grid per row of ``lam`` (B, L).
 
     q(t) is the Newton gap of A + t I, so it is nonnegative for trace-free
@@ -186,8 +176,7 @@ def lambda_scan_batch(profile: SymFunProfile, lam: np.ndarray) -> tuple[np.ndarr
     max(1, p_2(A+tI)^2, |t p_3(A+tI)|) (B, L), and the products over a
     triangle bound on their two factors (B,).
     """
-    _require_trace_free_batch(profile.s(1), profile.s(2), profile.n)
-    p2, p3, p4 = (profile.p[k][:, None] for k in (2, 3, 4))
+    p2, p3, p4 = (stack.profile.p[k][:, None] for k in (2, 3, 4))
     lam2 = lam * lam  # and lam2 * lam for lam ** 3, which pow makes about 50x slower
     p3s = p3 + 3.0 * lam * p2 + lam2 * lam
     q_scale = np.maximum(1.0, np.maximum((p2 + lam2) ** 2, np.abs(lam * p3s)))
@@ -197,32 +186,28 @@ def lambda_scan_batch(profile: SymFunProfile, lam: np.ndarray) -> tuple[np.ndarr
     return (p2 * p2 - lam * p3 - lam2 * p2) / q_scale, (product / product_scale)[:, 0]
 
 
-def main_inequality_batch(a_norms, trace, profile: SymFunProfile,
-                          links: np.ndarray) -> tuple[InequalityVerdict, np.ndarray]:
-    """|A^2|^2 <= ((n^2-3n+3)/(n(n-1))) |A|^4 over arrays, n >= 4, asserting on every row the
+def main_inequality_batch(stack: TraceFreeStack) -> tuple[InequalityVerdict, np.ndarray]:
+    """|A^2|^2 <= ((n^2-3n+3)/(n(n-1))) |A|^4 over a stack, n >= 4, asserting on every row the
     quartic bridge identity that ties the defect to C(n,4)(p_4 + 3 p_2^2).
 
     Also returns per row whether an eigenspace has dimension >= n - 1, the
-    equality case, from the cluster links of eigen_spectrum_batch.
+    equality case, from the cluster links of the spectrum.
     """
-    a2, a22, _ = a_norms
-    _require_trace_free_batch(trace, a2, profile.n)
+    a2, a22, _ = stack.norms
     hom = a2 * a2
-    residual = bridge_residual(profile, a2, a22)
+    residual = bridge_residual(stack)
     bad = np.abs(residual) > tolerance("bridge_tol") * np.maximum(1.0, hom)
     if bad.any():
         i = int(np.argmax(bad))
         raise InvariantViolation(f"bridge identity residual {residual[i]:.3e} exceeds "
                                  f"tolerance at scale {hom[i]:.3e}")
-    verdict = _verdict_batch(a22, defect_coefficient(profile.n) * hom, hom)
-    return verdict, _large_eigenspace_batch(links)
+    verdict = _verdict_batch(a22, defect_coefficient(stack.profile.n) * hom, hom)
+    return verdict, _large_eigenspace_batch(stack.links)
 
 
-def sigma_norm_identities_batch(profile: SymFunProfile, a_norms,
-                                trace) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals (r2, r4) of sigma_2 = -1/2 |A|^2 and sigma_4 = 1/8 |A|^4 - 1/4 |A^2|^2 over
-    arrays, n >= 4: zero for trace-free matrices, with sigma from the eigenvalues and the
+def sigma_norm_identities_batch(stack: TraceFreeStack) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (r2, r4) of sigma_2 = -1/2 |A|^2 and sigma_4 = 1/8 |A|^4 - 1/4 |A^2|^2 over a
+    stack, n >= 4: zero for trace-free matrices, with sigma from the eigenvalues and the
     norms from the entries, so they cross-check the two routes."""
-    a2, a22, _ = a_norms
-    _require_trace_free_batch(trace, a2, profile.n)
-    return profile.sigma[2] + 0.5 * a2, profile.sigma[4] - 0.125 * a2 * a2 + 0.25 * a22
+    a2, a22, _ = stack.norms
+    return stack.profile.sigma[2] + 0.5 * a2, stack.profile.sigma[4] - 0.125 * a2 * a2 + 0.25 * a22

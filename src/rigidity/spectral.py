@@ -4,7 +4,8 @@ Two independent evaluation paths produce the same profile: one expands the
 characteristic polynomial from the eigenvalues, the other converts power sums
 (traces of matrix powers) through the classical triangular recurrence. All
 downstream inequality checks cross-validate against this redundancy. Every
-kernel takes a (B, n, n) stack, or its (B, n) eigenvalues, at once.
+kernel takes a (B, n, n) stack, or its (B, n) eigenvalues, at once, and every
+check reads the one TraceFreeStack record of a stack that ``examine_batch`` makes.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import tolerance
-from .errors import InvariantViolation, NotTraceFree
+from .errors import InvariantViolation, NonFiniteResult, NotTraceFree
 
 __all__ = [
     "SymFunProfile",
+    "TraceFreeStack",
+    "examine_batch",
     "trace_free_project_batch",
     "eigen_spectrum_batch",
     "symfun_from_spectrum_batch",
@@ -120,3 +123,34 @@ def norms_batch(m: np.ndarray) -> tuple[np.ndarray, ...]:
     one matrix product, independent of any eigendecomposition."""
     b = m @ m
     return tuple((x * y).sum(axis=(1, 2)) for x, y in ((m, m), (b, b), (b, m)))
+
+
+@dataclass(frozen=True)
+class TraceFreeStack:
+    """A trace-free stack ``a`` (B, n, n) with its ``trace`` (B,), norms_batch triple ``norms``,
+    eigenvalues ``w`` and ``links`` from eigen_spectrum_batch, and the ``profile`` of ``w``."""
+
+    a: np.ndarray
+    trace: np.ndarray
+    norms: tuple
+    w: np.ndarray
+    links: np.ndarray
+    profile: SymFunProfile
+
+
+def examine_batch(a: np.ndarray) -> TraceFreeStack:
+    """The record of a stack (B, n, n), n >= 4. Raises NonFiniteResult naming the first row,
+    as its sample, where |A|^n (the profile's degree) or |A^2|^2 overflows, then NotTraceFree
+    unless tr A against |A|^2 on the entries and s_1 against s_2 on the eigenvalues pass."""
+    n, trace = a.shape[-1], np.trace(a, axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_norms = norms_batch(a)
+        finite = np.isfinite(a_norms[0] ** (n / 2.0)) & np.isfinite(a_norms[1])
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteResult(f"sample {i}: |A|^{n} overflows at |A|^2 = {a_norms[0][i]:.3e}")
+    _require_trace_free_batch(trace, a_norms[0], n)
+    w, links = eigen_spectrum_batch(a)
+    profile = symfun_from_spectrum_batch(w)
+    _require_trace_free_batch(profile.s(1), profile.s(2), n)
+    return TraceFreeStack(a, trace, a_norms, w, links, profile)

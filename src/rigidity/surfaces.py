@@ -596,8 +596,8 @@ def _write_json(path, payload: dict) -> None:
 
     A SampleTable anywhere in ``payload`` is streamed from its columns, so no
     per-sample object or whole text is built. An inf or NaN raises
-    NonFiniteResult before anything is written; the text goes into an
-    anonymous temporary file, copied to ``path`` once complete.
+    NonFiniteResult before anything is written; the text goes to ``path``
+    through ``_write_text``.
     """
     tables = []
 
@@ -614,14 +614,19 @@ def _write_json(path, payload: dict) -> None:
     for table in tables:
         if problem := table.nonfinite():
             raise NonFiniteResult(f"{path} not written: {problem}")
+    parts = []
+    for i, table in enumerate(tables):  # in text order, the order json.dumps met them
+        head, text = text.split(f'"\\u0000table{i}\\u0000"', 1)
+        line = head[head.rfind("\n") + 1:]
+        parts += [[head], table.pieces(line[:len(line) - len(line.lstrip(" "))])]
+    _write_text(path, chain(*parts, [f"{text}\n"]))
+
+
+def _write_text(path, pieces) -> None:
+    """Write text ``pieces`` to a temporary file, copied to ``path`` only once all are made."""
     with tempfile.TemporaryFile() as tmp:
-        for i, table in enumerate(tables):  # in text order, the order json.dumps met them
-            head, text = text.split(f'"\\u0000table{i}\\u0000"', 1)
-            line = head[head.rfind("\n") + 1:]
-            tmp.write(head.encode())
-            for piece in table.pieces(line[:len(line) - len(line.lstrip(" "))]):
-                tmp.write(piece.encode())
-        tmp.write(f"{text}\n".encode())
+        for piece in pieces:
+            tmp.write(piece.encode())
         tmp.seek(0)
         with open(path, "wb") as fh:
             shutil.copyfileobj(tmp, fh)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .curvature import kn_identity_suite_batch
 from .defaults import ARTIFACT, TOLERANCES, VERSION, tolerance
+from .errors import BadDimension, BadParams
 from .inequalities import (
     bridge_residual,
     cubic_bound_batch,
@@ -27,12 +28,7 @@ from .inequalities import (
     sigma_norm_identities_batch,
 )
 from .sampling import campaign_chunk, campaign_samples, derived_rng, random_rotation
-from .spectral import (
-    eigen_spectrum_batch,
-    norms_batch,
-    symfun_from_power_sums_batch,
-    symfun_from_spectrum_batch,
-)
+from .spectral import examine_batch, symfun_from_power_sums_batch
 
 __all__ = [
     "CHECK_FAMILIES",
@@ -76,21 +72,24 @@ def _passes(family: str, stats: dict) -> bool:
 
 
 def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int = 100,
-                              threads: int = 1, include_kn: bool = True,
-                              fuzz_tol: float | None = None) -> dict:
+                              threads: int = 1, include_kn: bool = True) -> dict:
     """Run every check family over a seeded random campaign and build a report.
 
     ``samples`` counts matrices in total; dimensions cycle round-robin through
     ``dims``. The report is a JSON-ready dict of per-family aggregates.
-    ``threads`` is accepted for compatibility and ignored: the campaign runs
-    on the calling thread, so the report never depends on it.
+    ``threads`` is accepted for compatibility and ignored: the campaign runs on
+    one thread. Inputs out of range raise BadParams, or BadDimension for n < 4.
     """
     dims = [int(n) for n in dims]
-    if not dims or any(n < 4 for n in dims):
-        raise ValueError(f"dimensions must all be >= 4, got {dims}")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
-    fuzz = tolerance("fuzz_defect_tol", fuzz_tol)
+        raise BadParams("samples must be >= 1")
+    if not dims or any(n < 4 for n in dims):
+        raise BadDimension(f"dimensions must all be >= 4, got {dims}")
+    if lambda_count < 1:
+        raise BadParams("lambda-count must be >= 1")
+    if not 0 <= seed < 2 ** 128:
+        raise BadParams(f"seed must be in [0, 2**128), got {seed}")
+    fuzz = tolerance("fuzz_defect_tol")
     defect_families = ("newton_gap", "prop_p3", "prop_p4", "cubic_bound", "main_inequality")
     checks: dict = {family: {"count": 0, "min_relative_defect": math.inf, "violations": 0}
                     for family in defect_families}
@@ -105,21 +104,17 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
     chunk = campaign_chunk(dims, lambda_count)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        for n, a, lam in campaign_samples(seed, dims, lambda_count, start, count):
-            eigenvalues, links = eigen_spectrum_batch(a)
-            profile = symfun_from_spectrum_batch(eigenvalues)
-            a_norms = norms_batch(a)
-            a2, a22, _ = a_norms
-            trace = np.trace(a, axis1=1, axis2=2)
-            hom4 = np.maximum(1.0, a2 * a2)
+        for _, a, lam in campaign_samples(seed, dims, lambda_count, start, count):
+            stack = examine_batch(a)
+            hom4 = np.maximum(1.0, stack.norms[0] * stack.norms[0])
 
-            sigma, alt = np.array(profile.sigma), np.array(symfun_from_power_sums_batch(a).sigma)
+            sigma, alt = np.array(stack.profile.sigma), np.array(symfun_from_power_sums_batch(a).sigma)
             oracle_deviation = _most(oracle_deviation, np.max(np.abs(sigma - alt), axis=0)
                                      / np.maximum(1.0, np.max(np.abs(sigma), axis=0)))
 
-            verdict, large = main_inequality_batch(a_norms, trace, profile, links)
-            defects = (newton_gap_batch(profile), prop_p3_batch(profile), prop_p4_batch(profile),
-                       cubic_bound_batch(a_norms, n, trace), verdict)
+            verdict, large = main_inequality_batch(stack)
+            defects = (newton_gap_batch(stack), prop_p3_batch(stack), prop_p4_batch(stack),
+                       cubic_bound_batch(stack), verdict)
             for family, family_verdict in zip(defect_families, defects):
                 stats, rel = checks[family], family_verdict.relative_defect
                 stats["count"] += rel.size
@@ -128,13 +123,13 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
                 stats["violations"] += int(np.count_nonzero(~(rel >= -fuzz)))
             main["false_equalities"] += int(np.count_nonzero(verdict.equality & ~large))
             main["max_bridge_residual"] = _most(
-                main["max_bridge_residual"], np.abs(bridge_residual(profile, a2, a22)) / hom4)
+                main["max_bridge_residual"], np.abs(bridge_residual(stack)) / hom4)
 
-            r2, r4 = sigma_norm_identities_batch(profile, a_norms, trace)
-            gaps, products = lambda_scan_batch(profile, lam)
+            r2, r4 = sigma_norm_identities_batch(stack)
+            gaps, products = lambda_scan_batch(stack, lam)
             residuals = [np.maximum(np.abs(r2), np.abs(r4))]
             if include_kn:
-                residuals.append(np.max(np.abs(kn_identity_suite_batch(a)), axis=1))
+                residuals.append(np.max(np.abs(kn_identity_suite_batch(stack)), axis=1))
             for family, worst in zip(("sigma_norm_identities", "kn_identity_suite"), residuals):
                 checks[family]["count"] += len(a)
                 checks[family]["max_relative_residual"] = _most(
@@ -186,13 +181,12 @@ def equality_family_stats(dims, count: int, seed: int) -> dict:
     for n, conjugates in stacks.items():
         a = np.stack(conjugates)
         a = 0.5 * (a + a.transpose(0, 2, 1))  # exactly symmetric
-        w, links = eigen_spectrum_batch(a)
-        verdict, large = main_inequality_batch(norms_batch(a), np.trace(a, axis1=1, axis2=2),
-                                               symfun_from_spectrum_batch(w), links)
+        stack = examine_batch(a)
+        verdict, large = main_inequality_batch(stack)
         worst_defect = _most(worst_defect, np.abs(verdict.relative_defect))
         all_equality = all_equality and bool(verdict.equality.all())
         # the largest cluster holds exactly n - 1 eigenvalues: at least n - 1, and not all n
-        all_mult = all_mult and bool((large & ~links.all(axis=1)).all())
+        all_mult = all_mult and bool((large & ~stack.links.all(axis=1)).all())
     return {
         "count": count,
         "max_abs_relative_defect": worst_defect,

@@ -15,7 +15,7 @@ import rigidity
 from rigidity import cli
 from rigidity.cli import main
 from rigidity.defaults import TOLERANCES, VERSION
-from rigidity.errors import SchemaError
+from rigidity.errors import RigidityError, SchemaError
 from rigidity.surfaces import (
     build_cylinder,
     build_ellipsoid,
@@ -192,6 +192,20 @@ class TestAnalyze:
         lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("coord0,coord1,tracefree_norm_sq")
         assert len(lines) == 1 + len(ingest_field(catenoid_path).weights)
+
+    def test_failed_csv_write_leaves_csv_untouched(self, tmp_path, catenoid_path, monkeypatch,
+                                                   capsys):
+        def failing(report):
+            yield "coord0\r\n"
+            raise RigidityError("rendering failed")
+
+        monkeypatch.setattr(cli, "report_csv", failing)
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("previous\n", encoding="utf-8")
+        assert main(["analyze", "--field", str(catenoid_path), "--out", str(tmp_path / "r.json"),
+                     "--csv", str(csv_path)]) == 2
+        assert "rendering failed" in capsys.readouterr().err
+        assert csv_path.read_text(encoding="utf-8") == "previous\n"
 
     def test_schema_error_names_sample(self, tmp_path, catenoid_path, capsys):
         data = read_json(catenoid_path)

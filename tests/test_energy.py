@@ -1,5 +1,7 @@
 """Rotational energies: quadrature, classification, conformal behavior."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from rigidity.energy import (
     conformal_rescale,
-    report_csv_rows,
+    report_csv,
     report_to_dict,
     rotational_energy,
 )
@@ -123,11 +125,26 @@ class TestRotationalEnergy:
         data = report_to_dict(report)
         assert data["classification"] == "RotationCandidate"
         assert data["samples"] == data["pointwise"].count == len(cylinder4.weights)
-        header, rows = report_csv_rows(report)
+        header, *rows = csv.reader(io.StringIO("".join(report_csv(report)), newline=""))
         assert header[:2] == ["coord0", "coord1"]
         assert len(rows) == len(cylinder4.weights)
-        assert {type(value) for value in rows[0][:-1]} == {float}  # csv writes repr of a float
         assert rows[0][-1] == "EigenspaceDimExactlyNMinus1"
+
+    @pytest.mark.parametrize("grid", [[2, 2], [40, 8], [64, 4]], ids=["4", "320", "256"])
+    def test_csv_is_what_csv_writer_writes(self, grid):
+        # the columns' values, written row by row through the csv module
+        field = build_cylinder(4, 1.0, 2.0, grid=grid)
+        coords = field.coords.copy()
+        coords[0, 0] = -0.0
+        report = rotational_energy(ShapeField(field.spec, coords, field.operators, field.weights))
+        keys = ("coords", "tracefree_norm_sq", "tracefree_sq_norm_sq", "defect", "equality_kind")
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["coord0", "coord1", *keys[1:]])
+        columns = (report.pointwise[k].tolist() for k in keys)
+        writer.writerows([*c, *rest] for c, *rest in zip(*columns))
+        text = "".join(report_csv(report))
+        assert text == want.getvalue() and "\r\n-0.0," in text
 
 
 CATALOG = {

@@ -1,8 +1,10 @@
-"""The scalar oracle stays independent of the kernels it checks, and no scalar twin returns."""
+"""The scalar oracle stays independent of the kernels it checks, no scalar twin returns, and
+every check of a stack reads one examination of it."""
 
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import rigidity
@@ -39,3 +41,25 @@ def test_oracle_independence():
     public = {name for name, value in vars(rigidity).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == PUBLIC_NAMES
+
+
+# the calls that make up one examination of a trace-free stack, and how often it makes each
+EXAMINATION = {"norms_batch": 1, "eigen_spectrum_batch": 1, "symfun_from_spectrum_batch": 1,
+               "_require_trace_free_batch": 2}
+
+
+def test_one_examination_per_stack():
+    # inside the package only spectral.examine_batch computes norms and spectra and checks a stack
+    # trace-free, so every caller reads its record and no caller assembles a pipeline of its own
+    calls = Counter()
+    for path in sorted(Path(rigidity.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [(None, node) for node in tree.body if not isinstance(node, ast.FunctionDef)]
+        for scope, node in scopes:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    if name in EXAMINATION:
+                        calls[f"{path.stem}.{scope}", name] += 1
+    assert calls == {("spectral.examine_batch", name): count for name, count in EXAMINATION.items()}

@@ -5,10 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from rigidity import inequalities, verify
+from rigidity import inequalities, spectral, verify
 from rigidity.cli import main
 from rigidity.curvature import kn_identity_suite_batch
-from rigidity.errors import BadDimension, InvariantViolation, NotTraceFree
+from rigidity.errors import (
+    BadDimension,
+    BadParams,
+    InvariantViolation,
+    NonFiniteResult,
+    NotTraceFree,
+)
 from rigidity.inequalities import (
     bridge_residual,
     classify_spectrum_batch,
@@ -21,15 +27,11 @@ from rigidity.inequalities import (
     sigma_norm_identities_batch,
 )
 from rigidity.sampling import campaign_chunk, campaign_samples, derived_rng, random_rotation
-from rigidity.spectral import (
-    eigen_spectrum_batch,
-    norms_batch,
-    symfun_from_power_sums_batch,
-    symfun_from_spectrum_batch,
-)
+from rigidity.spectral import eigen_spectrum_batch, examine_batch, symfun_from_power_sums_batch
 
 from reference import (
     SymMatrix,
+    bridge_residual as reference_bridge_residual,
     classify_spectrum,
     cubic_bound,
     eigen_spectrum,
@@ -111,24 +113,22 @@ def stack(corpus, n):
 def test_batched_kernel_matches_scalar(n, corpus):
     a = stack(corpus, n)
     lam = np.linspace(-2.0, 2.0, 9)
-    w, links = eigen_spectrum_batch(a)
-    profile = symfun_from_spectrum_batch(w)
+    t = examine_batch(a)
+    links, profile, (a2, a22, t3) = t.links, t.profile, t.norms
     alt = np.array(symfun_from_power_sums_batch(a).sigma)
-    a_norms = norms_batch(a)
-    a2, a22, t3 = a_norms
-    trace = np.trace(a, axis1=1, axis2=2)
-    main_batch, large = main_inequality_batch(a_norms, trace, profile, links)
+    np.testing.assert_array_equal(t.trace, np.trace(a, axis1=1, axis2=2))
+    main_batch, large = main_inequality_batch(t)
     batch = {
-        "newton_gap": newton_gap_batch(profile),
-        "prop_p3": prop_p3_batch(profile),
-        "prop_p4": prop_p4_batch(profile),
-        "cubic_bound": cubic_bound_batch(a_norms, n, trace),
+        "newton_gap": newton_gap_batch(t),
+        "prop_p3": prop_p3_batch(t),
+        "prop_p4": prop_p4_batch(t),
+        "cubic_bound": cubic_bound_batch(t),
         "main_inequality": main_batch,
     }
-    r2, r4 = sigma_norm_identities_batch(profile, a_norms, trace)
-    gaps, products = lambda_scan_batch(profile, np.broadcast_to(lam, (len(a), lam.size)))
-    bridge = bridge_residual(profile, a2, a22)
-    kn = kn_identity_suite_batch(a)
+    r2, r4 = sigma_norm_identities_batch(t)
+    gaps, products = lambda_scan_batch(t, np.broadcast_to(lam, (len(a), lam.size)))
+    bridge = bridge_residual(t)
+    kn = kn_identity_suite_batch(t)
 
     for b in range(len(a)):
         m = SymMatrix(a[b])
@@ -164,7 +164,7 @@ def test_batched_kernel_matches_scalar(n, corpus):
         assert large[b] == case.large_eigenspace
 
         hom4 = max(1.0, a2[b] * a2[b])
-        assert abs(bridge[b] - bridge_residual(prof, *norms(m)[:2])) <= TOL * hom4
+        assert abs(bridge[b] - reference_bridge_residual(prof, *norms(m)[:2])) <= TOL * hom4
         s2, s4 = sigma_norm_identities(m, profile=prof)
         assert abs(r2[b] - s2) <= TOL * hom4 and abs(r4[b] - s4) <= TOL * hom4
         values = lambda_scan(prof, lam)
@@ -204,29 +204,48 @@ def test_single_matrix_main_inequality_rejects_as_the_reference(entries, error, 
         main_inequality(SymMatrix(entries))
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_single_matrix_main_inequality_overflow_is_named(n):
+    # |A|^n overflows while the entries are finite; |A|^4 too at n = 4
+    scale = 1e100 if n == 4 else 1e60
+    with pytest.raises(NonFiniteResult, match=rf"^sample 0: \|A\|\^{n} overflows at \|A\|\^2 = "):
+        inequalities.main_inequality(scale * np.diag([1.0] * (n - 1) + [1.0 - n]))
+
+
 def test_equality_family_is_flagged_in_batch():
     for n in DIMS:
-        a = stack(equality_corpus, n)
-        w, links = eigen_spectrum_batch(a)
-        verdict, large = main_inequality_batch(norms_batch(a), np.trace(a, axis1=1, axis2=2),
-                                               symfun_from_spectrum_batch(w), links)
+        verdict, large = main_inequality_batch(examine_batch(stack(equality_corpus, n)))
         assert verdict.equality.all() and large.all()
 
 
-def test_batched_preconditions_raise():
-    m = np.stack([np.diag([1.0, 2.0, 3.0, 4.0 + i]) for i in range(3)])
-    w, links = eigen_spectrum_batch(m)
-    profile = symfun_from_spectrum_batch(w)
-    a_norms = norms_batch(m)
-    trace = np.trace(m, axis1=1, axis2=2)
-    with pytest.raises(NotTraceFree):
-        main_inequality_batch(a_norms, trace, profile, links)
-    with pytest.raises(NotTraceFree):
-        cubic_bound_batch(a_norms, 4, trace)
-    with pytest.raises(NotTraceFree):
-        prop_p3_batch(profile)
-    with pytest.raises(NotTraceFree):
-        kn_identity_suite_batch(m)
+def test_batched_preconditions_raise(monkeypatch):
+    # each route alone fails its check: the entries of a shifted stack whose spectrum is made
+    # trace-free, and the spectrum of a trace-free stack when eigenvalues come back shifted
+    a = stack(random_corpus, 5)
+    shifted = a + 0.5 * np.eye(5)
+    spectrum_of = eigen_spectrum_batch
+    monkeypatch.setattr(spectral, "eigen_spectrum_batch",
+                        lambda m: spectrum_of(m - 0.5 * np.eye(5)))
+    with pytest.raises(NotTraceFree, match="^trace 2.500e[+]00 too large"):
+        examine_batch(shifted)
+    monkeypatch.setattr(spectral, "eigen_spectrum_batch",
+                        lambda m: (spectrum_of(m)[0] + 0.5, spectrum_of(m)[1]))
+    with pytest.raises(NotTraceFree, match="^trace 2.500e[+]00 too large"):
+        examine_batch(a)
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"seed": -1}, BadParams, r"^seed must be in \[0, 2\*\*128\), got -1$"),
+    ({"seed": 2 ** 128}, BadParams, rf"^seed must be in \[0, 2\*\*128\), got {2 ** 128}$"),
+    ({"lambda_count": 0}, BadParams, "^lambda-count must be >= 1$"),
+    ({"lambda_count": -3}, BadParams, "^lambda-count must be >= 1$"),
+    ({"dims": [3]}, BadDimension, r"^dimensions must all be >= 4, got \[3\]$"),
+    ({"samples": 0}, BadParams, "^samples must be >= 1$"),
+], ids=["seed_negative", "seed_2_128", "lambda_count_0", "lambda_count_negative", "n3",
+        "samples_0"])
+def test_campaign_rejects_inputs_out_of_range(change, error, message):
+    with pytest.raises(error, match=message):
+        verify.run_verification_campaign(**{"dims": [4, 5], "samples": 10, "seed": 1, **change})
 
 
 def test_seeds_give_independent_campaigns(tmp_path):
