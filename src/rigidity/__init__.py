@@ -2,7 +2,6 @@
 rotational energies it controls on sampled hypersurfaces."""
 
 from .defaults import ARTIFACT, TOLERANCES, VERSION, tolerance
-from .spectral import SymFunProfile
 from .inequalities import EqualityKind, InequalityVerdict, defect_coefficient, main_inequality
 from .surfaces import (
     SurfaceSpec,

@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 when a check or assertion fails (the report is
 still written, except that ``analyze --assert-zero`` on a NaN or infinite
 E_rot_conf exits 1 and writes no report), 2 on usage or schema errors and on
-any RigidityError, such as a report value that is not finite.
+any RigidityError, such as a non-finite report value or ``--assert-zero`` TOL.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from .defaults import ARTIFACT, TOLERANCES, VERSION
 from .energy import report_csv, report_to_dict, rotational_energy
-from .errors import RigidityError
+from .errors import BadParams, RigidityError
 from .surfaces import (
     _write_json,
     _write_text,
@@ -71,8 +71,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--t-max", type=float, default=None, help="catenoid profile half-range")
     p_catalog.add_argument("--ode-substeps", type=int, default=None,
                            help="integration steps per profile cell")
-    p_catalog.add_argument("--profile-tol", type=float, default=None,
-                           help="minimality residual target for the catenoid")
     p_catalog.add_argument("--profile-coeffs", type=_float_list, default=[1.0, 0.0, 1.0],
                            help="polynomial profile coefficients, lowest degree first")
     p_catalog.add_argument("--t-range", type=_float_list, default=[-1.0, 1.0],
@@ -88,7 +86,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", required=True, help="report JSON path")
     p_analyze.add_argument("--csv", default=None, help="optional per-sample CSV path")
     p_analyze.add_argument("--assert-zero", type=float, default=None, metavar="TOL",
-                           help="exit 1 when E_rot_conf exceeds TOL x quadrature scale")
+                           help="exit 1 when E_rot_conf exceeds TOL (finite, >= 0) x quadrature scale")
     return parser
 
 
@@ -108,8 +106,8 @@ def _build_surface(args):
     if args.surface == "cylinder":
         return build_cylinder(args.n, args.radius, args.height, grid=args.grid)
     if args.surface == "catenoid":
-        return build_catenoid(args.n, grid=args.grid, profile_tol=args.profile_tol,
-                              t_max=args.t_max, ode_substeps=args.ode_substeps)
+        return build_catenoid(args.n, grid=args.grid, t_max=args.t_max,
+                              ode_substeps=args.ode_substeps)
     if args.surface == "rotation":
         # numpy.polynomial takes milliseconds to import, so only rotation surfaces load it
         from numpy.polynomial import Polynomial
@@ -142,6 +140,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    tol = args.assert_zero
+    if tol is not None and not 0.0 <= tol < math.inf:  # a NaN TOL would pass every field
+        raise BadParams(f"--assert-zero TOL must be finite and >= 0, got {tol}")
     field = ingest_field(args.field)
     report = rotational_energy(field)
     payload = {
@@ -157,7 +158,7 @@ def cmd_analyze(args) -> int:
         "tolerances": dict(TOLERANCES),
         "report": report_to_dict(report),
     }
-    if args.assert_zero is not None and not math.isfinite(report.e_rot_conf):
+    if tol is not None and not math.isfinite(report.e_rot_conf):
         # the gate fails closed, and a non-finite energy cannot be written as JSON
         print(f"analyze: E_rot_conf is {report.e_rot_conf}; no report written", file=sys.stderr)
         return 1
@@ -166,11 +167,11 @@ def cmd_analyze(args) -> int:
         _write_text(args.csv, report_csv(report))
     print(f"analyze: {field.spec.kind} n={field.spec.n} classification={report.classification} "
           f"E_rot={report.e_rot:.6e} E_rot_conf={report.e_rot_conf:.6e}")
-    if args.assert_zero is not None:
-        bound = args.assert_zero * report.quadrature_scale_conf
-        if abs(report.e_rot_conf) > bound:
+    if tol is not None:
+        bound = tol * report.quadrature_scale_conf
+        if not abs(report.e_rot_conf) <= bound:
             print(f"analyze: E_rot_conf {report.e_rot_conf:.3e} exceeds "
-                  f"{args.assert_zero:g} x scale {report.quadrature_scale_conf:.3e}",
+                  f"{tol:g} x scale {report.quadrature_scale_conf:.3e}",
                   file=sys.stderr)
             return 1
     return 0

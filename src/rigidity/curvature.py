@@ -34,7 +34,7 @@ def kn_identity_suite_batch(stack: TraceFreeStack) -> np.ndarray:
     rank-4 stacks hold _KN_SUB_BATCH matrices at a time, which bounds their
     memory.
     """
-    a, n, (a2, a22, _) = stack.a, stack.profile.n, stack.norms
+    a, n, a2, a22 = stack.a, stack.n, stack.a2, stack.a22
     g, squared, eye = a2 / (2.0 * (n - 1)), a @ a, np.eye(n)
     f = (0.5 * (squared + squared.transpose(0, 2, 1)) - g[:, None, None] * eye) / (n - 2)
     f = 0.5 * (f + f.transpose(0, 2, 1))

@@ -1,4 +1,4 @@
-"""Sharp inequalities for symmetric-function profiles of trace-free matrices.
+"""Sharp inequalities for the elementary symmetric functions of trace-free matrices.
 
 The chain implemented here: Newton's gap p_k^2 >= p_{k-1} p_{k+1}, the two
 shifted consequences for trace-free matrices (p_3^2 + 4 p_2^3 <= 0 and
@@ -7,9 +7,9 @@ p_4 + 3 p_2^2 >= 0), the cubic bound
 |A^2|^2 <= ((n^2-3n+3) / (n(n-1))) |A|^4 whose equality case is an
 eigenspace of dimension at least n-1.
 
-Each check runs over a stack at once and reads the one record of it that
-spectral.examine_batch makes: norms, spectrum and profile, computed and
-checked trace-free once.
+Each check runs over a stack at once and reads the plain arrays of the one
+record of it that spectral.examine_batch makes (norms, spectrum, and sigma and
+p as (n + 1, B) arrays), computed and checked trace-free once.
 Every verdict carries an explicit scale matched to the homogeneity degree of
 its inequality; the holds/equality decisions use the homogeneous part of the
 scale so they are invariant under rescaling the matrix, while the reported
@@ -78,10 +78,9 @@ def defect_coefficient(n: int) -> float:
 
 def bridge_residual(stack: TraceFreeStack) -> np.ndarray:
     """Residuals (B,) of C(n,4)(p_4 + 3 p_2^2) = -1/4 (|A^2|^2 - coef |A|^4)."""
-    n, (a2, a22, _) = stack.profile.n, stack.norms
-    p2, p4 = stack.profile.p[2], stack.profile.p[4]
+    n, p2, p4 = stack.n, stack.p[2], stack.p[4]
     left = math.comb(n, 4) * (p4 + 3.0 * p2 * p2)
-    right = -0.25 * (a22 - defect_coefficient(n) * a2 * a2)
+    right = -0.25 * (stack.a22 - defect_coefficient(n) * stack.a2 * stack.a2)
     return left - right
 
 
@@ -142,28 +141,27 @@ def newton_gap_batch(stack: TraceFreeStack) -> InequalityVerdict:
     """Sharp Newton gaps p_k^2 >= p_{k-1} p_{k+1} for every 1 <= k <= n-1 at once: row k - 1
     of each field holds gap k. Equality holds exactly for matrices proportional to the
     identity or with kernel of dimension >= n - k + 1."""
-    p = np.array(stack.profile.p)
-    lhs, rhs = p[:-2] * p[2:], p[1:-1] ** 2
+    lhs, rhs = stack.p[:-2] * stack.p[2:], stack.p[1:-1] ** 2
     return _verdict_batch(lhs, rhs, np.maximum(rhs, np.abs(lhs)))
 
 
 def cubic_bound_batch(stack: TraceFreeStack) -> InequalityVerdict:
     """(tr A^3)^2 <= ((n-2)^2 / (n(n-1))) |A|^6, on the entries' norms."""
-    n, (a2, _, t3) = stack.profile.n, stack.norms
+    n, a2, t3 = stack.n, stack.a2, stack.t3
     return _verdict_batch(t3 * t3, ((n - 2) ** 2 / (n * (n - 1))) * a2 ** 3, a2 ** 3)
 
 
 def prop_p3_batch(stack: TraceFreeStack) -> InequalityVerdict:
     """p_3^2 + 4 p_2^3 <= 0 for trace-free profiles, with equality exactly at an eigenspace of
     dimension >= n - 1."""
-    p2, p3 = stack.profile.p[2], stack.profile.p[3]
+    p2, p3 = stack.p[2], stack.p[3]
     return _verdict_batch(p3 * p3 + 4.0 * p2 ** 3, 0.0, np.maximum(np.abs(p2) ** 3, p3 * p3))
 
 
 def prop_p4_batch(stack: TraceFreeStack) -> InequalityVerdict:
     """p_4 + 3 p_2^2 >= 0 for trace-free profiles, n >= 4, with equality exactly at an
     eigenspace of dimension >= n - 1."""
-    p2, p4 = stack.profile.p[2], stack.profile.p[4]
+    p2, p4 = stack.p[2], stack.p[4]
     return _verdict_batch(0.0, p4 + 3.0 * p2 * p2, p2 * p2)
 
 
@@ -176,7 +174,7 @@ def lambda_scan_batch(stack: TraceFreeStack, lam: np.ndarray) -> tuple[np.ndarra
     max(1, p_2(A+tI)^2, |t p_3(A+tI)|) (B, L), and the products over a
     triangle bound on their two factors (B,).
     """
-    p2, p3, p4 = (stack.profile.p[k][:, None] for k in (2, 3, 4))
+    p2, p3, p4 = stack.p[2:5, :, None]
     lam2 = lam * lam  # and lam2 * lam for lam ** 3, which pow makes about 50x slower
     p3s = p3 + 3.0 * lam * p2 + lam2 * lam
     q_scale = np.maximum(1.0, np.maximum((p2 + lam2) ** 2, np.abs(lam * p3s)))
@@ -193,15 +191,14 @@ def main_inequality_batch(stack: TraceFreeStack) -> tuple[InequalityVerdict, np.
     Also returns per row whether an eigenspace has dimension >= n - 1, the
     equality case, from the cluster links of the spectrum.
     """
-    a2, a22, _ = stack.norms
-    hom = a2 * a2
+    hom = stack.a2 * stack.a2
     residual = bridge_residual(stack)
     bad = np.abs(residual) > tolerance("bridge_tol") * np.maximum(1.0, hom)
     if bad.any():
         i = int(np.argmax(bad))
         raise InvariantViolation(f"bridge identity residual {residual[i]:.3e} exceeds "
                                  f"tolerance at scale {hom[i]:.3e}")
-    verdict = _verdict_batch(a22, defect_coefficient(stack.profile.n) * hom, hom)
+    verdict = _verdict_batch(stack.a22, defect_coefficient(stack.n) * hom, hom)
     return verdict, _large_eigenspace_batch(stack.links)
 
 
@@ -209,5 +206,5 @@ def sigma_norm_identities_batch(stack: TraceFreeStack) -> tuple[np.ndarray, np.n
     """Residuals (r2, r4) of sigma_2 = -1/2 |A|^2 and sigma_4 = 1/8 |A|^4 - 1/4 |A^2|^2 over a
     stack, n >= 4: zero for trace-free matrices, with sigma from the eigenvalues and the
     norms from the entries, so they cross-check the two routes."""
-    a2, a22, _ = stack.norms
-    return stack.profile.sigma[2] + 0.5 * a2, stack.profile.sigma[4] - 0.125 * a2 * a2 + 0.25 * a22
+    a2, sigma = stack.a2, stack.sigma
+    return sigma[2] + 0.5 * a2, sigma[4] - 0.125 * a2 * a2 + 0.25 * stack.a22

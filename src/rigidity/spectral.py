@@ -1,11 +1,13 @@
-"""Elementary symmetric function profiles of stacks of symmetric matrices.
+"""Elementary symmetric functions of stacks of symmetric matrices.
 
-Two independent evaluation paths produce the same profile: one expands the
-characteristic polynomial from the eigenvalues, the other converts power sums
-(traces of matrix powers) through the classical triangular recurrence. All
-downstream inequality checks cross-validate against this redundancy. Every
-kernel takes a (B, n, n) stack, or its (B, n) eigenvalues, at once, and every
-check reads the one TraceFreeStack record of a stack that ``examine_batch`` makes.
+Two independent evaluation paths produce the same sigma_0..sigma_n as one
+(n + 1, B) array: one expands the characteristic polynomial from the
+eigenvalues, the other converts power sums (traces of matrix powers) through
+the classical triangular recurrence. All downstream inequality checks
+cross-validate against this redundancy. Every kernel takes a (B, n, n) stack,
+or its (B, n) eigenvalues, at once, and every check reads the one
+TraceFreeStack record of a stack that ``examine_batch`` makes: plain named
+arrays, with the normalized p_k = sigma_k / C(n, k) divided out once.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import tolerance
-from .errors import InvariantViolation, NonFiniteResult, NotTraceFree
+from .errors import NonFiniteResult, NotTraceFree
 
 __all__ = [
-    "SymFunProfile",
     "TraceFreeStack",
     "examine_batch",
     "trace_free_project_batch",
@@ -28,34 +29,6 @@ __all__ = [
     "symfun_from_power_sums_batch",
     "norms_batch",
 ]
-
-
-@dataclass(frozen=True)
-class SymFunProfile:
-    """sigma_0..sigma_n, the normalized p_k = sigma_k / C(n,k), and power sums s_1..s_n;
-    in the profile of a stack, each entry is a (B,) array."""
-
-    n: int
-    sigma: tuple[float, ...]
-    p: tuple[float, ...]
-    power_sums: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.sigma) != self.n + 1 or len(self.p) != self.n + 1:
-            raise InvariantViolation("profile length does not match dimension")
-        if len(self.power_sums) != self.n:
-            raise InvariantViolation("power sum length does not match dimension")
-
-    def s(self, j: int) -> float:
-        """Power sum s_j = tr A^j for 1 <= j <= n; s_0 = n."""
-        if j == 0:
-            return float(self.n)
-        return self.power_sums[j - 1]
-
-
-def _profile_from_sigma(n: int, sigma: list[float], power_sums: list[float]) -> SymFunProfile:
-    p = [sigma[k] / math.comb(n, k) for k in range(n + 1)]
-    return SymFunProfile(n, tuple(sigma), tuple(p), tuple(power_sums))
 
 
 def _require_trace_free_batch(s1, s2, n: int) -> None:
@@ -86,21 +59,20 @@ def eigen_spectrum_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, np.diff(w, axis=1) <= threshold[:, None]
 
 
-def symfun_from_spectrum_batch(w: np.ndarray) -> SymFunProfile:
-    """Profile of each row of ascending eigenvalues (B, n): prod(x + lambda_i) expanded one
-    root at a time, and the power sums of the eigenvalues."""
+def symfun_from_spectrum_batch(w: np.ndarray) -> np.ndarray:
+    """sigma_0..sigma_n (n + 1, B) of each row of ascending eigenvalues (B, n):
+    prod(x + lambda_i) expanded one root at a time."""
     count, n = w.shape
     c = np.zeros((n + 1, count))
     c[0] = 1.0
     for i in range(n):
         c[1:i + 2] += w[:, i] * c[:i + 1]
-    # powers[j, i] = lambda_i ** (j + 1) by repeated products; cumsum adds left to right
-    powers = np.cumprod(np.broadcast_to(w.T, (n, n, count)), axis=0)
-    return _profile_from_sigma(n, c, np.cumsum(powers, axis=1)[:, -1])
+    return c
 
 
-def symfun_from_power_sums_batch(m: np.ndarray) -> SymFunProfile:
-    """Profile of each matrix of a stack from traces of its powers, with no eigendecomposition.
+def symfun_from_power_sums_batch(m: np.ndarray) -> np.ndarray:
+    """sigma_0..sigma_n (n + 1, B) of each matrix of a stack from traces of its powers, with no
+    eigendecomposition.
 
     sigma_k = (1/k) * sum_{j=1..k} (-1)^(j-1) sigma_{k-j} s_j: the oracle path
     for the eigenvalue route.
@@ -115,7 +87,7 @@ def symfun_from_power_sums_batch(m: np.ndarray) -> SymFunProfile:
     for k in range(1, n + 1):
         # cumsum adds in j order whatever B is; a matrix product or sum may not
         sigma[k] = np.cumsum(signs[:k] * sigma[k - 1::-1] * s[1:k + 1], axis=0)[-1] / k
-    return _profile_from_sigma(n, sigma, s[1:])
+    return sigma
 
 
 def norms_batch(m: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -127,30 +99,40 @@ def norms_batch(m: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class TraceFreeStack:
-    """A trace-free stack ``a`` (B, n, n) with its ``trace`` (B,), norms_batch triple ``norms``,
-    eigenvalues ``w`` and ``links`` from eigen_spectrum_batch, and the ``profile`` of ``w``."""
+    """A trace-free stack ``a`` (B, n, n) with its ``trace``, ``a2`` = |A|^2, ``a22`` = |A^2|^2
+    and ``t3`` = tr A^3 from the entries, each (B,); eigenvalues ``w`` and ``links`` from
+    eigen_spectrum_batch; ``sigma`` (n + 1, B) of ``w``, and ``p`` = sigma_k / C(n, k)."""
 
     a: np.ndarray
     trace: np.ndarray
-    norms: tuple
+    a2: np.ndarray
+    a22: np.ndarray
+    t3: np.ndarray
     w: np.ndarray
     links: np.ndarray
-    profile: SymFunProfile
+    sigma: np.ndarray
+    p: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[-1]
 
 
 def examine_batch(a: np.ndarray) -> TraceFreeStack:
     """The record of a stack (B, n, n), n >= 4. Raises NonFiniteResult naming the first row,
-    as its sample, where |A|^n (the profile's degree) or |A^2|^2 overflows, then NotTraceFree
+    as its sample, where |A|^n (the degree of sigma_n) or |A^2|^2 overflows, then NotTraceFree
     unless tr A against |A|^2 on the entries and s_1 against s_2 on the eigenvalues pass."""
     n, trace = a.shape[-1], np.trace(a, axis1=1, axis2=2)
     with np.errstate(over="ignore", invalid="ignore"):
-        a_norms = norms_batch(a)
-        finite = np.isfinite(a_norms[0] ** (n / 2.0)) & np.isfinite(a_norms[1])
+        a2, a22, t3 = norms_batch(a)
+        finite = np.isfinite(a2 ** (n / 2.0)) & np.isfinite(a22)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NonFiniteResult(f"sample {i}: |A|^{n} overflows at |A|^2 = {a_norms[0][i]:.3e}")
-    _require_trace_free_batch(trace, a_norms[0], n)
+        raise NonFiniteResult(f"sample {i}: |A|^{n} overflows at |A|^2 = {a2[i]:.3e}")
+    _require_trace_free_batch(trace, a2, n)
     w, links = eigen_spectrum_batch(a)
-    profile = symfun_from_spectrum_batch(w)
-    _require_trace_free_batch(profile.s(1), profile.s(2), n)
-    return TraceFreeStack(a, trace, a_norms, w, links, profile)
+    sigma = symfun_from_spectrum_batch(w)
+    # s_1 = sigma_1; cumsum adds s_2 left to right whatever B is
+    _require_trace_free_batch(sigma[1], np.cumsum(w * w, axis=1)[:, -1], n)
+    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    return TraceFreeStack(a, trace, a2, a22, t3, w, links, sigma, sigma / binomials[:, None])

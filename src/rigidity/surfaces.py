@@ -249,13 +249,16 @@ def _integrate_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np
     return t, f, fp
 
 
-def _default_t_max(n: int, f_cap: float) -> float:
-    # coarse scan until the profile reaches f_cap; deterministic for fixed inputs
+_F_CAP = 2.0  # the default catenoid patch stops short of where its profile reaches this radius
+
+
+def _default_t_max(n: int) -> float:
+    # coarse scan until the profile reaches _F_CAP; deterministic for fixed inputs
     h = 1e-3
     y0, y1 = 1.0, 0.0
     t = 0.0
     for _ in range(200000):
-        if y0 >= f_cap:
+        if y0 >= _F_CAP:
             break
         y0, y1 = _rk4_step(n, y0, y1, h)
         t += h
@@ -266,8 +269,8 @@ def catenoid_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np.n
     """Minimal rotation profile on [0, t_max]: nodes, f, and f'."""
     if n < 4:
         raise BadDimension(f"dimension must be >= 4, got {n}")
-    if t_max <= 0 or steps < 1:
-        raise BadParams("t_max must be positive and steps >= 1")
+    if not 0 < t_max < math.inf or steps < 1:
+        raise BadParams("t_max must be positive and finite, and steps >= 1")
     return _integrate_profile(n, t_max, steps)
 
 
@@ -294,25 +297,23 @@ def minimality_residual(n: int, f: np.ndarray, fp: np.ndarray) -> float:
     return float(np.max(np.abs(trace) / (1.0 + frob)))
 
 
-def build_catenoid(n: int, grid=None, profile_tol: float | None = None,
-                   t_max: float | None = None, ode_substeps: int | None = None,
-                   f_cap: float = 2.0) -> ShapeField:
+def build_catenoid(n: int, grid=None, t_max: float | None = None,
+                   ode_substeps: int | None = None) -> ShapeField:
     """Minimal rotation hypersurface patch from the profile equation.
 
     Solves f'' f = (n-1)(1 + f'^2) with f(0) = 1, f'(0) = 0 by fixed-step RK4
     over [-t_max, t_max] (mirrored by evenness) and assembles principal
     curvatures (kappa_rot x (n-1), kappa_profile). The integration step is
-    refined until the minimality residual meets ``profile_tol`` unless
-    ``ode_substeps`` pins it, in which case failure to meet the tolerance
-    raises :class:`ODEStepFailure`.
+    refined until the minimality residual meets minimality_tol unless
+    ``ode_substeps`` pins it; a residual above it, or NaN, raises :class:`ODEStepFailure`.
     """
-    tol = tolerance("minimality_tol", profile_tol)
+    tol = tolerance("minimality_tol")
     m_t, m_theta = (48, 8) if grid is None else _grid_counts(grid, 2, 48)
     if t_max is None:
-        t_max = _default_t_max(n, f_cap)
-    if t_max <= 0:
-        raise BadParams(f"t_max must be positive, got {t_max}")
-    spec = SurfaceSpec("Catenoid", n, {"t_max": t_max, "f_cap": f_cap}, (m_t, m_theta))
+        t_max = _default_t_max(n)
+    if not 0 < t_max < math.inf:
+        raise BadParams(f"t_max must be positive and finite, got {t_max}")
+    spec = SurfaceSpec("Catenoid", n, {"t_max": t_max, "f_cap": _F_CAP}, (m_t, m_theta))
 
     substeps = 32 if ode_substeps is None else int(ode_substeps)
     if substeps < 1:
@@ -326,7 +327,7 @@ def build_catenoid(n: int, grid=None, profile_tol: float | None = None,
         if residual <= tol:
             break
         substeps *= 2
-    if residual > tol:
+    if not residual <= tol:  # fails closed on a NaN residual
         raise ODEStepFailure(
             f"minimality residual {residual:.3e} above {tol:.1e}; refine ode_substeps or shrink t_max")
 
@@ -343,7 +344,7 @@ def build_catenoid(n: int, grid=None, profile_tol: float | None = None,
 
 
 def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, float] = (-1.0, 1.0),
-                                fp=None, fpp=None, fd_step: float | None = None) -> ShapeField:
+                                fp=None, fpp=None) -> ShapeField:
     """Rotation hypersurface with profile f > 0 over ``t_range``.
 
     Derivatives are taken from ``fp`` / ``fpp`` callables when given, else by
@@ -362,7 +363,7 @@ def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, floa
     if np.any(fv <= 0.0):
         bad = int(np.argmax(fv <= 0.0))
         raise BadProfile(f"profile must be positive; f({t_values[bad]:.6g}) = {fv[bad]:.6g}")
-    h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, hi - lo)
+    h = FD_STEP_FACTOR * max(1.0, hi - lo)
     if fp is not None:
         fpv = np.array([float(fp(t)) for t in t_values])
     else:

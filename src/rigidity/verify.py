@@ -106,9 +106,9 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
         count = min(chunk, samples - start)
         for _, a, lam in campaign_samples(seed, dims, lambda_count, start, count):
             stack = examine_batch(a)
-            hom4 = np.maximum(1.0, stack.norms[0] * stack.norms[0])
+            hom4 = np.maximum(1.0, stack.a2 * stack.a2)
 
-            sigma, alt = np.array(stack.profile.sigma), np.array(symfun_from_power_sums_batch(a).sigma)
+            sigma, alt = stack.sigma, symfun_from_power_sums_batch(a)
             oracle_deviation = _most(oracle_deviation, np.max(np.abs(sigma - alt), axis=0)
                                      / np.maximum(1.0, np.max(np.abs(sigma), axis=0)))
 

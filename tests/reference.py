@@ -1,9 +1,10 @@
 """Scalar reference route: the oracle the batched kernels of ``rigidity`` are tested against.
 
 One matrix at a time: a ``SymMatrix`` wrapper, eigenvalue clusters from LAPACK
-or a self-contained cyclic Jacobi solver, symmetric-function profiles along
-both routes, the inequality verdicts with their equality classification, and
-the rank-4 Kulkarni-Nomizu and Weyl algebra. It imports from the package only
+or a self-contained cyclic Jacobi solver, symmetric-function profiles (the
+``SymFunProfile`` defined here) along both routes, the inequality verdicts
+with their equality classification, and the rank-4 Kulkarni-Nomizu and Weyl
+algebra. It imports from the package only
 its tolerance table, its errors and its data types, never a function, so the
 batched-vs-scalar tests compare two independent implementations.
 """
@@ -26,7 +27,6 @@ from rigidity.errors import (
 )
 from rigidity.inequalities import EqualityKind
 from rigidity.inequalities import InequalityVerdict as _Verdict
-from rigidity.spectral import SymFunProfile
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,29 @@ class Spectrum:
     def cluster_means(self) -> tuple[float, ...]:
         w = self.eigenvalues
         return tuple(float(np.mean(w[list(c)])) for c in self.clusters)
+
+
+@dataclass(frozen=True)
+class SymFunProfile:
+    """sigma_0..sigma_n, the normalized p_k = sigma_k / C(n,k), and power sums s_1..s_n of
+    one matrix."""
+
+    n: int
+    sigma: tuple[float, ...]
+    p: tuple[float, ...]
+    power_sums: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.sigma) != self.n + 1 or len(self.p) != self.n + 1:
+            raise InvariantViolation("profile length does not match dimension")
+        if len(self.power_sums) != self.n:
+            raise InvariantViolation("power sum length does not match dimension")
+
+    def s(self, j: int) -> float:
+        """Power sum s_j = tr A^j for 1 <= j <= n; s_0 = n."""
+        if j == 0:
+            return float(self.n)
+        return self.power_sums[j - 1]
 
 
 def _profile_from_sigma(n: int, sigma: list[float], power_sums: list[float]) -> SymFunProfile:

@@ -138,6 +138,19 @@ class TestCatalog:
         save_field(ingest_field(out), again)
         assert out.read_bytes() == again.read_bytes()
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_catenoid_t_max_not_finite_exit_2(self, tmp_path, capsys, t_max):
+        out = tmp_path / "c.json"
+        code = main(["catalog", "--surface", "catenoid", "--n", "4", "--t-max", t_max,
+                     "--out", str(out)])
+        assert code == 2
+        assert "t_max must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_profile_tol_is_not_an_option(self, tmp_path):
+        assert main(["catalog", "--surface", "catenoid", "--n", "4", "--profile-tol", "1e-3",
+                     "--out", str(tmp_path / "c.json")]) == 2
+
     def test_ellipsoid_semi_axes_validation(self, tmp_path, capsys):
         code = main(["catalog", "--surface", "ellipsoid", "--n", "4",
                      "--semi-axes", "1,1.2", "--out", str(tmp_path / "e.json")])
@@ -241,6 +254,21 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert main(["analyze", "--field", str(bad), "--out", str(out)]) == 2
         assert "sample 6: coords must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6"])
+    def test_assert_zero_tol_not_finite_or_negative_exit_2(self, tmp_path, capsys, tol):
+        # the chart ellipsoid has E_rot_conf > 0, so a TOL that let it through would exit 0
+        field_path = tmp_path / "ell.json"
+        assert main(["catalog", "--surface", "ellipsoid", "--n", "4", "--grid", "3x3x3x3",
+                     "--out", str(field_path)]) == 0
+        assert main(["analyze", "--field", str(field_path), "--out", str(tmp_path / "ok.json"),
+                     "--assert-zero", "1e-6"]) == 1
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--field", str(field_path), "--out", str(out),
+                     f"--assert-zero={tol}"])
+        assert code == 2
+        assert "TOL must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_assert_zero_fails_on_nan(self, tmp_path, catenoid_path, monkeypatch):

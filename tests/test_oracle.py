@@ -14,7 +14,7 @@ REFERENCE = Path(__file__).with_name("reference.py")
 OPEN_MODULES = {"rigidity.defaults", "rigidity.errors"}
 PUBLIC_NAMES = {
     "ARTIFACT", "TOLERANCES", "VERSION", "tolerance",
-    "SymFunProfile", "EqualityKind", "InequalityVerdict", "defect_coefficient", "main_inequality",
+    "EqualityKind", "InequalityVerdict", "defect_coefficient", "main_inequality",
     "SurfaceSpec", "ShapeField", "build_sphere", "build_cylinder", "build_catenoid",
     "build_rotation_hypersurface", "build_ellipsoid", "chart_shape_operator", "ingest_field",
     "save_field",

@@ -149,9 +149,21 @@ class TestCatenoid:
         r2 = minimality_residual(4, f2, fp2)
         assert r1 / r2 >= 8.0
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -0.5])
+    def test_t_max_must_be_positive_and_finite(self, t_max):
+        with pytest.raises(BadParams, match="positive and finite"):
+            build_catenoid(4, grid=[8, 2], t_max=t_max)
+        with pytest.raises(BadParams, match="positive and finite"):
+            catenoid_profile(4, t_max, 8)
+
+    def test_nan_residual_fails_closed(self):
+        # the profile blows up long before t = 50, so the residual is NaN
+        with np.errstate(all="ignore"), pytest.raises(ODEStepFailure, match="residual nan"):
+            build_catenoid(4, grid=[8, 2], t_max=50.0, ode_substeps=1)
+
     def test_step_failure(self):
         with pytest.raises(ODEStepFailure):
-            build_catenoid(4, grid=[8, 2], profile_tol=1e-14, ode_substeps=1)
+            build_catenoid(4, grid=[8, 2], ode_substeps=1)
 
     def test_other_dimensions(self):
         for n in (5, 6):

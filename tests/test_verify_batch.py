@@ -114,8 +114,8 @@ def test_batched_kernel_matches_scalar(n, corpus):
     a = stack(corpus, n)
     lam = np.linspace(-2.0, 2.0, 9)
     t = examine_batch(a)
-    links, profile, (a2, a22, t3) = t.links, t.profile, t.norms
-    alt = np.array(symfun_from_power_sums_batch(a).sigma)
+    links, sigma, a2, a22, t3 = t.links, t.sigma, t.a2, t.a22, t.t3
+    alt = symfun_from_power_sums_batch(a)
     np.testing.assert_array_equal(t.trace, np.trace(a, axis1=1, axis2=2))
     main_batch, large = main_inequality_batch(t)
     batch = {
@@ -135,7 +135,7 @@ def test_batched_kernel_matches_scalar(n, corpus):
         spectrum = eigen_spectrum(m)
         prof = symfun_from_spectrum(spectrum)
         assert clusters_from_links(links[b]) == spectrum.multiplicities
-        np.testing.assert_allclose([x[b] for x in profile.sigma], prof.sigma, rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(sigma[:, b], prof.sigma, rtol=TOL, atol=TOL)
         if corpus is random_corpus:
             # Newton's identities lose about n digits on clustered spectra, in
             # both implementations, so the oracle route is compared where the
