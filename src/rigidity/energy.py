@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import tolerance
 from .errors import BadParams, InvalidField, NonFiniteResult
 from .inequalities import classify_spectrum_batch, main_inequality_batch
 from .inequalities import main_inequality  # noqa: F401  (unused; the benchmark's tests read it)
@@ -46,7 +45,6 @@ class EnergyReport:
     min_relative_defect: float
     classification: str
     pointwise: dict
-    tolerances: dict
 
 
 def rotational_energy(field: ShapeField) -> EnergyReport:
@@ -107,7 +105,6 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
         pointwise={"coords": field.coords, "weight": weights, "tracefree_norm_sq": a2,
                    "tracefree_sq_norm_sq": a22, "defect": defect, "relative_defect": rels,
                    "equality_kind": kinds, "umbilic": umbilic},
-        tolerances={name: tolerance(name) for name in ("cluster_tol", "verdict_tol", "umbilic_tol")},
     )
 
 
@@ -135,7 +132,6 @@ def report_to_dict(report: EnergyReport) -> dict:
         "min_relative_defect": report.min_relative_defect,
         "classification": report.classification,
         "samples": count,
-        "tolerances": dict(report.tolerances),
         "pointwise": SampleTable(dict(report.pointwise, index=np.arange(count))),
     }
 

@@ -7,20 +7,8 @@ class RigidityError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonConvergence(RigidityError):
-    """Iterative eigensolver exceeded its sweep budget."""
-
-
-class BadIndex(RigidityError):
-    """Symmetric-function index outside the valid range."""
-
-
 class BadDimension(RigidityError):
     """Matrix or tensor dimension outside the supported range."""
-
-
-class DimensionMismatch(RigidityError):
-    """Operands have incompatible dimensions."""
 
 
 class NotTraceFree(RigidityError):

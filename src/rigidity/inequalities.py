@@ -14,6 +14,8 @@ Every verdict carries an explicit scale matched to the homogeneity degree of
 its inequality; the holds/equality decisions use the homogeneous part of the
 scale so they are invariant under rescaling the matrix, while the reported
 relative defect is floored at scale 1 so tiny matrices never divide by zero.
+The thresholds come from the tolerance table that reports echo, so a verdict
+does not carry its own.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class EqualityKind(str, Enum):
 class InequalityVerdict:
     """Outcome of one inequality check, defect sign-normalized so >= 0 holds.
 
-    In a verdict over a stack, every field but ``tol`` is a (B,) array.
+    In a verdict over a stack, every field is a (B,) array.
     """
 
     lhs: float
@@ -66,7 +68,6 @@ class InequalityVerdict:
     defect: float
     relative_defect: float
     scale: float
-    tol: float
     holds: bool
     equality: bool
 
@@ -111,7 +112,7 @@ def main_inequality(a) -> tuple[InequalityVerdict, EqualityKind]:
 def _verdict_batch(lhs, rhs, hom_scale) -> InequalityVerdict:
     tol = tolerance("verdict_tol")
     defect, threshold, scale = rhs - lhs, tol * hom_scale, np.maximum(1.0, hom_scale)
-    return InequalityVerdict(lhs, rhs, defect, defect / scale, scale, tol,
+    return InequalityVerdict(lhs, rhs, defect, defect / scale, scale,
                              defect >= -threshold, np.abs(defect) <= threshold)
 
 

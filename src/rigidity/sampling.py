@@ -1,11 +1,10 @@
-"""Seeded random matrices and rotations for fuzz campaigns and tests.
+"""Seeded random matrices for fuzz campaigns.
 
 Campaign matrices and lambda grids come from one Philox stream keyed by the
 seed (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 Every index owns a fixed run of counters, so different seeds never share
 matrices, and a bulk draw of any index range gives the same rows as drawing
-each index alone: results do not depend on the chunking. ``derived_rng``,
-keyed by the pair (seed, index), serves tests and the equality-family check.
+each index alone: results do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from .spectral import trace_free_project_batch
 __all__ = [
     "campaign_chunk",
     "campaign_samples",
-    "derived_rng",
-    "random_rotation",
 ]
 
 # Stream words drawn and examined per bulk step (2 MB); bounds memory, never results.
@@ -58,21 +55,3 @@ def campaign_samples(seed: int, dims, lambda_count: int, start: int, count: int)
         lam = -2.0 + 4.0 * rows[:, tri_max:tri_max + lambda_count]
         groups.append((n, m, lam))
     return groups
-
-
-def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
-    """Generator keyed by the pair (seed, index): distinct pairs draw distinct streams."""
-    return np.random.default_rng([seed, index])
-
-
-def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Orthogonal matrix built by composing plane rotations over every index pair."""
-    q = np.eye(n)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            angle = rng.uniform(0.0, 2.0 * np.pi)
-            c, s = np.cos(angle), np.sin(angle)
-            gi = c * q[i, :] - s * q[j, :]
-            gj = s * q[i, :] + c * q[j, :]
-            q[i, :], q[j, :] = gi, gj
-    return q

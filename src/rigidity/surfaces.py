@@ -149,6 +149,24 @@ def umbilic_flags(operators: np.ndarray) -> np.ndarray:
         return frob[0] <= tolerance("umbilic_tol") * np.maximum(1.0, frob[1])
 
 
+def _positive_finite(name: str, value) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise BadParams(f"{name} must be positive and finite, got {value}")
+
+
+def _weight_scale(name: str, value, power: int):
+    """``value ** power``, the scale of a builder's area weights, if both are positive and finite."""
+    _positive_finite(name, value)
+    try:
+        scale = float(value) ** power
+    except OverflowError:  # a float's pow raises past the double range
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise BadParams(f"{name} {value} makes the area weight scale {name} ** {power} = {scale}, "
+                        "which is not positive and finite")
+    return scale
+
+
 def _grid_points(axes) -> np.ndarray:
     """Row-major grid of the axes' values as an (N, len(axes)) array, the last axis fastest."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
@@ -170,8 +188,7 @@ def _grid_counts(grid, directions: int, default: int) -> tuple[int, ...]:
 
 def build_sphere(n: int, radius: float, grid=None) -> ShapeField:
     """Round n-sphere of the given radius; every point is umbilic with A = I / r."""
-    if radius <= 0:
-        raise BadParams(f"radius must be positive, got {radius}")
+    scale = _weight_scale("radius", radius, n)
     counts = _grid_counts(grid, n, 8)
     spec = SurfaceSpec("Sphere", n, {"radius": radius}, counts)
     axes = [_midpoints(0.0, math.pi, counts[d]) for d in range(n - 1)]
@@ -182,7 +199,7 @@ def build_sphere(n: int, radius: float, grid=None) -> ShapeField:
     for d in range(n - 1):
         factor = np.array([math.sin(x) ** (n - 1 - d) for x in axes[d].tolist()])
         density = density * factor.reshape((-1,) + (1,) * (n - 1 - d))
-    weights = np.broadcast_to(radius ** n * density * cell, counts).reshape(-1)
+    weights = np.broadcast_to(scale * density * cell, counts).reshape(-1)
     operators = np.broadcast_to(np.eye(n) / radius, (len(weights), n, n))
     return ShapeField(spec, _grid_points(axes), operators, weights, minimal_claimed=False)
 
@@ -209,15 +226,15 @@ def _orbit_samples(n: int, spec: SurfaceSpec, t_values: np.ndarray, dt: float,
 
 def build_cylinder(n: int, radius: float, height: float, grid=None) -> ShapeField:
     """Cylinder S^(n-1)(r) x [0, height]: principal curvatures (1/r, ..., 1/r, 0)."""
-    if radius <= 0 or height <= 0:
-        raise BadParams(f"radius and height must be positive, got {radius}, {height}")
+    scale = _weight_scale("radius", radius, n - 1)
+    _positive_finite("height", height)
     m_z, m_theta = (16, 8) if grid is None else _grid_counts(grid, 2, 16)
     spec = SurfaceSpec("Cylinder", n, {"radius": radius, "height": height}, (m_z, m_theta))
     z = _midpoints(0.0, height, m_z)
     dz = height / m_z
     kr = np.full(m_z, 1.0 / radius)
     kp = np.zeros(m_z)
-    density = np.full(m_z, radius ** (n - 1))
+    density = np.full(m_z, scale)
     return _orbit_samples(n, spec, z, dz, kr, kp, density, m_theta, minimal=False)
 
 
@@ -291,10 +308,11 @@ def _catenoid_curvatures(n: int, f: np.ndarray, fp: np.ndarray) -> tuple[np.ndar
 
 def minimality_residual(n: int, f: np.ndarray, fp: np.ndarray) -> float:
     """max |tr A| / (1 + |A|) over the profile nodes."""
-    kr, kp = _catenoid_curvatures(n, f, fp)
-    trace = (n - 1) * kr + kp
-    frob = np.sqrt((n - 1) * kr * kr + kp * kp)
-    return float(np.max(np.abs(trace) / (1.0 + frob)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the profile's blow-up
+        kr, kp = _catenoid_curvatures(n, f, fp)
+        trace = (n - 1) * kr + kp
+        frob = np.sqrt((n - 1) * kr * kr + kp * kp)
+        return float(np.max(np.abs(trace) / (1.0 + frob)))
 
 
 def build_catenoid(n: int, grid=None, t_max: float | None = None,
@@ -311,8 +329,7 @@ def build_catenoid(n: int, grid=None, t_max: float | None = None,
     m_t, m_theta = (48, 8) if grid is None else _grid_counts(grid, 2, 48)
     if t_max is None:
         t_max = _default_t_max(n)
-    if not 0 < t_max < math.inf:
-        raise BadParams(f"t_max must be positive and finite, got {t_max}")
+    _positive_finite("t_max", t_max)
     spec = SurfaceSpec("Catenoid", n, {"t_max": t_max, "f_cap": _F_CAP}, (m_t, m_theta))
 
     substeps = 32 if ode_substeps is None else int(ode_substeps)
@@ -327,7 +344,10 @@ def build_catenoid(n: int, grid=None, t_max: float | None = None,
         if residual <= tol:
             break
         substeps *= 2
-    if not residual <= tol:  # fails closed on a NaN residual
+    if not math.isfinite(residual):  # RK4 overflowed, at every step size tried
+        raise ODEStepFailure(f"minimality residual {residual:.3e}: the profile is not finite on "
+                             f"[0, t_max] for t_max {t_max}; shrink t_max")
+    if not residual <= tol:
         raise ODEStepFailure(
             f"minimality residual {residual:.3e} above {tol:.1e}; refine ode_substeps or shrink t_max")
 
@@ -464,6 +484,7 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     counts = _grid_counts(grid, dims, 6)
     span = max(hi - lo for lo, hi in bounds)
     h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, span)
+    _positive_finite("fd_step", h)
     spec = SurfaceSpec("Chart", dims, dict(params or {}, fd_step=h), counts)
 
     axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
@@ -522,8 +543,8 @@ def cylinder_chart(n: int, radius: float, height: float):
 def ellipsoid_chart(semi_axes):
     """Chart of the ellipsoid sum (x_i / a_i)^2 = 1, on [..., n] arrays; dimension len(a) - 1."""
     axes = np.asarray(semi_axes, dtype=float)
-    if np.any(axes <= 0):
-        raise BadParams(f"semi-axes must be positive, got {semi_axes}")
+    if not np.all((axes > 0) & (axes < math.inf)):
+        raise BadParams(f"semi-axes must be positive and finite, got {semi_axes}")
     n = axes.shape[0] - 1
 
     def chart(u: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ a time and records worst-case relative defects. Matrices and lambda grids
 come from the stream keyed by the seed (see ``sampling``), drawn a chunk of
 indices at a time; since every aggregate is a count, a minimum or a maximum,
 the report does not depend on the chunking and is byte-identical for a fixed
-seed and config.
+seed and config. Its ``config`` holds the campaign's inputs, and its
+``tolerances`` the table of thresholds, each value once.
 """
 
 from __future__ import annotations
@@ -27,25 +28,12 @@ from .inequalities import (
     prop_p4_batch,
     sigma_norm_identities_batch,
 )
-from .sampling import campaign_chunk, campaign_samples, derived_rng, random_rotation
+from .sampling import campaign_chunk, campaign_samples
 from .spectral import examine_batch, symfun_from_power_sums_batch
 
 __all__ = [
-    "CHECK_FAMILIES",
     "run_verification_campaign",
-    "equality_family_stats",
 ]
-
-CHECK_FAMILIES = (
-    "newton_gap",
-    "prop_p3",
-    "prop_p4",
-    "cubic_bound",
-    "main_inequality",
-    "sigma_norm_identities",
-    "lambda_scan",
-    "kn_identity_suite",
-)
 
 
 def _least(current: float, values: np.ndarray) -> float:
@@ -155,41 +143,9 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
             "seed": seed,
             "lambda_count": lambda_count,
             "include_kn": include_kn,
-            "fuzz_defect_tol": fuzz,
         },
         "tolerances": dict(TOLERANCES),
         "checks": checks,
         "diagnostics": diagnostics,
         "pass": all(stats["pass"] for stats in checks.values()) and diagnostics["symfun_oracle_pass"],
-    }
-
-
-def equality_family_stats(dims, count: int, seed: int) -> dict:
-    """Verdicts over random orthogonal conjugates of diag(mu, ..., mu, -(n-1) mu), run on the
-    campaign kernels as one stack per dimension."""
-    dims = [int(n) for n in dims]
-    stacks: dict = {}
-    for idx in range(count):
-        rng = derived_rng(seed, idx)
-        n = dims[idx % len(dims)]
-        mu = rng.uniform(0.5, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        q = random_rotation(rng, n)
-        stacks.setdefault(n, []).append(q @ np.diag([mu] * (n - 1) + [-(n - 1) * mu]) @ q.T)
-    worst_defect = 0.0
-    all_equality = True
-    all_mult = True
-    for n, conjugates in stacks.items():
-        a = np.stack(conjugates)
-        a = 0.5 * (a + a.transpose(0, 2, 1))  # exactly symmetric
-        stack = examine_batch(a)
-        verdict, large = main_inequality_batch(stack)
-        worst_defect = _most(worst_defect, np.abs(verdict.relative_defect))
-        all_equality = all_equality and bool(verdict.equality.all())
-        # the largest cluster holds exactly n - 1 eigenvalues: at least n - 1, and not all n
-        all_mult = all_mult and bool((large & ~stack.links.all(axis=1)).all())
-    return {
-        "count": count,
-        "max_abs_relative_defect": worst_defect,
-        "all_equality": all_equality,
-        "all_multiplicity_n_minus_1": all_mult,
     }

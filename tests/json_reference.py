@@ -53,7 +53,6 @@ def report_to_dict(report) -> dict:
         "min_relative_defect": report.min_relative_defect,
         "classification": report.classification,
         "samples": count,
-        "tolerances": dict(report.tolerances),
         "pointwise": pointwise,
     }
 

@@ -4,9 +4,11 @@ One matrix at a time: a ``SymMatrix`` wrapper, eigenvalue clusters from LAPACK
 or a self-contained cyclic Jacobi solver, symmetric-function profiles (the
 ``SymFunProfile`` defined here) along both routes, the inequality verdicts
 with their equality classification, and the rank-4 Kulkarni-Nomizu and Weyl
-algebra. It imports from the package only
-its tolerance table, its errors and its data types, never a function, so the
-batched-vs-scalar tests compare two independent implementations.
+algebra, plus the seeded generators the tests draw from. It imports from the
+package only its tolerance table, its errors and its data types, never a
+function, so the batched-vs-scalar tests compare two independent
+implementations. The thresholds and errors that only this route uses, and its
+per-call tolerance overrides, live here.
 """
 
 from __future__ import annotations
@@ -16,17 +18,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rigidity.defaults import tolerance
-from rigidity.errors import (
-    BadDimension,
-    BadIndex,
-    DimensionMismatch,
-    InvariantViolation,
-    NonConvergence,
-    NotTraceFree,
-)
+from rigidity.defaults import TOLERANCES
+from rigidity.errors import BadDimension, InvariantViolation, NotTraceFree, RigidityError
 from rigidity.inequalities import EqualityKind
 from rigidity.inequalities import InequalityVerdict as _Verdict
+
+MATRIX_ASYM_TOL = 1e-12  # allowed relative asymmetry before symmetrizing an array
+JACOBI_OFF_TOL = 1e-14   # off-diagonal target relative to the initial Frobenius norm
+
+
+def _resolve(override: float | None, default: float) -> float:
+    """A per-call tolerance: the explicit override wins, else the default."""
+    return default if override is None else float(override)
+
+
+class NonConvergence(RigidityError):
+    """Iterative eigensolver exceeded its sweep budget."""
+
+
+class BadIndex(RigidityError):
+    """Symmetric-function index outside the valid range."""
+
+
+class DimensionMismatch(RigidityError):
+    """Operands have incompatible dimensions."""
+
+
+def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
+    """Generator keyed by the pair (seed, index): distinct pairs draw distinct streams."""
+    return np.random.default_rng([seed, index])
+
+
+def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Orthogonal matrix built by composing plane rotations over every index pair."""
+    q = np.eye(n)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            c, s = np.cos(angle), np.sin(angle)
+            gi = c * q[i, :] - s * q[j, :]
+            gj = s * q[i, :] + c * q[j, :]
+            q[i, :], q[j, :] = gi, gj
+    return q
 
 
 @dataclass(frozen=True)
@@ -52,7 +85,7 @@ class SymMatrix:
     def from_array(cls, m, asym_tol: float | None = None) -> "SymMatrix":
         """Accept a nearly symmetric array, reject beyond tolerance, then symmetrize exactly."""
         m = np.asarray(m, dtype=float)
-        tol = tolerance("matrix_asym_tol", asym_tol)
+        tol = _resolve(asym_tol, MATRIX_ASYM_TOL)
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolation(f"expected a square matrix, got shape {m.shape}")
@@ -145,7 +178,7 @@ def trace_free_project(a: SymMatrix) -> SymMatrix:
 
 def _require_trace_free(s1: float, s2: float, n: int, trace_tol: float | None) -> None:
     """Raise NotTraceFree unless |s1| <= trace_free_tol * n * sqrt(s2), for s1 = tr A, s2 = |A|^2."""
-    tol = tolerance("trace_free_tol", trace_tol)
+    tol = _resolve(trace_tol, TOLERANCES["trace_free_tol"])
     if abs(s1) > tol * n * math.sqrt(max(s2, 0.0)):
         raise NotTraceFree(f"trace {s1:.3e} too large for Frobenius norm {math.sqrt(max(s2, 0.0)):.3e}")
 
@@ -170,7 +203,7 @@ def eigen_spectrum(a: SymMatrix, cluster_tol: float | None = None,
     ``method`` is "lapack" (default, fast) or "jacobi" (self-contained cyclic
     rotations, used as a cross-check path).
     """
-    tol = tolerance("cluster_tol", cluster_tol)
+    tol = _resolve(cluster_tol, TOLERANCES["cluster_tol"])
     if tol <= 0:
         raise InvariantViolation("cluster_tol must be positive")
     if method == "lapack":
@@ -197,7 +230,7 @@ def jacobi_eigensystem(m: np.ndarray, off_tol: float | None = None,
     """
     a = np.array(m, dtype=float)
     n = a.shape[0]
-    tol = tolerance("jacobi_off_tol", off_tol)
+    tol = _resolve(off_tol, JACOBI_OFF_TOL)
     budget = 50 * n * n if max_sweeps is None else max_sweeps
     q = np.eye(n)
     norm0 = math.sqrt(float((a * a).sum()))
@@ -367,7 +400,6 @@ def _verdict(lhs: float, rhs: float, hom_scale: float, tol: float,
         defect=defect,
         relative_defect=defect / scale,
         scale=scale,
-        tol=tol,
         holds=defect >= -threshold,
         equality=abs(defect) <= threshold,
         case=case,
@@ -386,7 +418,7 @@ def classify_spectrum(spectrum: Spectrum, newton_k: int | None = None) -> Equali
     n = spectrum.n
     mult = spectrum.multiplicities
     radius = spectrum.spectral_radius
-    if radius <= tolerance("umbilic_tol"):
+    if radius <= TOLERANCES["umbilic_tol"]:
         return EqualityCase(EqualityKind.ZERO, (n,))
     if len(mult) == 1:
         return EqualityCase(EqualityKind.PROPORTIONAL, mult)
@@ -399,7 +431,7 @@ def classify_spectrum(spectrum: Spectrum, newton_k: int | None = None) -> Equali
     big = max(range(len(mult)), key=lambda i: mult[i])
     if mult[big] >= n - 1:
         trace = float(w.sum())
-        trace_free = abs(trace) <= tolerance("trace_free_tol") * n * max(1.0, radius)
+        trace_free = abs(trace) <= TOLERANCES["trace_free_tol"] * n * max(1.0, radius)
         if trace_free and mult[big] == n - 1:
             mu = means[big]
             others = [means[i] for i in range(len(mult)) if i != big]
@@ -419,7 +451,7 @@ def newton_gap(profile: SymFunProfile, k: int, spectrum: Spectrum | None = None,
     n = profile.n
     if not 1 <= k <= n - 1:
         raise BadIndex(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
-    tol = tolerance("verdict_tol", tol)
+    tol = _resolve(tol, TOLERANCES["verdict_tol"])
     lhs = profile.p[k - 1] * profile.p[k + 1]
     rhs = profile.p[k] ** 2
     hom = max(rhs, abs(lhs))
@@ -440,7 +472,7 @@ def cubic_bound(a_norms: tuple[float, float, float], n: int, trace: float = 0.0,
         raise BadDimension(f"dimension must be >= 3, got {n}")
     a2, _, t3 = a_norms
     _require_trace_free(trace, a2, n, None)
-    tol = tolerance("verdict_tol", tol)
+    tol = _resolve(tol, TOLERANCES["verdict_tol"])
     lhs = t3 * t3
     rhs = ((n - 2) ** 2 / (n * (n - 1))) * a2 ** 3
     return _verdict(lhs, rhs, a2 ** 3, tol)
@@ -453,7 +485,7 @@ def prop_p3(profile: SymFunProfile, spectrum: Spectrum | None = None,
     Equality exactly when the matrix has an eigenspace of dimension >= n - 1.
     """
     _require_trace_free(profile.s(1), profile.s(2), profile.n, trace_tol)
-    tol = tolerance("verdict_tol", tol)
+    tol = _resolve(tol, TOLERANCES["verdict_tol"])
     p2, p3 = profile.p[2], profile.p[3]
     lhs = p3 * p3 + 4.0 * p2 ** 3
     hom = max(abs(p2) ** 3, p3 * p3)
@@ -470,7 +502,7 @@ def prop_p4(profile: SymFunProfile, spectrum: Spectrum | None = None,
     if profile.n < 4:
         raise BadDimension(f"dimension must be >= 4, got {profile.n}")
     _require_trace_free(profile.s(1), profile.s(2), profile.n, trace_tol)
-    tol = tolerance("verdict_tol", tol)
+    tol = _resolve(tol, TOLERANCES["verdict_tol"])
     p2, p4 = profile.p[2], profile.p[4]
     rhs = p4 + 3.0 * p2 * p2
     case = classify_spectrum(spectrum) if spectrum is not None else None
@@ -548,11 +580,11 @@ def main_inequality(a: SymMatrix, trace_tol: float | None = None,
         profile = symfun_from_spectrum(spectrum)
     hom = a2 * a2
     residual = bridge_residual(profile, a2, a22)
-    if abs(residual) > tolerance("bridge_tol") * max(1.0, hom):
+    if abs(residual) > TOLERANCES["bridge_tol"] * max(1.0, hom):
         raise InvariantViolation(
             f"bridge identity residual {residual:.3e} exceeds tolerance at scale {hom:.3e}")
     case = classify_spectrum(spectrum)
-    verdict = _verdict(a22, defect_coefficient(n) * hom, hom, tolerance("verdict_tol"), case)
+    verdict = _verdict(a22, defect_coefficient(n) * hom, hom, TOLERANCES["verdict_tol"], case)
     return verdict, case
 
 

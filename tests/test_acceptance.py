@@ -12,7 +12,6 @@ import pytest
 
 from rigidity.cli import main
 from rigidity.energy import conformal_rescale, rotational_energy
-from rigidity.sampling import derived_rng, random_rotation
 from rigidity.surfaces import (
     build_catenoid,
     build_cylinder,
@@ -25,16 +24,19 @@ from rigidity.surfaces import (
     minimality_residual,
     sphere_chart,
 )
-from rigidity.verify import equality_family_stats, run_verification_campaign
+from rigidity.verify import run_verification_campaign
 
+from equality_family import equality_family_stats
 from reference import (
     SymMatrix,
+    derived_rng,
     eigen_spectrum,
     equality_family_matrix,
     kn_identity_suite,
     norms,
     prop_p3,
     prop_p4,
+    random_rotation,
     random_trace_free,
     symfun_from_spectrum,
     tensor_norm_sq,

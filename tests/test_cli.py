@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +24,20 @@ from rigidity.surfaces import (
     ingest_field,
     save_field,
 )
-from rigidity.verify import CHECK_FAMILIES
 
 from json_reference import saved_dict
+
+# the check families of a verify report, in the order the campaign runs them
+CHECK_FAMILIES = (
+    "newton_gap",
+    "prop_p3",
+    "prop_p4",
+    "cubic_bound",
+    "main_inequality",
+    "sigma_norm_identities",
+    "lambda_scan",
+    "kn_identity_suite",
+)
 
 
 def read_json(path):
@@ -156,6 +168,34 @@ class TestCatalog:
                      "--semi-axes", "1,1.2", "--out", str(tmp_path / "e.json")])
         assert code == 2
         assert "semi-axes" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("surface, option, value, named", [
+        ("sphere", "--radius", "nan", "radius"),
+        ("cylinder", "--height", "nan", "height"),
+        ("sphere", "--radius", "1e300", "radius"),
+        ("cylinder", "--radius", "1e300", "radius"),
+        ("sphere", "--radius", "1e-300", "radius"),
+        ("cylinder", "--radius", "1e-300", "radius"),
+        ("ellipsoid", "--fd-step", "nan", "fd_step"),
+        ("ellipsoid", "--fd-step", "0", "fd_step"),
+        ("ellipsoid", "--fd-step", "-1e-3", "fd_step"),
+        ("ellipsoid", "--semi-axes", "nan,1,1,1,1", "semi-axes"),
+        ("ellipsoid", "--semi-axes", "inf,1,1,1,1", "semi-axes"),
+        ("catenoid", "--t-max", "50", "t_max"),
+    ])
+    def test_bad_geometry_exit_2_naming_the_parameter(self, tmp_path, capsys, surface, option,
+                                                      value, named):
+        # refused with one line that names the parameter; numpy warnings are errors here
+        out = tmp_path / "field.json"
+        out.write_text("previous field\n", encoding="utf-8")
+        code = main(["catalog", "--surface", surface, "--n", "4", f"{option}={value}",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(rf"catalog: [^\n]*\b{named}\b[^\n]*\n", err), err
+        assert "Traceback" not in err
+        assert out.read_text(encoding="utf-8") == "previous field\n"
 
 
 @pytest.fixture(scope="module")

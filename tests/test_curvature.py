@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
-from rigidity.errors import BadDimension, DimensionMismatch, InvariantViolation, NotTraceFree
-from rigidity.sampling import derived_rng, random_rotation
+from rigidity.errors import BadDimension, InvariantViolation, NotTraceFree
 
 from reference import (
     AlgCurvTensor,
+    DimensionMismatch,
     SymMatrix,
     curvature_symmetry_residuals,
+    derived_rng,
     equality_family_matrix,
     fialkow_tensor,
     kn_identity_suite,
     kulkarni_nomizu,
     main_inequality,
     norms,
+    random_rotation,
     random_symmetric,
     random_trace_free,
     rotate_tensor,

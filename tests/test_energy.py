@@ -15,7 +15,6 @@ from rigidity.energy import (
 )
 from rigidity.defaults import tolerance
 from rigidity.errors import BadParams, InvalidField, NonFiniteResult
-from rigidity.sampling import derived_rng
 from rigidity.surfaces import (
     ShapeField,
     build_catenoid,
@@ -25,7 +24,14 @@ from rigidity.surfaces import (
     build_sphere,
 )
 
-from reference import SymMatrix, main_inequality, norms, random_trace_free, trace_free_project
+from reference import (
+    SymMatrix,
+    derived_rng,
+    main_inequality,
+    norms,
+    random_trace_free,
+    trace_free_project,
+)
 
 
 @pytest.fixture(scope="module")

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from rigidity.errors import BadDimension, BadIndex, NotTraceFree
+from rigidity.errors import BadDimension, NotTraceFree
 from rigidity.inequalities import EqualityKind
-from rigidity.sampling import derived_rng, random_rotation
-from rigidity.verify import equality_family_stats
 
+from equality_family import equality_family_stats
 from reference import (
+    BadIndex,
     SymMatrix,
     cubic_bound,
+    derived_rng,
     eigen_spectrum,
     equality_family_matrix,
     lambda_scan,
@@ -19,6 +20,7 @@ from reference import (
     norms,
     prop_p3,
     prop_p4,
+    random_rotation,
     random_trace_free,
     sigma_norm_identities,
     symfun_from_spectrum,

@@ -1,5 +1,6 @@
-"""The scalar oracle stays independent of the kernels it checks, no scalar twin returns, and
-every check of a stack reads one examination of it."""
+"""The scalar oracle stays independent of the kernels it checks, no scalar twin returns,
+every check of a stack reads one examination of it, and the package ships only the
+tolerances it reads and the errors it raises."""
 
 import ast
 import importlib
@@ -8,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import rigidity
+from rigidity import errors
+from rigidity.defaults import TOLERANCES
 
 REFERENCE = Path(__file__).with_name("reference.py")
 # the reference may import anything from these; from the rest of the package, classes only
@@ -63,3 +66,28 @@ def test_one_examination_per_stack():
                     if name in EXAMINATION:
                         calls[f"{path.stem}.{scope}", name] += 1
     assert calls == {("spectral.examine_batch", name): count for name, count in EXAMINATION.items()}
+
+
+def _package_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(rigidity.__file__).parent.glob("*.py"))}
+
+
+def test_every_tolerance_is_read():
+    # reports echo the table whole, so it holds only the thresholds some module looks up
+    names = {node.value for stem, tree in _package_trees().items() if stem != "defaults"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(set(TOLERANCES) - names) == []
+
+
+def test_every_error_is_raised():
+    raised = set()
+    for tree in _package_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    shipped = {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and issubclass(value, errors.RigidityError)}
+    assert sorted(shipped - raised - {"RigidityError"}) == []

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rigidity.errors import BadDimension, InvariantViolation, NonConvergence
-from rigidity.sampling import derived_rng
+from rigidity.errors import BadDimension, InvariantViolation
 
 from reference import (
+    NonConvergence,
     SymMatrix,
+    derived_rng,
     eigen_spectrum,
     jacobi_eigensystem,
     norms,

@@ -18,7 +18,6 @@ from rigidity.errors import (
     RigidityError,
     StepTooLarge,
 )
-from rigidity.sampling import derived_rng, random_rotation
 from rigidity.surfaces import (
     ShapeField,
     build_catenoid,
@@ -39,7 +38,7 @@ from rigidity.surfaces import (
 )
 
 from json_reference import saved_dict
-from reference import SymMatrix, main_inequality, trace_free_project
+from reference import SymMatrix, derived_rng, main_inequality, random_rotation, trace_free_project
 
 
 def field_volume(field):

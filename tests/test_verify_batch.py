@@ -26,7 +26,7 @@ from rigidity.inequalities import (
     prop_p4_batch,
     sigma_norm_identities_batch,
 )
-from rigidity.sampling import campaign_chunk, campaign_samples, derived_rng, random_rotation
+from rigidity.sampling import campaign_chunk, campaign_samples
 from rigidity.spectral import eigen_spectrum_batch, examine_batch, symfun_from_power_sums_batch
 
 from reference import (
@@ -34,6 +34,7 @@ from reference import (
     bridge_residual as reference_bridge_residual,
     classify_spectrum,
     cubic_bound,
+    derived_rng,
     eigen_spectrum,
     equality_family_matrix,
     kn_identity_suite,
@@ -44,6 +45,7 @@ from reference import (
     norms,
     prop_p3,
     prop_p4,
+    random_rotation,
     random_trace_free,
     sigma_norm_identities,
     symfun_from_power_sums,
