@@ -113,22 +113,22 @@ def _build_surface(args):
         from numpy.polynomial import Polynomial
 
         if not args.profile_coeffs:
-            raise RigidityError("profile-coeffs needs at least one value")
+            raise BadParams("profile-coeffs needs at least one value")
+        if not all(map(math.isfinite, args.profile_coeffs)):  # an inf makes f' NaN
+            raise BadParams(f"profile-coeffs must be finite, got {args.profile_coeffs}")
         if len(args.t_range) != 2:
-            raise RigidityError(f"t-range needs two values, got {args.t_range}")
+            raise BadParams(f"t-range needs two values, got {args.t_range}")
         profile = Polynomial(args.profile_coeffs)
         return build_rotation_hypersurface(args.n, profile, grid=args.grid,
                                            t_range=(args.t_range[0], args.t_range[1]),
                                            fp=profile.deriv(), fpp=profile.deriv(2))
-    if args.surface == "ellipsoid":
-        axes = args.semi_axes
-        if axes is None:
-            axes = [1.0 + 0.2 * i for i in range(args.n + 1)]
-        if len(axes) != args.n + 1:
-            raise RigidityError(
-                f"ellipsoid of dimension {args.n} needs {args.n + 1} semi-axes, got {len(axes)}")
-        return build_ellipsoid(axes, grid=args.grid, fd_step=args.fd_step)
-    raise RigidityError(f"unknown surface {args.surface!r}; valid: {', '.join(SURFACES)}")
+    axes = args.semi_axes  # an ellipsoid: argparse's choices allow no other surface
+    if axes is None:
+        axes = [1.0 + 0.2 * i for i in range(args.n + 1)]
+    if len(axes) != args.n + 1:
+        raise BadParams(
+            f"ellipsoid of dimension {args.n} needs {args.n + 1} semi-axes, got {len(axes)}")
+    return build_ellipsoid(axes, grid=args.grid, fd_step=args.fd_step)
 
 
 def cmd_catalog(args) -> int:

@@ -37,7 +37,6 @@ def kn_identity_suite_batch(stack: TraceFreeStack) -> np.ndarray:
     a, n, a2, a22 = stack.a, stack.n, stack.a2, stack.a22
     g, squared, eye = a2 / (2.0 * (n - 1)), a @ a, np.eye(n)
     f = (0.5 * (squared + squared.transpose(0, 2, 1)) - g[:, None, None] * eye) / (n - 2)
-    f = 0.5 * (f + f.transpose(0, 2, 1))
     if np.any(np.abs(np.trace(f, axis1=1, axis2=2) - g) > 1e-12 * np.maximum(1.0, g)):
         raise InvariantViolation("Fialkow trace identity tr F = G failed")
     inner_a2f = (squared * f).sum(axis=(1, 2))

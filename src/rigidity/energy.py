@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, InvalidField, NonFiniteResult
+from .errors import InvalidField, NonFiniteResult
 from .inequalities import classify_spectrum_batch, main_inequality_batch
 from .inequalities import main_inequality  # noqa: F401  (unused; the benchmark's tests read it)
 from .spectral import examine_batch, trace_free_project_batch
-from .surfaces import _CHUNK, SampleTable, ShapeField, _json_texts, umbilic_flags
+from .surfaces import (_CHUNK, SampleTable, ShapeField, _area_weights, _json_texts, _weight_scale,
+                       umbilic_flags)
 
 __all__ = [
     "EnergyReport",
@@ -114,9 +115,8 @@ def conformal_rescale(field: ShapeField, t: float) -> ShapeField:
     Shape operators map A -> A / t and area weights map w -> t^n w, so the
     conformal energy is unchanged while the plain energy picks up t^(n-4).
     """
-    if not t > 0.0:
-        raise BadParams(f"scale factor must be positive, got {t}")
-    return ShapeField(field.spec, field.coords, field.operators / t, field.weights * t ** field.spec.n,
+    weights = _area_weights(f"t {t}", field.weights, _weight_scale("t", t, field.spec.n))
+    return ShapeField(field.spec, field.coords, field.operators / t, weights,
                       minimal_claimed=field.minimal_claimed)
 
 

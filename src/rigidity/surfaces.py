@@ -1,13 +1,13 @@
 """Sampled hypersurfaces: shape operators plus quadrature weights.
 
 Analytic families (sphere, cylinder, rotation hypersurfaces, the minimal
-rotation profile), generic charts differentiated by central differences, and
-a JSON round trip for externally supplied fields.
+rotation profile), charts differentiated by central differences (a round sphere
+is the ellipsoid chart with equal axes), and a JSON round trip for fields.
 
-Rotation hypersurfaces are sampled on a (profile, orbit-angle) grid: the shape
-operator is constant along the orbit spheres, so the remaining orbit
-directions are integrated analytically into the area weight. Quadrature is
-the tensor-product midpoint rule everywhere, which keeps weights positive.
+Rotation hypersurfaces are sampled on a (profile, orbit-angle) grid. One function
+gives each profile's curvatures and density; the shape operator is constant along
+the orbit spheres, whose directions are integrated into the area weight. Quadrature
+is the tensor-product midpoint rule; a weight out of range names its parameters.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "build_catenoid",
     "build_rotation_hypersurface",
     "chart_shape_operator",
-    "sphere_chart",
     "cylinder_chart",
     "ellipsoid_chart",
     "build_ellipsoid",
@@ -172,24 +171,32 @@ def _grid_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _grid_counts(grid, directions: int, default: int) -> tuple[int, ...]:
-    # broadcast the last entry when fewer counts than directions are given
+def _grid_counts(grid, defaults: tuple[int, ...]) -> tuple[int, ...]:
+    # ``defaults`` when no grid is given; else broadcast the last entry to len(defaults) counts
     if grid is None:
-        counts = [default] * directions
-    else:
-        counts = [int(g) for g in (grid if hasattr(grid, "__len__") else [grid])]
-        if not counts:
-            raise BadParams("grid must contain at least one count")
-        while len(counts) < directions:
-            counts.append(counts[-1])
-        counts = counts[:directions]
-    return tuple(counts)
+        return defaults
+    counts = [int(g) for g in (grid if hasattr(grid, "__len__") else [grid])]
+    if not counts:
+        raise BadParams("grid must contain at least one count")
+    return tuple(counts + counts[-1:] * (len(defaults) - len(counts)))[:len(defaults)]
+
+
+def _area_weights(what: str, *factors) -> np.ndarray:
+    """The product of ``factors`` in order, the area weights; BadParams naming ``what`` unless
+    every weight is positive and finite."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        weights = math.prod(factors)
+    good = (weights > 0.0) & (weights < math.inf)  # NaN fails too
+    if not good.all():
+        raise BadParams(f"area weights are not positive and finite for {what}: "
+                        f"got {weights.flat[np.argmin(good)]}")
+    return weights
 
 
 def build_sphere(n: int, radius: float, grid=None) -> ShapeField:
     """Round n-sphere of the given radius; every point is umbilic with A = I / r."""
     scale = _weight_scale("radius", radius, n)
-    counts = _grid_counts(grid, n, 8)
+    counts = _grid_counts(grid, (8,) * n)
     spec = SurfaceSpec("Sphere", n, {"radius": radius}, counts)
     axes = [_midpoints(0.0, math.pi, counts[d]) for d in range(n - 1)]
     axes.append(_midpoints(0.0, 2.0 * math.pi, counts[n - 1]))
@@ -199,28 +206,30 @@ def build_sphere(n: int, radius: float, grid=None) -> ShapeField:
     for d in range(n - 1):
         factor = np.array([math.sin(x) ** (n - 1 - d) for x in axes[d].tolist()])
         density = density * factor.reshape((-1,) + (1,) * (n - 1 - d))
-    weights = np.broadcast_to(scale * density * cell, counts).reshape(-1)
+    weights = np.broadcast_to(_area_weights(f"radius {radius}", scale, density, cell),
+                              counts).reshape(-1)
     operators = np.broadcast_to(np.eye(n) / radius, (len(weights), n, n))
     return ShapeField(spec, _grid_points(axes), operators, weights, minimal_claimed=False)
 
 
-def _orbit_samples(n: int, spec: SurfaceSpec, t_values: np.ndarray, dt: float,
-                   kr: np.ndarray, kp: np.ndarray, density: np.ndarray,
-                   m_theta: int, minimal: bool) -> ShapeField:
-    """Assemble a rotation-hypersurface field on a (profile, orbit angle) grid.
+def _orbit_samples(spec: SurfaceSpec, what: str, t_values: np.ndarray, dt: float,
+                   kr: np.ndarray, kp: np.ndarray, density: np.ndarray, minimal: bool) -> ShapeField:
+    """Assemble a rotation-hypersurface field on the spec's (profile, orbit angle) grid.
 
     ``density`` is the profile-direction area density f^(n-1) sqrt(1 + f'^2);
     the orbit sphere S^(n-1) contributes vol(S^(n-1)) / (2 pi) per unit angle.
+    ``what`` names the parameters that a weight out of range comes from.
     """
+    n, m_theta = spec.n, spec.grid[1]
     thetas = _midpoints(0.0, 2.0 * math.pi, m_theta)
     d_theta = 2.0 * math.pi / m_theta
     orbit_factor = unit_sphere_volume(n - 1) / (2.0 * math.pi)
+    weights = _area_weights(what, density, dt, orbit_factor, d_theta)
     diagonals = np.zeros((len(t_values), n, n))
     diagonals[:, range(n), range(n)] = np.column_stack([kr] * (n - 1) + [kp])
     # every orbit angle of a profile node repeats the node's operator and weight
     return ShapeField(spec, _grid_points([t_values, thetas]),
-                      np.repeat(diagonals, m_theta, axis=0),
-                      np.repeat(density * dt * orbit_factor * d_theta, m_theta),
+                      np.repeat(diagonals, m_theta, axis=0), np.repeat(weights, m_theta),
                       minimal_claimed=minimal)
 
 
@@ -228,42 +237,28 @@ def build_cylinder(n: int, radius: float, height: float, grid=None) -> ShapeFiel
     """Cylinder S^(n-1)(r) x [0, height]: principal curvatures (1/r, ..., 1/r, 0)."""
     scale = _weight_scale("radius", radius, n - 1)
     _positive_finite("height", height)
-    m_z, m_theta = (16, 8) if grid is None else _grid_counts(grid, 2, 16)
+    m_z, m_theta = _grid_counts(grid, (16, 8))
     spec = SurfaceSpec("Cylinder", n, {"radius": radius, "height": height}, (m_z, m_theta))
     z = _midpoints(0.0, height, m_z)
     dz = height / m_z
     kr = np.full(m_z, 1.0 / radius)
     kp = np.zeros(m_z)
     density = np.full(m_z, scale)
-    return _orbit_samples(n, spec, z, dz, kr, kp, density, m_theta, minimal=False)
-
-
-def _minimal_profile_rhs(n: int, f: float, fp: float) -> tuple[float, float]:
-    return fp, (n - 1) * (1.0 + fp * fp) / f
+    return _orbit_samples(spec, f"radius {radius} and height {height}", z, dz, kr, kp, density,
+                          minimal=False)
 
 
 def _rk4_step(n: int, y0: float, y1: float, h: float) -> tuple[float, float]:
-    """One classical RK4 step of the profile system (f, f')."""
-    k1a, k1b = _minimal_profile_rhs(n, y0, y1)
-    k2a, k2b = _minimal_profile_rhs(n, y0 + 0.5 * h * k1a, y1 + 0.5 * h * k1b)
-    k3a, k3b = _minimal_profile_rhs(n, y0 + 0.5 * h * k2a, y1 + 0.5 * h * k2b)
-    k4a, k4b = _minimal_profile_rhs(n, y0 + h * k3a, y1 + h * k3b)
+    """One classical RK4 step of the profile system (f, f')' = (f', (n-1)(1 + f'^2) / f)."""
+    k1a, k1b = y1, (n - 1) * (1.0 + y1 * y1) / y0
+    y0b, y1b = y0 + 0.5 * h * k1a, y1 + 0.5 * h * k1b
+    k2a, k2b = y1b, (n - 1) * (1.0 + y1b * y1b) / y0b
+    y0c, y1c = y0 + 0.5 * h * k2a, y1 + 0.5 * h * k2b
+    k3a, k3b = y1c, (n - 1) * (1.0 + y1c * y1c) / y0c
+    y0d, y1d = y0 + h * k3a, y1 + h * k3b
+    k4a, k4b = y1d, (n - 1) * (1.0 + y1d * y1d) / y0d
     return (y0 + h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0,
             y1 + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0)
-
-
-def _integrate_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 for f'' f = (n-1)(1 + f'^2), f(0) = 1, f'(0) = 0 on [0, t_max]."""
-    h = t_max / steps
-    t = np.linspace(0.0, t_max, steps + 1)
-    f = np.empty(steps + 1)
-    fp = np.empty(steps + 1)
-    y0, y1 = 1.0, 0.0
-    f[0], fp[0] = y0, y1
-    for i in range(steps):
-        y0, y1 = _rk4_step(n, y0, y1, h)
-        f[i + 1], fp[i + 1] = y0, y1
-    return t, f, fp
 
 
 _F_CAP = 2.0  # the default catenoid patch stops short of where its profile reaches this radius
@@ -283,33 +278,38 @@ def _default_t_max(n: int) -> float:
 
 
 def catenoid_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimal rotation profile on [0, t_max]: nodes, f, and f'."""
+    """Minimal rotation profile on [0, t_max] by fixed-step RK4 for f'' f = (n-1)(1 + f'^2),
+    f(0) = 1, f'(0) = 0: the steps + 1 nodes, f, and f'."""
     if n < 4:
         raise BadDimension(f"dimension must be >= 4, got {n}")
-    if not 0 < t_max < math.inf or steps < 1:
-        raise BadParams("t_max must be positive and finite, and steps >= 1")
-    return _integrate_profile(n, t_max, steps)
+    _positive_finite("t_max", t_max)
+    if steps < 1:
+        raise BadParams(f"steps must be >= 1, got {steps}")
+    h = t_max / steps
+    f, fp = np.empty((2, steps + 1))
+    y0, y1 = 1.0, 0.0
+    f[0], fp[0] = y0, y1
+    for i in range(steps):
+        y0, y1 = _rk4_step(n, y0, y1, h)
+        f[i + 1], fp[i + 1] = y0, y1
+    return np.linspace(0.0, t_max, steps + 1), f, fp
 
 
-def _catenoid_curvatures(n: int, f: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal curvatures of the minimal profile.
-
-    kappa_rot = 1 / (f sqrt(1 + f'^2)); the profile curvature uses
-    f'' = (n-1) f^(2n-3) from the conserved relation 1 + f'^2 = f^(2(n-1)),
-    so the trace residual stays sensitive to integration error instead of
-    cancelling identically.
-    """
-    u = 1.0 + fp * fp
-    kr = 1.0 / (f * np.sqrt(u))
-    fpp = (n - 1) * f ** (2 * n - 3)
-    kp = -fpp / u ** 1.5
-    return kr, kp
+def _profile_curvatures(n: int, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray):
+    """Curvatures and area density of a rotation profile f with derivatives f', f'': kappa_rot =
+    1 / (f sqrt(1 + f'^2)) of multiplicity n - 1, kappa_profile = -f'' / (1 + f'^2)^(3/2) and the
+    density f^(n-1) sqrt(1 + f'^2); past the double range they are inf, NaN or 0, with no warning."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        u = 1.0 + fp * fp
+        return 1.0 / (f * np.sqrt(u)), -fpp / u ** 1.5, f ** (n - 1) * np.sqrt(u)
 
 
 def minimality_residual(n: int, f: np.ndarray, fp: np.ndarray) -> float:
     """max |tr A| / (1 + |A|) over the profile nodes."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the profile's blow-up
-        kr, kp = _catenoid_curvatures(n, f, fp)
+        # f'' = (n-1) f^(2n-3) from the conserved relation 1 + f'^2 = f^(2(n-1)), so the
+        # trace residual stays sensitive to integration error instead of cancelling identically
+        kr, kp, _ = _profile_curvatures(n, f, fp, (n - 1) * f ** (2 * n - 3))
         trace = (n - 1) * kr + kp
         frob = np.sqrt((n - 1) * kr * kr + kp * kp)
         return float(np.max(np.abs(trace) / (1.0 + frob)))
@@ -326,7 +326,7 @@ def build_catenoid(n: int, grid=None, t_max: float | None = None,
     ``ode_substeps`` pins it; a residual above it, or NaN, raises :class:`ODEStepFailure`.
     """
     tol = tolerance("minimality_tol")
-    m_t, m_theta = (48, 8) if grid is None else _grid_counts(grid, 2, 48)
+    m_t, m_theta = _grid_counts(grid, (48, 8))
     if t_max is None:
         t_max = _default_t_max(n)
     _positive_finite("t_max", t_max)
@@ -338,8 +338,7 @@ def build_catenoid(n: int, grid=None, t_max: float | None = None,
     attempts = 6 if ode_substeps is None else 1
     residual = math.inf
     for _ in range(attempts):
-        steps = m_t * substeps
-        _, f, fp = _integrate_profile(n, t_max, steps)
+        _, f, fp = catenoid_profile(n, t_max, m_t * substeps)
         residual = minimality_residual(n, f, fp)
         if residual <= tol:
             break
@@ -358,9 +357,9 @@ def build_catenoid(n: int, grid=None, t_max: float | None = None,
     t_values = t_max * offset / m_t
     # f is even and f' odd; at offset 0, f'(0) = 0 exactly
     f_mid, fp_mid = f[node], np.sign(offset) * fp[node]
-    kr, kp = _catenoid_curvatures(n, f_mid, fp_mid)
-    density = f_mid ** (n - 1) * np.sqrt(1.0 + fp_mid ** 2)
-    return _orbit_samples(n, spec, t_values, dt, kr, kp, density, m_theta, minimal=True)
+    # f'' from the conserved relation, as in minimality_residual
+    kr, kp, density = _profile_curvatures(n, f_mid, fp_mid, (n - 1) * f_mid ** (2 * n - 3))
+    return _orbit_samples(spec, f"t_max {t_max}", t_values, dt, kr, kp, density, minimal=True)
 
 
 def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, float] = (-1.0, 1.0),
@@ -375,14 +374,15 @@ def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, floa
     lo, hi = float(t_range[0]), float(t_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BadParams(f"invalid t_range {t_range}")
-    m_t, m_theta = (48, 8) if grid is None else _grid_counts(grid, 2, 48)
+    m_t, m_theta = _grid_counts(grid, (48, 8))
     spec = SurfaceSpec("RotationHypersurface", n, {"t_range": [lo, hi]}, (m_t, m_theta))
     t_values = _midpoints(lo, hi, m_t)
     dt = (hi - lo) / m_t
     fv = np.array([float(f(t)) for t in t_values])
-    if np.any(fv <= 0.0):
-        bad = int(np.argmax(fv <= 0.0))
-        raise BadProfile(f"profile must be positive; f({t_values[bad]:.6g}) = {fv[bad]:.6g}")
+    good = (fv > 0.0) & (fv < math.inf)  # NaN fails too
+    if not good.all():
+        bad = int(np.argmin(good))
+        raise BadProfile(f"profile must be positive and finite; f({t_values[bad]:.6g}) = {fv[bad]:.6g}")
     h = FD_STEP_FACTOR * max(1.0, hi - lo)
     if fp is not None:
         fpv = np.array([float(fp(t)) for t in t_values])
@@ -393,15 +393,11 @@ def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, floa
     else:
         fppv = np.array([(float(f(t + h)) - 2.0 * fv[i] + float(f(t - h))) / (h * h)
                          for i, t in enumerate(t_values)])
-    u = 1.0 + fpv * fpv
-    kr = 1.0 / (fv * np.sqrt(u))
-    kp = -fppv / u ** 1.5
-    density = fv ** (n - 1) * np.sqrt(u)
-    return _orbit_samples(n, spec, t_values, dt, kr, kp, density, m_theta, minimal=False)
+    kr, kp, density = _profile_curvatures(n, fv, fpv, fppv)
+    return _orbit_samples(spec, "the profile", t_values, dt, kr, kp, density, minimal=False)
 
 
-def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray,
-                     orientation: float) -> tuple[np.ndarray, np.ndarray]:
+def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shape operators (N, n, n) in orthonormal tangent frames and area densities (N,).
 
     ``h`` is the step: a float, or an (N, 1) column of one step per point. The chart
@@ -438,9 +434,9 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray,
     q, _ = np.linalg.qr(jac, mode="complete")
     normal = q[:, :, n]
     sign, _ = np.linalg.slogdet(np.concatenate([jac, normal[:, :, None]], axis=2))
-    # det([J | normal]) < 0 by default: the standard hyperspherical chart of
-    # the round sphere then yields A = +I/r, matching the analytic builders
-    normal = -orientation * sign[:, None] * normal
+    # det([J | normal]) < 0: the standard hyperspherical chart of the round sphere then
+    # yields A = +I/r, matching the analytic builders; a reflected chart gives -A
+    normal = -sign[:, None] * normal
 
     # projections onto the normal: the builtin sum adds ambient terms in a fixed order, point by point
     second = np.empty((count, n, n))
@@ -465,8 +461,7 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray,
 
 
 def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
-                         orientation: float = 1.0, self_check: bool = True,
-                         params: dict | None = None) -> ShapeField:
+                         self_check: bool = True, params: dict | None = None) -> ShapeField:
     """Shape operators of a parametric immersion into flat (n+1)-space.
 
     ``chart`` maps an (N, n) array of parameter points to the (N, n + 1)
@@ -481,7 +476,7 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     dims = len(bounds)
     if any(not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo for lo, hi in bounds):
         raise BadParams("domain bounds must be finite and ordered")
-    counts = _grid_counts(grid, dims, 6)
+    counts = _grid_counts(grid, (6,) * dims)
     span = max(hi - lo for lo, hi in bounds)
     h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, span)
     _positive_finite("fd_step", h)
@@ -494,7 +489,7 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     if self_check:  # the probes at step h and at h / 2 share one stencil pass
         probes = sorted({0, len(points) // 2, len(points) - 1})
         steps = np.repeat([h, h / 2.0], len(probes))[:, None]
-        full, half = np.split(_chart_operators(chart, points[probes * 2], steps, orientation)[0], 2)
+        full, half = np.split(_chart_operators(chart, points[probes * 2], steps)[0], 2)
         diff = np.abs(full - half).max(axis=(1, 2))
         bad = diff > tolerance("fd_self_check_tol") * np.maximum(
             1.0, np.sqrt((full * full).sum(axis=(1, 2))))
@@ -503,7 +498,7 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
             raise StepTooLarge(
                 f"fd_step {h:.3e} fails self-consistency at sample {probes[k]}: diff {diff[k]:.3e}")
 
-    operators, density = _chart_operators(chart, points, h, orientation)
+    operators, density = _chart_operators(chart, points, h)
     return ShapeField(spec, points, operators, density * cell, minimal_claimed=False)
 
 
@@ -517,16 +512,6 @@ def _sphere_embed(angles: np.ndarray) -> np.ndarray:
         sin_prod = sin_prod * np.sin(angles[..., d])
     x[..., n] = sin_prod
     return x
-
-
-def sphere_chart(n: int, radius: float):
-    """Hyperspherical chart of the round n-sphere, on [..., n] arrays, and its parameter domain."""
-
-    def chart(u: np.ndarray) -> np.ndarray:
-        return radius * _sphere_embed(np.asarray(u, dtype=float))
-
-    domain = [(0.0, math.pi)] * (n - 1) + [(0.0, 2.0 * math.pi)]
-    return chart, domain
 
 
 def cylinder_chart(n: int, radius: float, height: float):

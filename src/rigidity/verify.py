@@ -3,10 +3,10 @@
 Every inequality family runs on whole stacks of matrices of one dimension at
 a time and records worst-case relative defects. Matrices and lambda grids
 come from the stream keyed by the seed (see ``sampling``), drawn a chunk of
-indices at a time; since every aggregate is a count, a minimum or a maximum,
-the report does not depend on the chunking and is byte-identical for a fixed
-seed and config. Its ``config`` holds the campaign's inputs, and its
-``tolerances`` the table of thresholds, each value once.
+indices at a time. ``_fold`` merges each chunk into a statistic by its name: a
+count, a ``min_*`` or a ``max_*``, so the report does not depend on the chunking
+and is byte-identical for a fixed seed and config. Its ``config`` holds the
+campaign's inputs, and its ``tolerances`` the table of thresholds, each value once.
 """
 
 from __future__ import annotations
@@ -36,13 +36,17 @@ __all__ = [
 ]
 
 
-def _least(current: float, values: np.ndarray) -> float:
-    # np.minimum and np.maximum keep a NaN, so a NaN check value fails its gate
-    return float(np.minimum(current, values.min()))
-
-
-def _most(current: float, values: np.ndarray) -> float:
-    return float(np.maximum(current, values.max()))
+def _fold(stats: dict, **values) -> None:
+    """Fold one chunk into ``stats`` by name: a ``min_*`` key keeps the least value, a ``max_*``
+    key the greatest, and any other key adds a count."""
+    for key, value in values.items():
+        # np.minimum and np.maximum keep a NaN, so a NaN check value fails its gate
+        if key.startswith("min_"):
+            stats[key] = float(np.minimum(stats.get(key, math.inf), value.min()))
+        elif key.startswith("max_"):
+            stats[key] = float(np.maximum(stats.get(key, -math.inf), value.max()))
+        else:
+            stats[key] = stats.get(key, 0) + int(value)
 
 
 def _passes(family: str, stats: dict) -> bool:
@@ -79,16 +83,9 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
         raise BadParams(f"seed must be in [0, 2**128), got {seed}")
     fuzz = tolerance("fuzz_defect_tol")
     defect_families = ("newton_gap", "prop_p3", "prop_p4", "cubic_bound", "main_inequality")
-    checks: dict = {family: {"count": 0, "min_relative_defect": math.inf, "violations": 0}
-                    for family in defect_families}
-    checks["sigma_norm_identities"] = {"count": 0, "max_relative_residual": 0.0}
-    checks["lambda_scan"] = {"count": 0, "min_relative_gap": math.inf,
-                             "max_relative_product": -math.inf}
-    if include_kn:
-        checks["kn_identity_suite"] = {"count": 0, "max_relative_residual": 0.0}
-    main = checks["main_inequality"]
-    main.update(false_equalities=0, max_bridge_residual=0.0)
-    oracle_deviation = 0.0
+    families = defect_families + ("sigma_norm_identities", "lambda_scan")
+    checks: dict = {family: {} for family in families + (("kn_identity_suite",) if include_kn else ())}
+    oracle: dict = {}
     chunk = campaign_chunk(dims, lambda_count)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
@@ -97,41 +94,36 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
             hom4 = np.maximum(1.0, stack.a2 * stack.a2)
 
             sigma, alt = stack.sigma, symfun_from_power_sums_batch(a)
-            oracle_deviation = _most(oracle_deviation, np.max(np.abs(sigma - alt), axis=0)
-                                     / np.maximum(1.0, np.max(np.abs(sigma), axis=0)))
+            _fold(oracle, max_deviation=np.max(np.abs(sigma - alt), axis=0)
+                  / np.maximum(1.0, np.max(np.abs(sigma), axis=0)))
 
             verdict, large = main_inequality_batch(stack)
             defects = (newton_gap_batch(stack), prop_p3_batch(stack), prop_p4_batch(stack),
                        cubic_bound_batch(stack), verdict)
             for family, family_verdict in zip(defect_families, defects):
-                stats, rel = checks[family], family_verdict.relative_defect
-                stats["count"] += rel.size
-                stats["min_relative_defect"] = _least(stats["min_relative_defect"], rel)
+                rel = family_verdict.relative_defect
                 # counted unless >= -fuzz, so a NaN defect is a violation
-                stats["violations"] += int(np.count_nonzero(~(rel >= -fuzz)))
-            main["false_equalities"] += int(np.count_nonzero(verdict.equality & ~large))
-            main["max_bridge_residual"] = _most(
-                main["max_bridge_residual"], np.abs(bridge_residual(stack)) / hom4)
+                _fold(checks[family], count=rel.size, min_relative_defect=rel,
+                      violations=np.count_nonzero(~(rel >= -fuzz)))
+            _fold(checks["main_inequality"],
+                  false_equalities=np.count_nonzero(verdict.equality & ~large),
+                  max_bridge_residual=np.abs(bridge_residual(stack)) / hom4)
 
             r2, r4 = sigma_norm_identities_batch(stack)
-            gaps, products = lambda_scan_batch(stack, lam)
             residuals = [np.maximum(np.abs(r2), np.abs(r4))]
             if include_kn:
                 residuals.append(np.max(np.abs(kn_identity_suite_batch(stack)), axis=1))
             for family, worst in zip(("sigma_norm_identities", "kn_identity_suite"), residuals):
-                checks[family]["count"] += len(a)
-                checks[family]["max_relative_residual"] = _most(
-                    checks[family]["max_relative_residual"], worst / hom4)
-            lam_stats = checks["lambda_scan"]
-            lam_stats["count"] += len(a)
-            lam_stats["min_relative_gap"] = _least(lam_stats["min_relative_gap"], gaps)
-            lam_stats["max_relative_product"] = _most(lam_stats["max_relative_product"], products)
+                _fold(checks[family], count=len(a), max_relative_residual=worst / hom4)
+            gaps, products = lambda_scan_batch(stack, lam)
+            _fold(checks["lambda_scan"], count=len(a), min_relative_gap=gaps,
+                  max_relative_product=products)
 
     for family, stats in checks.items():
         stats["pass"] = _passes(family, stats)
     diagnostics = {
-        "symfun_oracle_max_relative_deviation": oracle_deviation,
-        "symfun_oracle_pass": oracle_deviation <= tolerance("oracle_agreement_tol"),
+        "symfun_oracle_max_relative_deviation": oracle["max_deviation"],
+        "symfun_oracle_pass": oracle["max_deviation"] <= tolerance("oracle_agreement_tol"),
     }
     return {
         "artifact": ARTIFACT,

@@ -16,7 +16,7 @@ import rigidity
 from rigidity import cli
 from rigidity.cli import main
 from rigidity.defaults import TOLERANCES, VERSION
-from rigidity.errors import RigidityError, SchemaError
+from rigidity.errors import BadParams, RigidityError, SchemaError
 from rigidity.surfaces import (
     build_cylinder,
     build_ellipsoid,
@@ -99,6 +99,31 @@ class TestVerify:
         assert ">= 4" in capsys.readouterr().err
 
 
+# (surface, option, value, the parameter the error must name, further argv); a case's id is
+# its strings joined by "-"
+BAD_GEOMETRY = [
+    ("sphere", "--radius", "nan", "radius", ()),
+    ("cylinder", "--height", "nan", "height", ()),
+    ("sphere", "--radius", "1e300", "radius", ()),
+    ("cylinder", "--radius", "1e300", "radius", ()),
+    ("sphere", "--radius", "1e-300", "radius", ()),
+    ("cylinder", "--radius", "1e-300", "radius", ()),
+    ("ellipsoid", "--fd-step", "nan", "fd_step", ()),
+    ("ellipsoid", "--fd-step", "0", "fd_step", ()),
+    ("ellipsoid", "--fd-step", "-1e-3", "fd_step", ()),
+    ("ellipsoid", "--semi-axes", "nan,1,1,1,1", "semi-axes", ()),
+    ("ellipsoid", "--semi-axes", "inf,1,1,1,1", "semi-axes", ()),
+    ("catenoid", "--t-max", "50", "t_max", ()),
+    # finite scales whose area weights leave the double range
+    ("sphere", "--radius", "1.14e77", "radius", ("--grid", "2")),
+    ("cylinder", "--radius", "1e102", "height", ("--height", "1e300")),
+    ("rotation", "--profile-coeffs", "1e200", "profile", ()),
+    ("rotation", "--profile-coeffs", "1,0,1e200", "profile", ()),
+    ("rotation", "--profile-coeffs", "inf", "profile", ()),
+    ("rotation", "--profile-coeffs", "nan", "profile", ()),
+]
+
+
 class TestCatalog:
     def test_catenoid_round_trip(self, tmp_path):
         out = tmp_path / "cat.json"
@@ -138,6 +163,16 @@ class TestCatalog:
         assert code == 2
         assert "profile-coeffs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--surface", "rotation", "--profile-coeffs="],
+        ["--surface", "rotation", "--t-range=1"],
+        ["--surface", "ellipsoid", "--semi-axes=1,2"],
+    ], ids=["no_coefficients", "one_t_value", "two_semi_axes"])
+    def test_argument_errors_are_bad_params(self, argv):
+        args = cli.make_parser().parse_args(["catalog", "--n", "4", *argv, "--out", "unused.json"])
+        with pytest.raises(BadParams):
+            cli._build_surface(args)
+
     @pytest.mark.parametrize("surface, grid", [
         ("sphere", "2"), ("cylinder", "4x2"), ("catenoid", "8x2"), ("rotation", "4x2"),
         ("ellipsoid", "2x2x2x3"),
@@ -170,26 +205,14 @@ class TestCatalog:
         assert "semi-axes" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("surface, option, value, named", [
-        ("sphere", "--radius", "nan", "radius"),
-        ("cylinder", "--height", "nan", "height"),
-        ("sphere", "--radius", "1e300", "radius"),
-        ("cylinder", "--radius", "1e300", "radius"),
-        ("sphere", "--radius", "1e-300", "radius"),
-        ("cylinder", "--radius", "1e-300", "radius"),
-        ("ellipsoid", "--fd-step", "nan", "fd_step"),
-        ("ellipsoid", "--fd-step", "0", "fd_step"),
-        ("ellipsoid", "--fd-step", "-1e-3", "fd_step"),
-        ("ellipsoid", "--semi-axes", "nan,1,1,1,1", "semi-axes"),
-        ("ellipsoid", "--semi-axes", "inf,1,1,1,1", "semi-axes"),
-        ("catenoid", "--t-max", "50", "t_max"),
-    ])
+    @pytest.mark.parametrize("surface, option, value, named, extra", BAD_GEOMETRY,
+                             ids=["-".join(case[:4] + case[4]) for case in BAD_GEOMETRY])
     def test_bad_geometry_exit_2_naming_the_parameter(self, tmp_path, capsys, surface, option,
-                                                      value, named):
+                                                      value, named, extra):
         # refused with one line that names the parameter; numpy warnings are errors here
         out = tmp_path / "field.json"
         out.write_text("previous field\n", encoding="utf-8")
-        code = main(["catalog", "--surface", surface, "--n", "4", f"{option}={value}",
+        code = main(["catalog", "--surface", surface, "--n", "4", f"{option}={value}", *extra,
                      "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2

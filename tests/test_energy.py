@@ -202,6 +202,13 @@ class TestConformalRescale:
         with pytest.raises(BadParams):
             conformal_rescale(cylinder4, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e100, math.inf, math.nan, 1e-200, 0.0, -1.0])
+    def test_scale_out_of_range_names_t(self, cylinder4, t):
+        # t ** 4 overflows at 1e100 and underflows to 0 at 1e-200
+        with pytest.raises(BadParams, match=r"\bt\b"):
+            conformal_rescale(cylinder4, t)
+
     def test_n4_bit_for_bit(self, cylinder4, ellipsoid4):
         for field in (cylinder4, ellipsoid4):
             base = rotational_energy(field)

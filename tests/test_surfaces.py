@@ -28,11 +28,11 @@ from rigidity.surfaces import (
     catenoid_profile,
     chart_shape_operator,
     cylinder_chart,
+    ellipsoid_chart,
     field_from_dict,
     ingest_field,
     minimality_residual,
     save_field,
-    sphere_chart,
     umbilic_flags,
     unit_sphere_volume,
 )
@@ -226,15 +226,21 @@ class TestRotationHypersurface:
         with pytest.raises(BadProfile):
             build_rotation_hypersurface(4, lambda t: t, grid=[4, 2], t_range=(-1.0, 1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_profile_not_finite(self, value):
+        with pytest.raises(BadProfile, match="profile must be positive and finite"):
+            build_rotation_hypersurface(4, lambda t: value, grid=[4, 2])
+
 
 class TestChart:
     def test_sphere_recovery(self):
-        chart, domain = sphere_chart(4, 2.0)
+        chart, domain = ellipsoid_chart([2.0] * 5)
         field = chart_shape_operator(chart, domain, grid=[3, 3, 3, 4], fd_step=1e-4)
         assert np.max(np.abs(field.operators - np.eye(4) / 2.0)) <= 1e-6
 
     def test_sphere_quadratic_convergence(self):
-        chart, domain = sphere_chart(4, 1.0)
+        chart, domain = ellipsoid_chart([1.0] * 5)
 
         def worst_error(h):
             field = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2],
@@ -264,7 +270,6 @@ class TestChart:
     def test_ambient_rotation_invariance(self):
         # truncation-dominated step: rounding in the rotated chart evaluations
         # is the only difference between the two runs
-        from rigidity.surfaces import ellipsoid_chart
         e_chart, e_domain = ellipsoid_chart([1.0, 1.2, 1.4, 1.6, 1.8])
         q = random_rotation(derived_rng(401), 5)
 
@@ -281,11 +286,11 @@ class TestChart:
             assert np.max(np.abs(ea - eb)) <= 1e-10 * max(1.0, np.max(np.abs(ea)))
 
     def test_orientation_flip_preserves_invariants(self):
-        chart, domain = sphere_chart(4, 1.0)
+        chart, domain = ellipsoid_chart([1.0] * 5)
         plus = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=1e-4,
                                     self_check=False)
-        minus = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=1e-4,
-                                     orientation=-1.0, self_check=False)
+        minus = chart_shape_operator(lambda u: chart(u) * [1, 1, 1, 1, -1], domain,
+                                     grid=[2, 2, 2, 2], fd_step=1e-4, self_check=False)
         assert np.allclose(plus.operators, -minus.operators, atol=0)
         assert np.array_equal(plus.weights, minus.weights)
 
@@ -301,7 +306,7 @@ class TestChart:
 
     @pytest.mark.parametrize("grid", [[2, 2, 2, 2], [3, 2, 4, 3]])
     def test_one_chart_call_per_stencil_offset(self, grid):
-        chart, domain = sphere_chart(4, 1.0)
+        chart, domain = ellipsoid_chart([1.0] * 5)
         shapes = []
 
         def counted(u):
@@ -318,7 +323,7 @@ class TestChart:
         lambda x: x.T,
     ], ids=["too_few_coordinates", "one_point", "transposed"])
     def test_chart_of_wrong_shape_is_named(self, wrong):
-        chart, domain = sphere_chart(4, 1.0)
+        chart, domain = ellipsoid_chart([1.0] * 5)
         with pytest.raises(RigidityError, match=r"\(N, 4\) parameters to \(N, 5\) points"):
             chart_shape_operator(lambda u: wrong(chart(u)), domain, grid=[2, 2, 2, 2])
 
@@ -334,7 +339,7 @@ class TestChart:
             chart_shape_operator(chart, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2], self_check=False)
 
     def test_step_too_large(self):
-        chart, domain = sphere_chart(4, 1.0)
+        chart, domain = ellipsoid_chart([1.0] * 5)
         with pytest.raises(StepTooLarge):
             chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=0.9)
 
