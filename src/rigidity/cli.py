@@ -12,6 +12,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .defaults import ARTIFACT, TOLERANCES, VERSION
 from .energy import report_csv, report_to_dict, rotational_energy
 from .errors import BadParams, RigidityError
@@ -119,9 +121,11 @@ def _build_surface(args):
         if len(args.t_range) != 2:
             raise BadParams(f"t-range needs two values, got {args.t_range}")
         profile = Polynomial(args.profile_coeffs)
+        with np.errstate(over="ignore"):  # an inf coefficient is for the builder to refuse
+            fp, fpp = profile.deriv(), profile.deriv(2)
         return build_rotation_hypersurface(args.n, profile, grid=args.grid,
                                            t_range=(args.t_range[0], args.t_range[1]),
-                                           fp=profile.deriv(), fpp=profile.deriv(2))
+                                           fp=fp, fpp=fpp)
     axes = args.semi_axes  # an ellipsoid: argparse's choices allow no other surface
     if axes is None:
         axes = [1.0 + 0.2 * i for i in range(args.n + 1)]

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import tolerance
 from .errors import InvalidField, NonFiniteResult
 from .inequalities import classify_spectrum_batch, main_inequality_batch
 from .inequalities import main_inequality  # noqa: F401  (unused; the benchmark's tests read it)
 from .spectral import examine_batch, trace_free_project_batch
-from .surfaces import (_CHUNK, SampleTable, ShapeField, _area_weights, _json_texts, _weight_scale,
-                       umbilic_flags)
+from .surfaces import _CHUNK, SampleTable, ShapeField, _area_weights, _json_texts, _weight_scale
 
 __all__ = [
     "EnergyReport",
@@ -67,8 +67,9 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     bits = operators.view(np.int64)
     starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))])
     runs = np.diff(np.r_[starts, len(operators)])
+    distinct = operators[starts]
     try:
-        stack = examine_batch(trace_free_project_batch(operators[starts]))
+        stack = examine_batch(trace_free_project_batch(distinct))
     except NonFiniteResult:  # an overflow is at a run's first sample; the whole stack names it
         examine_batch(trace_free_project_batch(operators))
         raise
@@ -76,8 +77,10 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
         # a numpy scalar's pow rounds as Python's float pow, as reports always did; np.power does not
         norm_n = np.array([x ** (n / 2.0) for x in stack.a2])
         conf_factor = 1.0 if n == 4 else np.array([x ** ((n - 4) / 2.0) for x in stack.a2])
+        # the umbilic test |tracefree(A)| <= umbilic_tol * max(1, |A|); |A| may overflow to inf
+        frob = np.sqrt((distinct * distinct).sum(axis=(1, 2)))
+    umbilic = np.sqrt(stack.a2) <= tolerance("umbilic_tol") * np.maximum(1.0, frob)
     verdict, large = main_inequality_batch(stack)
-    umbilic = umbilic_flags(operators[starts])
     if umbilic.all():
         classification = "AllUmbilic"
     elif large.all():

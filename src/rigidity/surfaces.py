@@ -34,14 +34,12 @@ from .errors import (
     SchemaError,
     StepTooLarge,
 )
-from .spectral import trace_free_project_batch
 
 __all__ = [
     "SURFACE_KINDS",
     "SurfaceSpec",
     "ShapeField",
     "unit_sphere_volume",
-    "umbilic_flags",
     "build_sphere",
     "build_cylinder",
     "catenoid_profile",
@@ -58,7 +56,7 @@ __all__ = [
     "ingest_field",
 ]
 
-SURFACE_KINDS = ("Sphere", "Cylinder", "RotationHypersurface", "Catenoid", "Chart", "FieldFile")
+SURFACE_KINDS = ("Sphere", "Cylinder", "RotationHypersurface", "Catenoid", "Chart")
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ class ShapeField:
     """Samples of an immersed hypersurface patch as read-only arrays: parameter ``coords``
     (N, len(spec.grid)), exactly symmetric finite shape ``operators`` (N, n, n) and positive
     finite quadrature ``weights`` (N,). Built and ingested fields pass the same checks, each
-    naming the first sample that fails it; umbilic samples are ``umbilic_flags(operators)``.
+    naming the first sample that fails it.
     """
 
     spec: SurfaceSpec
@@ -138,14 +136,6 @@ def unit_sphere_volume(m: int) -> float:
 def _midpoints(lo: float, hi: float, count: int) -> np.ndarray:
     step = (hi - lo) / count
     return lo + (np.arange(count) + 0.5) * step
-
-
-def umbilic_flags(operators: np.ndarray) -> np.ndarray:
-    """Umbilic test of each operator of a stack (N, n, n): |tracefree(A)| <= umbilic_tol * max(1, |A|)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        frob = [np.sqrt((m * m).sum(axis=(1, 2)))
-                for m in (trace_free_project_batch(operators), operators)]
-        return frob[0] <= tolerance("umbilic_tol") * np.maximum(1.0, frob[1])
 
 
 def _positive_finite(name: str, value) -> None:
@@ -363,13 +353,10 @@ def build_catenoid(n: int, grid=None, t_max: float | None = None,
 
 
 def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, float] = (-1.0, 1.0),
-                                fp=None, fpp=None) -> ShapeField:
-    """Rotation hypersurface with profile f > 0 over ``t_range``.
-
-    Derivatives are taken from ``fp`` / ``fpp`` callables when given, else by
-    central differences on ``f``. Principal curvatures are
-    kappa_rot = 1 / (f sqrt(1 + f'^2)) with multiplicity n - 1 and
-    kappa_profile = -f'' / (1 + f'^2)^(3/2).
+                                *, fp, fpp) -> ShapeField:
+    """Rotation hypersurface with profile f > 0 over ``t_range``, given f and its derivatives
+    f', f'' as callables. Principal curvatures are kappa_rot = 1 / (f sqrt(1 + f'^2)) with
+    multiplicity n - 1 and kappa_profile = -f'' / (1 + f'^2)^(3/2).
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -383,16 +370,7 @@ def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, floa
     if not good.all():
         bad = int(np.argmin(good))
         raise BadProfile(f"profile must be positive and finite; f({t_values[bad]:.6g}) = {fv[bad]:.6g}")
-    h = FD_STEP_FACTOR * max(1.0, hi - lo)
-    if fp is not None:
-        fpv = np.array([float(fp(t)) for t in t_values])
-    else:
-        fpv = np.array([(float(f(t + h)) - float(f(t - h))) / (2.0 * h) for t in t_values])
-    if fpp is not None:
-        fppv = np.array([float(fpp(t)) for t in t_values])
-    else:
-        fppv = np.array([(float(f(t + h)) - 2.0 * fv[i] + float(f(t - h))) / (h * h)
-                         for i, t in enumerate(t_values)])
+    fpv, fppv = (np.array([float(g(t)) for t in t_values]) for g in (fp, fpp))
     kr, kp, density = _profile_curvatures(n, fv, fpv, fppv)
     return _orbit_samples(spec, "the profile", t_values, dt, kr, kp, density, minimal=False)
 
@@ -643,8 +621,7 @@ def save_field(field_: ShapeField, path) -> None:
     _write_json(path, {
         "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
         "samples": SampleTable({"coords": field_.coords, "shape_operator": field_.operators,
-                                "area_weight": field_.weights,
-                                "umbilic_flag": umbilic_flags(field_.operators)}),
+                                "area_weight": field_.weights}),
         "minimal_claimed": field_.minimal_claimed,
     })
 
@@ -710,28 +687,22 @@ def field_from_dict(data: dict) -> ShapeField:
     _expect(math.prod(spec.grid) == len(raw_samples),
             f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
             f"but there are {len(raw_samples)} samples")
-    keys = ("coords", "shape_operator", "area_weight", "umbilic_flag")
+    # other sample keys are ignored, such as the umbilic_flag that earlier versions wrote
+    keys = ("coords", "shape_operator", "area_weight")
     required = set(keys)
     if not all(isinstance(raw, dict) and raw.keys() >= required for raw in raw_samples):
         i, raw = next((i, raw) for i, raw in enumerate(raw_samples)
                       if not (isinstance(raw, dict) and raw.keys() >= required))
         _expect(isinstance(raw, dict), f"sample {i} must be an object")
         raise SchemaError(f"sample {i} missing key {next(k for k in keys if k not in raw)!r}")
-    coords, operators, weights, flags = ([raw[key] for raw in raw_samples] for key in keys)
-    if not set(map(type, flags)) <= {bool}:
-        bad = next(i for i, flag in enumerate(flags) if type(flag) is not bool)
-        raise SchemaError(f"sample {bad}: umbilic_flag must be true or false")
+    coords, operators, weights = ([raw[key] for raw in raw_samples] for key in keys)
     n, d = spec.n, len(spec.grid)
-    field_ = ShapeField(
+    return ShapeField(
         spec,
         _stacked(coords, (d,), f"coords must be a list of {d} numbers, one per grid direction"),
         _stacked(operators, (n, n), f"shape_operator must be a list of {n} lists of {n} numbers"),
         _stacked(weights, (), "area_weight must be a number"),
         minimal_claimed=data["minimal_claimed"])
-    wrong = umbilic_flags(field_.operators) != flags
-    _expect(not wrong.any(), f"sample {int(np.argmax(wrong))}: umbilic_flag contradicts "
-                             "its shape operator under the umbilic test")
-    return field_
 
 
 def ingest_field(path) -> ShapeField:

@@ -9,7 +9,7 @@ import dataclasses
 import json
 
 from rigidity.defaults import ARTIFACT, TOLERANCES, VERSION
-from rigidity.surfaces import save_field, umbilic_flags
+from rigidity.surfaces import save_field
 
 
 def dumped(reference) -> bytes:
@@ -20,11 +20,9 @@ def field_to_dict(field) -> dict:
     spec = dataclasses.asdict(field.spec)
     spec["grid"] = list(field.spec.grid)
     samples = []
-    for coords, operator, weight, flag in zip(field.coords.tolist(), field.operators.tolist(),
-                                              field.weights.tolist(),
-                                              umbilic_flags(field.operators).tolist()):
-        samples.append({"coords": coords, "shape_operator": operator, "area_weight": weight,
-                        "umbilic_flag": flag})
+    for coords, operator, weight in zip(field.coords.tolist(), field.operators.tolist(),
+                                        field.weights.tolist()):
+        samples.append({"coords": coords, "shape_operator": operator, "area_weight": weight})
     return {"spec": spec, "samples": samples, "minimal_claimed": field.minimal_claimed}
 
 

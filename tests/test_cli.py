@@ -121,6 +121,10 @@ BAD_GEOMETRY = [
     ("rotation", "--profile-coeffs", "1,0,1e200", "profile", ()),
     ("rotation", "--profile-coeffs", "inf", "profile", ()),
     ("rotation", "--profile-coeffs", "nan", "profile", ()),
+    # coefficients whose derivative coefficients leave the double range
+    ("rotation", "--profile-coeffs", "1,0,1e308", "profile", ()),
+    ("rotation", "--profile-coeffs", "1e308", "profile", ()),
+    ("rotation", "--profile-coeffs", "1,1e308", "profile", ()),
 ]
 
 
@@ -283,6 +287,26 @@ class TestAnalyze:
         assert "rendering failed" in capsys.readouterr().err
         assert csv_path.read_text(encoding="utf-8") == "previous\n"
 
+    def test_stored_umbilic_flags_are_ignored(self, tmp_path, catenoid_path):
+        # earlier versions stored the umbilic test per sample; analyze decides it from the
+        # operators, so a file that carries the key, even a contradicting one, reads the same
+        data = read_json(catenoid_path)
+        assert "umbilic_flag" not in data["samples"][0]
+        field_path, out, csv_path = (tmp_path / name for name in ("f.json", "r.json", "s.csv"))
+        outputs = []
+        for flags in (True, False):
+            edited = json.loads(json.dumps(data))
+            if flags:
+                for i, sample in enumerate(edited["samples"]):
+                    sample["umbilic_flag"] = i == 3  # a catenoid has no umbilic sample
+            field_path.write_text(json.dumps(edited, indent=2, sort_keys=True) + "\n",
+                                  encoding="utf-8")
+            assert main(["analyze", "--field", str(field_path), "--out", str(out),
+                         "--csv", str(csv_path)]) == 0
+            outputs.append((out.read_bytes(), csv_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert not any(row["umbilic"] for row in read_json(out)["report"]["pointwise"])
+
     def test_schema_error_names_sample(self, tmp_path, catenoid_path, capsys):
         data = read_json(catenoid_path)
         data["samples"][3]["shape_operator"][0][1] = 99.0
@@ -355,15 +379,18 @@ class TestAnalyze:
         lambda d: d["spec"].update(n=4.9),
         lambda d: d["spec"].update(grid=[16.7, 4.2]),
         lambda d: d["samples"][0].update(area_weight=True),
-        lambda d: d["samples"][0].update(umbilic_flag=""),
         lambda d: d["samples"][0].update(coords=[1.0, 2.0, 3.0]),
         lambda d: d["samples"][0].update(coords=[]),
         lambda d: d["samples"][0].update(area_weight=10 ** 400),
         # no grid direction: one sample with no coordinates
         lambda d: d.update(spec=dict(d["spec"], grid=[]), samples=[dict(d["samples"][0], coords=[])]),
+        lambda d: d["spec"].update(kind="Torus"),
+        # no version of the package writes this kind
+        lambda d: d["spec"].update(kind="FieldFile"),
     ], ids=["string_n", "string_grid", "list_params", "string_coords", "ragged_operator",
-            "string_minimal_claimed", "float_n", "float_grid", "bool_weight", "string_umbilic_flag",
-            "coords_too_long", "coords_empty", "integer_weight_beyond_double", "empty_grid"])
+            "string_minimal_claimed", "float_n", "float_grid", "bool_weight",
+            "coords_too_long", "coords_empty", "integer_weight_beyond_double", "empty_grid",
+            "unknown_kind", "field_file_kind"])
     def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
         data = read_json(catenoid_path)
         edit(data)

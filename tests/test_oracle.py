@@ -46,6 +46,18 @@ def test_oracle_independence():
     assert public == PUBLIC_NAMES
 
 
+def test_surfaces_import_no_kernel_or_analysis_module():
+    # geometry and field I/O stand below the matrix kernels and the analyses built on them
+    tree = ast.parse(Path(rigidity.__file__).with_name("surfaces.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None) or "")
+    layers = {"spectral", "inequalities", "curvature", "energy"}
+    assert {name for name in imported if layers & set(name.split("."))} == set()
+
+
 # the calls that make up one examination of a trace-free stack, and how often it makes each
 EXAMINATION = {"norms_batch": 1, "eigen_spectrum_batch": 1, "symfun_from_spectrum_batch": 1,
                "_require_trace_free_batch": 2}

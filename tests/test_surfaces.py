@@ -33,7 +33,6 @@ from rigidity.surfaces import (
     ingest_field,
     minimality_residual,
     save_field,
-    umbilic_flags,
     unit_sphere_volume,
 )
 
@@ -58,7 +57,6 @@ class TestSphere:
         field = build_sphere(4, 1.0, grid=[4])
         for a in field.operators:
             assert np.array_equal(a, np.eye(4))
-        assert umbilic_flags(field.operators).all()
 
     def test_scaled_radius(self):
         field = build_sphere(4, 2.0, grid=[4])
@@ -95,7 +93,6 @@ class TestCylinder:
         expected = np.diag([1.0, 1.0, 1.0, 0.0])
         for a in field.operators:
             assert np.array_equal(a, expected)
-        assert not umbilic_flags(field.operators).any()
 
     def test_trace_free_part_structure(self):
         field = build_cylinder(4, 1.0, 2.0, grid=[2, 2])
@@ -216,21 +213,17 @@ class TestRotationHypersurface:
             assert abs(verdict.relative_defect) <= 1e-9
             assert case.large_eigenspace
 
-    def test_finite_difference_fallback(self):
-        exact = build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[6, 2],
-                                            fp=lambda t: 2.0 * t, fpp=lambda t: 2.0)
-        fd = build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[6, 2])
-        assert np.allclose(exact.operators, fd.operators, atol=1e-6)
-
     def test_rejects_nonpositive_profile(self):
         with pytest.raises(BadProfile):
-            build_rotation_hypersurface(4, lambda t: t, grid=[4, 2], t_range=(-1.0, 1.0))
+            build_rotation_hypersurface(4, lambda t: t, grid=[4, 2], t_range=(-1.0, 1.0),
+                                        fp=lambda t: 1.0, fpp=lambda t: 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_profile_not_finite(self, value):
         with pytest.raises(BadProfile, match="profile must be positive and finite"):
-            build_rotation_hypersurface(4, lambda t: value, grid=[4, 2])
+            build_rotation_hypersurface(4, lambda t: value, grid=[4, 2],
+                                        fp=lambda t: 0.0, fpp=lambda t: 0.0)
 
 
 class TestChart:
@@ -393,17 +386,6 @@ class TestFieldIO:
         assert loaded.minimal_claimed == field.minimal_claimed
         for name in ("coords", "operators", "weights"):
             assert np.array_equal(getattr(loaded, name), getattr(field, name))
-        assert np.array_equal(umbilic_flags(loaded.operators), umbilic_flags(field.operators))
-
-    @pytest.mark.parametrize("build, index", [
-        (lambda: build_cylinder(4, 1.0, 1.0, grid=[4, 2]), 5),
-        (lambda: build_sphere(4, 1.0, grid=[2]), 9),
-    ], ids=["cylinder_claims_umbilic", "sphere_denies_umbilic"])
-    def test_tampered_umbilic_flag_rejected(self, tmp_path, build, index):
-        data = saved_dict(build(), tmp_path)
-        data["samples"][index]["umbilic_flag"] = not data["samples"][index]["umbilic_flag"]
-        with pytest.raises(SchemaError, match=f"sample {index}: umbilic_flag"):
-            field_from_dict(data)
 
     def test_asymmetric_matrix_names_sample(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
@@ -451,7 +433,8 @@ class TestFieldIO:
         lambda: build_sphere(4, 1.0, grid=[2]),
         lambda: build_cylinder(4, 1.0, 1.0, grid=[2, 2]),
         lambda: build_catenoid(4, grid=[2, 2]),
-        lambda: build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[2, 2]),
+        lambda: build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[2, 2],
+                                            fp=lambda t: 2.0 * t, fpp=lambda t: 2.0),
         lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 2], fd_step=1e-3),
     ], ids=["sphere", "cylinder", "catenoid", "rotation", "chart"])
     def test_ambient_curvature_key(self, tmp_path, build):
