@@ -19,7 +19,8 @@ from .errors import InvalidField, NonFiniteResult
 from .inequalities import classify_spectrum_batch, main_inequality_batch
 from .inequalities import main_inequality  # noqa: F401  (unused; the benchmark's tests read it)
 from .spectral import examine_batch, trace_free_project_batch
-from .surfaces import _CHUNK, SampleTable, ShapeField, _area_weights, _json_texts, _weight_scale
+from .surfaces import (_CHUNK, SampleTable, ShapeField, _area_weights, _equal_runs, _json_texts,
+                       _weight_scale)
 
 __all__ = [
     "EnergyReport",
@@ -62,11 +63,8 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     if not isinstance(field, ShapeField):
         raise InvalidField("expected a ShapeField")
     n, operators, weights = field.spec.n, field.operators, field.weights  # SurfaceSpec keeps n >= 4
-    # a rotation field repeats each operator along an orbit and a sphere's is constant, so the
-    # kernels run once per run of bitwise-equal consecutive operators; results are per matrix
-    bits = operators.view(np.int64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))])
-    runs = np.diff(np.r_[starts, len(operators)])
+    # the kernels run once per run of equal operators (an orbit, or a sphere); results are per matrix
+    starts, runs = _equal_runs(operators)
     distinct = operators[starts]
     try:
         stack = examine_batch(trace_free_project_batch(distinct))

@@ -70,9 +70,9 @@ class SurfaceSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in SURFACE_KINDS:
-            raise BadParams(f"unknown surface kind {self.kind!r}; valid: {SURFACE_KINDS}")
+            raise BadParams(f"kind {self.kind!r} is not a surface kind; valid: {SURFACE_KINDS}")
         if self.n < 4:
-            raise BadDimension(f"hypersurface dimension must be >= 4, got {self.n}")
+            raise BadDimension(f"n, the hypersurface dimension, must be >= 4, got {self.n}")
         if not self.grid:
             raise BadParams("grid must contain at least one count")
         if any(g < 2 for g in self.grid):
@@ -126,6 +126,13 @@ def _first_bad(bad: np.ndarray, message) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise InvariantViolation(f"sample {i}: {message(i) if callable(message) else message}")
+
+
+def _equal_runs(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First sample and length of each run of bitwise-equal consecutive operators (N, n, n)."""
+    bits = operators.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))])
+    return starts, np.diff(np.r_[starts, len(operators)])
 
 
 def unit_sphere_volume(m: int) -> float:
@@ -618,10 +625,13 @@ def _write_text(path, pieces) -> None:
 
 
 def save_field(field_: ShapeField, path) -> None:
+    """Write ``field_``: each run of equal consecutive shape operators is one ``operators`` entry,
+    its operator and the ``count`` of samples in the run, and ``samples`` holds the rest."""
+    starts, runs = _equal_runs(field_.operators)
     _write_json(path, {
         "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
-        "samples": SampleTable({"coords": field_.coords, "shape_operator": field_.operators,
-                                "area_weight": field_.weights}),
+        "operators": SampleTable({"count": runs, "shape_operator": field_.operators[starts]}),
+        "samples": SampleTable({"coords": field_.coords, "area_weight": field_.weights}),
         "minimal_claimed": field_.minimal_claimed,
     })
 
@@ -646,17 +656,18 @@ def _numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
     return array.astype(float) if set(map(type, items)) <= {int, float} else None
 
 
-def _stacked(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The per-sample ``values`` as one (N, *shape) float array; SchemaError names the first bad one."""
+def _stacked(values: list, shape: tuple[int, ...], what: str, item: str = "sample") -> np.ndarray:
+    """The ``values`` as one (N, *shape) float array; SchemaError names the first bad ``item``."""
     array = _numbers(values, (len(values),) + shape)
     if array is None:
         bad = next(i for i, value in enumerate(values) if _numbers(value, shape) is None)
-        raise SchemaError(f"sample {bad}: {what}")
+        raise SchemaError(f"{item} {bad}: {what}")
     return array
 
 
 def field_from_dict(data: dict) -> ShapeField:
-    """The ShapeField of a parsed field file; SchemaError on wrong keys, types or shapes."""
+    """The ShapeField of a parsed field file (an ``operators`` entry per run of samples, or, as older
+    versions wrote, a ``shape_operator`` in each sample); SchemaError on bad keys, types or shapes."""
     _expect(isinstance(data, dict), "top level must be an object")
     for key in ("spec", "samples", "minimal_claimed"):
         _expect(key in data, f"missing top-level key {key!r}")
@@ -680,28 +691,44 @@ def field_from_dict(data: dict) -> ShapeField:
             params=dict(raw_spec["params"]),
             grid=tuple(raw_spec["grid"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, BadParams, BadDimension) as exc:
         raise SchemaError(f"spec: {exc}") from exc
     raw_samples = data["samples"]
     _expect(isinstance(raw_samples, list) and raw_samples, "samples must be a nonempty list")
     _expect(math.prod(spec.grid) == len(raw_samples),
             f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
             f"but there are {len(raw_samples)} samples")
+    legacy = "operators" not in data  # earlier versions wrote a shape_operator in every sample
     # other sample keys are ignored, such as the umbilic_flag that earlier versions wrote
-    keys = ("coords", "shape_operator", "area_weight")
+    keys = ("coords", "shape_operator", "area_weight") if legacy else ("coords", "area_weight")
     required = set(keys)
     if not all(isinstance(raw, dict) and raw.keys() >= required for raw in raw_samples):
         i, raw = next((i, raw) for i, raw in enumerate(raw_samples)
                       if not (isinstance(raw, dict) and raw.keys() >= required))
         _expect(isinstance(raw, dict), f"sample {i} must be an object")
         raise SchemaError(f"sample {i} missing key {next(k for k in keys if k not in raw)!r}")
-    coords, operators, weights = ([raw[key] for raw in raw_samples] for key in keys)
+    if legacy:  # a table of one entry per sample
+        table, item = raw_samples, "sample"
+    else:
+        table, item = data["operators"], "operators entry"
+        _expect(isinstance(table, list)
+                and all(isinstance(e, dict) and e.keys() >= {"count", "shape_operator"} for e in table),
+                "operators must be a list of objects with keys 'count' and 'shape_operator'")
+        counts = [e["count"] for e in table]
+        bad = next((i for i, k in enumerate(counts) if type(k) is not int or k < 1), None)
+        _expect(bad is None, f"operators entry {bad}: count must be an integer >= 1")
+        _expect(sum(counts) == len(raw_samples),
+                f"operators counts add up to {sum(counts)}, but there are {len(raw_samples)} samples")
     n, d = spec.n, len(spec.grid)
+    coords = _stacked([raw["coords"] for raw in raw_samples], (d,),
+                      f"coords must be a list of {d} numbers, one per grid direction")
+    operators = _stacked([e["shape_operator"] for e in table], (n, n),
+                         f"shape_operator must be a list of {n} lists of {n} numbers", item)
     return ShapeField(
-        spec,
-        _stacked(coords, (d,), f"coords must be a list of {d} numbers, one per grid direction"),
-        _stacked(operators, (n, n), f"shape_operator must be a list of {n} lists of {n} numbers"),
-        _stacked(weights, (), "area_weight must be a number"),
+        spec, coords,
+        # counts of at least 1 that add up to N are all 1 when there are N entries
+        operators if len(table) == len(raw_samples) else np.repeat(operators, counts, axis=0),
+        _stacked([raw["area_weight"] for raw in raw_samples], (), "area_weight must be a number"),
         minimal_claimed=data["minimal_claimed"])
 
 

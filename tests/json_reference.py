@@ -5,6 +5,7 @@ their bytes with ``json.dumps(reference, indent=2, sort_keys=True) + "\\n"``
 of the objects built here, which share no code with the streaming writer.
 """
 
+import copy
 import dataclasses
 import json
 
@@ -17,6 +18,8 @@ def dumped(reference) -> bytes:
 
 
 def field_to_dict(field) -> dict:
+    """The field in the layout that versions before the operator table wrote: every sample
+    holds its own ``shape_operator``. Readers still accept it."""
     spec = dataclasses.asdict(field.spec)
     spec["grid"] = list(field.spec.grid)
     samples = []
@@ -24,6 +27,46 @@ def field_to_dict(field) -> dict:
                                         field.weights.tolist()):
         samples.append({"coords": coords, "shape_operator": operator, "area_weight": weight})
     return {"spec": spec, "samples": samples, "minimal_claimed": field.minimal_claimed}
+
+
+def field_to_table_dict(field) -> dict:
+    """The field as save_field writes it: one ``operators`` entry, with the ``count`` of samples
+    it covers, per run of equal consecutive operators. Runs are found in pure Python by the
+    float.hex text of each entry, so -0.0 and 0.0 count as different."""
+    data = field_to_dict(field)
+    operators, previous = [], None
+    for sample in data["samples"]:
+        operator = sample.pop("shape_operator")
+        key = [[value.hex() for value in row] for row in operator]
+        if key != previous:
+            operators.append({"count": 0, "shape_operator": operator})
+            previous = key
+        operators[-1]["count"] += 1
+    data["operators"] = operators
+    return data
+
+
+def to_legacy(data: dict) -> dict:
+    """Rewrite a parsed field file, in place, to the per-sample layout of ``field_to_dict``."""
+    samples = iter(data["samples"])
+    for entry in data.pop("operators"):
+        for _ in range(entry["count"]):
+            next(samples)["shape_operator"] = copy.deepcopy(entry["shape_operator"])
+    return data
+
+
+def own_entry(data: dict, i: int) -> dict:
+    """Split the ``operators`` run that holds sample ``i``, in place, so that sample ``i`` has an
+    entry of its own, a copy of the run's; return that entry."""
+    start = 0
+    for k, entry in enumerate(data["operators"]):
+        if start + entry["count"] > i:
+            break
+        start += entry["count"]
+    parts = [{"count": count, "shape_operator": copy.deepcopy(entry["shape_operator"])}
+             for count in (i - start, 1, start + entry["count"] - i - 1)]
+    data["operators"][k:k + 1] = [part for part in parts if part["count"]]
+    return parts[1]
 
 
 def report_to_dict(report) -> dict:

@@ -6,9 +6,12 @@ Each tree is a directory that holds the ``rigidity`` package (a checkout's
 ``src``). Every case below runs through the CLI of each tree in a subprocess
 with ``OPENBLAS_NUM_THREADS=1``: ``catalog`` then ``analyze --csv`` of a
 surface, or ``verify``. Both trees write to the same paths in one scratch
-directory, since an analyze report echoes its field path. The script prints
-one equal/different line per file, exit code and stdout, and exits 1 on any
-difference. pytest does not collect it.
+directory, since an analyze report echoes its field path. A cross-read pass
+then has CHANGE ``analyze`` the field files that PARENT wrote: its exit codes,
+stdout, reports and CSVs must equal the ones it gave for its own field files.
+The other direction is not checked, since an older reader need not know a
+newer layout. The script prints one equal/different line per file, exit code
+and stdout, and exits 1 on any difference. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -57,21 +60,49 @@ def commands():
         yield case, [["verify", *args.split(), "--out", report]], (report,)
 
 
+def run(src: Path, work: Path, argvs, files, fields=None) -> dict:
+    """Exit codes, stdout and ``files`` of the CLI calls ``argvs`` with the package in ``src``;
+    ``fields`` maps file names to bytes written into ``work`` first."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    for name, text in (fields or {}).items():
+        (work / name).write_bytes(text)
+    seen = {}
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=work, env=env,
+                              capture_output=True)
+        seen[f"{argv[0]} exit"] = str(done.returncode).encode()
+        seen[f"{argv[0]} stdout"] = done.stdout
+    for name in [*files, *(fields or {})]:
+        path = work / name
+        seen.setdefault(name, path.read_bytes() if path.exists() else None)
+        if path.exists():
+            path.unlink()
+    return seen
+
+
+def keyed(case: str, files, seen: dict) -> dict:
+    # files by name, exit codes and stdout by case and subcommand
+    return {key if key in files else f"{case} {key}": value for key, value in seen.items()}
+
+
 def outputs(src: Path, work: Path) -> dict:
     """Every file, exit code and stdout of the cases, run with the package in ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     seen = {}
     for case, argvs, files in commands():
-        for argv in argvs:
-            done = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=work, env=env,
-                                  capture_output=True)
-            seen[f"{case} {argv[0]} exit"] = str(done.returncode).encode()
-            seen[f"{case} {argv[0]} stdout"] = done.stdout
-        for name in files:
-            path = work / name
-            seen[name] = path.read_bytes() if path.exists() else None
-            if path.exists():
-                path.unlink()
+        seen.update(keyed(case, files, run(src, work, argvs, files)))
+    return seen
+
+
+def cross_read(src: Path, work: Path, fields: dict) -> dict:
+    """What ``analyze`` with the package in ``src`` writes and prints for each surface case's
+    field file in ``fields``, keyed as ``outputs`` keys the tree's own."""
+    seen = {}
+    for case, argvs, files in commands():
+        if case in SURFACES and fields[files[0]] is not None:
+            field, report, csv = files
+            seen.update(keyed(case, files,
+                              run(src, work, argvs[1:], (report, csv), {field: fields[field]})))
+            del seen[field]
     return seen
 
 
@@ -82,13 +113,17 @@ def main(argv=None) -> int:
         return 2
     parent, change = (Path(arg).resolve() for arg in args)
     with tempfile.TemporaryDirectory() as tmp:
-        before, after = outputs(parent, Path(tmp)), outputs(change, Path(tmp))
-    different = 0
-    for key in before:
-        same = before[key] is not None and before[key] == after[key]
-        different += not same
-        print(f"{'equal' if same else 'DIFFERENT'}  {key}")
-    print(f"{len(before) - different} equal, {different} different")
+        work = Path(tmp)
+        before, after = outputs(parent, work), outputs(change, work)
+        pairs = [("", before, after), ("cross-read: ", after, cross_read(change, work, before))]
+    different = total = 0
+    for label, own, other in pairs:
+        for key in other if label else own:
+            same = own[key] is not None and own[key] == other[key]
+            different += not same
+            total += 1
+            print(f"{'equal' if same else 'DIFFERENT'}  {label}{key}")
+    print(f"{total - different} equal, {different} different")
     return 1 if different else 0
 
 

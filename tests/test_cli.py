@@ -25,7 +25,7 @@ from rigidity.surfaces import (
     save_field,
 )
 
-from json_reference import saved_dict
+from json_reference import own_entry, saved_dict, to_legacy
 
 # the check families of a verify report, in the order the campaign runs them
 CHECK_FAMILIES = (
@@ -242,6 +242,20 @@ class TestAnalyze:
         report = read_json(out)
         assert report["report"]["classification"] == "CatenoidCandidate"
 
+    @pytest.mark.parametrize("legacy", [False, True], ids=["table", "legacy"])
+    def test_perturbed_operator_fails_the_catenoid_gate(self, tmp_path, catenoid_path, legacy):
+        # one sample's operator moved off its orbit's by a symmetric 1e-3 is no catenoid, in the
+        # operators table and in the per-sample layout of earlier versions alike
+        data = read_json(catenoid_path)
+        operator = (to_legacy(data)["samples"][9] if legacy else own_entry(data, 9))["shape_operator"]
+        operator[0][1] += 1e-3
+        operator[1][0] += 1e-3
+        field_path, out = tmp_path / "field.json", tmp_path / "report.json"
+        field_path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["analyze", "--field", str(field_path), "--out", str(out)]) == 0
+        report = read_json(out)["report"]
+        assert report["classification"] != "CatenoidCandidate" and report["E_rot"] > 0
+
     def test_ellipsoid_assert_zero_fails(self, tmp_path):
         field_path = tmp_path / "ell.json"
         assert main(["catalog", "--surface", "ellipsoid", "--n", "4",
@@ -309,7 +323,7 @@ class TestAnalyze:
 
     def test_schema_error_names_sample(self, tmp_path, catenoid_path, capsys):
         data = read_json(catenoid_path)
-        data["samples"][3]["shape_operator"][0][1] = 99.0
+        own_entry(data, 3)["shape_operator"][0][1] = 99.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
         code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json")])
@@ -374,7 +388,7 @@ class TestAnalyze:
         lambda d: d["spec"].update(grid="16x4"),
         lambda d: d["spec"].update(params=[1.0, 2.0]),
         lambda d: d["samples"][0].update(coords="abc"),
-        lambda d: d["samples"][0]["shape_operator"][1].pop(),
+        lambda d: d["operators"][0]["shape_operator"][1].pop(),
         lambda d: d.update(minimal_claimed="no"),
         lambda d: d["spec"].update(n=4.9),
         lambda d: d["spec"].update(grid=[16.7, 4.2]),
@@ -387,10 +401,11 @@ class TestAnalyze:
         lambda d: d["spec"].update(kind="Torus"),
         # no version of the package writes this kind
         lambda d: d["spec"].update(kind="FieldFile"),
+        lambda d: to_legacy(d)["samples"][0]["shape_operator"][1].pop(),
     ], ids=["string_n", "string_grid", "list_params", "string_coords", "ragged_operator",
             "string_minimal_claimed", "float_n", "float_grid", "bool_weight",
             "coords_too_long", "coords_empty", "integer_weight_beyond_double", "empty_grid",
-            "unknown_kind", "field_file_kind"])
+            "unknown_kind", "field_file_kind", "ragged_operator_legacy"])
     def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
         data = read_json(catenoid_path)
         edit(data)
@@ -400,12 +415,15 @@ class TestAnalyze:
         assert code == 2
         assert "analyze:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("previous", [None, "previous report\n"], ids=["absent", "existing"])
-    def test_overflowing_report_exit_2_and_out_untouched(self, tmp_path, capsys, previous):
+    @pytest.mark.parametrize("previous, legacy", [
+        (None, False), ("previous report\n", False), (None, True), ("previous report\n", True),
+    ], ids=["absent", "existing", "absent_legacy", "existing_legacy"])
+    def test_overflowing_report_exit_2_and_out_untouched(self, tmp_path, capsys, previous, legacy):
         data = saved_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]), tmp_path)
         for sample in data["samples"]:
             sample["area_weight"] = 1e308
-            sample["shape_operator"] = (1e3 * np.diag([1.0, 1.0, 1.0, 0.0])).tolist()
+        for entry in (to_legacy(data)["samples"] if legacy else data["operators"]):
+            entry["shape_operator"] = (1e3 * np.diag([1.0, 1.0, 1.0, 0.0])).tolist()
         field_path = tmp_path / "field.json"
         field_path.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "r.json"
@@ -439,9 +457,16 @@ class TestAnalyze:
             assert out.read_text(encoding="utf-8") == previous
 
     def test_huge_entries_exit_2(self, tmp_path, capsys):
+        self.check_huge_entries(tmp_path, capsys, legacy=False)
+
+    def test_huge_entries_in_legacy_layout_exit_2(self, tmp_path, capsys):
+        self.check_huge_entries(tmp_path, capsys, legacy=True)
+
+    @staticmethod
+    def check_huge_entries(tmp_path, capsys, legacy):
         data = saved_dict(build_cylinder(5, 1.0, 2.0, grid=[2, 2]), tmp_path)
-        for sample in data["samples"]:
-            sample["shape_operator"] = (1e100 * np.array(sample["shape_operator"])).tolist()
+        for entry in (to_legacy(data)["samples"] if legacy else data["operators"]):
+            entry["shape_operator"] = (1e100 * np.array(entry["shape_operator"])).tolist()
         field_path = tmp_path / "field.json"
         field_path.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "r.json"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rigidity.cli import main
 from rigidity.energy import report_to_dict, rotational_energy
@@ -25,7 +27,7 @@ from rigidity.surfaces import (
 )
 from rigidity.verify import run_verification_campaign
 
-from json_reference import analyze_payload, dumped, field_to_dict
+from json_reference import analyze_payload, dumped, field_to_dict, field_to_table_dict
 
 CATALOG = {
     "sphere": lambda: build_sphere(4, 1.5, grid=[3, 3, 3, 4]),
@@ -45,7 +47,30 @@ def test_field_bytes_match_reference(tmp_path, build):
     field = build()
     path = tmp_path / "field.json"
     save_field(field, path)
-    assert path.read_bytes() == dumped(field_to_dict(field))
+    assert path.read_bytes() == dumped(field_to_table_dict(field))
+
+
+@pytest.mark.parametrize("build", CATALOG.values(), ids=CATALOG.keys())
+def test_legacy_layout_reads_the_same(tmp_path, build):
+    # a file in the per-sample layout of earlier versions loads bit for bit, and analyze
+    # writes the same report and CSV bytes for it as for the file save_field writes
+    field = build()
+    field_path, out, csv_path = tmp_path / "field.json", tmp_path / "report.json", tmp_path / "s.csv"
+    outputs = []
+    for legacy in (False, True):
+        if legacy:
+            field_path.write_bytes(dumped(field_to_dict(field)))
+        else:
+            save_field(field, field_path)
+        loaded = ingest_field(field_path)
+        assert loaded.spec == field.spec and loaded.minimal_claimed == field.minimal_claimed
+        for name in ("coords", "operators", "weights"):
+            assert np.array_equal(getattr(loaded, name).view(np.int64),
+                                  getattr(field, name).view(np.int64))
+        assert main(["analyze", "--field", str(field_path), "--out", str(out),
+                     "--csv", str(csv_path)]) == 0
+        outputs.append((out.read_bytes(), csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("build", CATALOG.values(), ids=CATALOG.keys())
@@ -81,7 +106,70 @@ def test_chunk_edges_and_extreme_values(tmp_path, count):
     field = edge_field(count)
     path = tmp_path / "field.json"
     save_field(field, path)
-    assert path.read_bytes() == dumped(field_to_dict(field))
+    assert path.read_bytes() == dumped(field_to_table_dict(field))
+
+
+def test_runs_split_at_any_bit_difference(tmp_path):
+    # runs of 1 to 4 equal operators over several chunks; neighbouring runs that differ only
+    # in the sign of a zero, or in the last bit of one entry, stay separate entries
+    count = 2 * _CHUNK + 3
+    field = edge_field(count)
+    runs = np.resize([1, 2, 3, 4], count)
+    operators = field.operators[np.repeat(np.arange(count), runs)[:count]]
+    operators[1:3, 2, 3] = operators[1:3, 3, 2] = 0.0
+    operators[3:6] = operators[1]
+    operators[3:6, 2, 3] = operators[3:6, 3, 2] = -0.0
+    operators[6:9] = operators[3]
+    operators[6:9, 0, 0] = np.nextafter(operators[3, 0, 0], math.inf)
+    spec = dataclasses.replace(field.spec, grid=(5, count // 5))
+    field = ShapeField(spec, field.coords, operators, field.weights)
+    path = tmp_path / "field.json"
+    save_field(field, path)
+    reference = field_to_table_dict(field)
+    assert [entry["count"] for entry in reference["operators"][:4]] == [1, 2, 3, 3]
+    assert path.read_bytes() == dumped(reference)
+    loaded = ingest_field(path)
+    assert np.array_equal(loaded.operators.view(np.int64), operators.view(np.int64))
+
+
+# finite doubles, weighted toward signed zeros, subnormals and the ends of the range
+ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1.7976931348623157e308,
+                           -1.7976931348623157e308, 1e-300]) | st.floats(allow_nan=False,
+                                                                         allow_infinity=False)
+MATRICES = st.lists(ENTRIES, min_size=10, max_size=10)  # upper triangle of a symmetric 4 x 4
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(MATRICES, st.integers(1, 30), st.booleans()), min_size=2, max_size=8),
+       st.data())
+def test_round_trip_is_bit_exact(tmp_path, runs, data):
+    # the runs, twice over: a (2, len) grid; a twin run differs from the one before it only in
+    # its last entry, by the sign of a zero or by one step toward zero
+    operators = []
+    for upper, length, twin in runs:
+        matrix = np.zeros((4, 4))
+        matrix[np.triu_indices(4)] = matrix.T[np.triu_indices(4)] = upper
+        if twin and operators:
+            matrix = operators[-1].copy()
+            last = matrix[3, 3]
+            matrix[3, 3] = -last if last == 0.0 else np.nextafter(last, 0.0)
+        operators += [matrix] * length
+    operators = np.array(operators * 2)
+    count = len(operators)
+    coords = np.resize(data.draw(st.lists(ENTRIES, min_size=1, max_size=9)), (count, 2))
+    weights = np.resize(data.draw(st.lists(st.floats(min_value=5e-324,
+                                                     max_value=1.7976931348623157e308),
+                                           min_size=1, max_size=9)), count)
+    field = ShapeField(SurfaceSpec("Chart", 4, {}, (2, count // 2)), coords, operators, weights)
+    path = tmp_path / "field.json"
+    save_field(field, path)
+    assert path.read_bytes() == dumped(field_to_table_dict(field))
+    loaded = ingest_field(path)
+    assert loaded.spec == field.spec
+    for name in ("coords", "operators", "weights"):
+        assert np.array_equal(getattr(loaded, name).view(np.int64),
+                              getattr(field, name).view(np.int64))
 
 
 def test_strings_booleans_integers_and_nesting(tmp_path):

@@ -36,7 +36,7 @@ from rigidity.surfaces import (
     unit_sphere_volume,
 )
 
-from json_reference import saved_dict
+from json_reference import own_entry, saved_dict, to_legacy
 from reference import SymMatrix, derived_rng, main_inequality, random_rotation, trace_free_project
 
 
@@ -376,6 +376,12 @@ class TestShapeField:
             ShapeField(base.spec, base.coords[:0], base.operators[:0], base.weights[:0])
 
 
+def profile_field():
+    """A rotation field of 8 samples on 4 orbits with 4 different operators: one run per orbit."""
+    return build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[4, 2], t_range=(0.0, 1.0),
+                                       fp=lambda t: 2.0 * t, fpp=lambda t: 2.0)
+
+
 class TestFieldIO:
     def test_round_trip_identity(self, tmp_path):
         field = build_cylinder(4, 2.0, 1.5, grid=[3, 4])
@@ -390,8 +396,25 @@ class TestFieldIO:
     def test_asymmetric_matrix_names_sample(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[4, 2])
         data = saved_dict(field, tmp_path)
+        own_entry(data, 7)["shape_operator"][0][1] = 0.25
+        with pytest.raises(InvariantViolation, match="sample 7"):
+            field_from_dict(data)
+
+    def test_asymmetric_matrix_names_sample_in_legacy_layout(self, tmp_path):
+        data = to_legacy(saved_dict(build_cylinder(4, 1.0, 1.0, grid=[4, 2]), tmp_path))
         data["samples"][7]["shape_operator"][0][1] = 0.25
         with pytest.raises(InvariantViolation, match="sample 7"):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("value, message", [
+        (0.25, "sample 6: .*not exactly symmetric"),
+        (math.nan, "sample 6: .*must be finite"),
+    ], ids=["asymmetric", "nan"])
+    def test_bad_entry_names_first_sample_using_it(self, tmp_path, value, message):
+        data = saved_dict(profile_field(), tmp_path)
+        assert [entry["count"] for entry in data["operators"]] == [2, 2, 2, 2]
+        data["operators"][3]["shape_operator"][0][1] = value
+        with pytest.raises(InvariantViolation, match=message):
             field_from_dict(data)
 
     def test_negative_weight_rejected(self, tmp_path):
@@ -410,15 +433,52 @@ class TestFieldIO:
         with pytest.raises(SchemaError, match="sample 0"):
             field_from_dict(data)
 
-    @pytest.mark.parametrize("key, edit", [
-        ("coords", lambda sample: sample["coords"].__setitem__(0, True)),
-        ("shape_operator", lambda sample: sample["shape_operator"][3].__setitem__(3, False)),
-    ], ids=["coords", "shape_operator"])
-    def test_boolean_in_row_rejected(self, tmp_path, key, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["samples"][5]["coords"].__setitem__(0, True), "sample 5: coords"),
+        (lambda d: d["operators"][0]["shape_operator"][3].__setitem__(3, False),
+         "operators entry 0: shape_operator"),
+        (lambda d: to_legacy(d)["samples"][5]["shape_operator"][3].__setitem__(3, False),
+         "sample 5: shape_operator"),
+    ], ids=["coords", "shape_operator", "shape_operator_legacy"])
+    def test_boolean_in_row_rejected(self, tmp_path, edit, message):
         # numpy would read [true, 0.5] as [1.0, 0.5]; a row holds JSON numbers only
         data = saved_dict(build_cylinder(4, 1.0, 1.0, grid=[4, 2]), tmp_path)
-        edit(data["samples"][5])
-        with pytest.raises(SchemaError, match=f"sample 5: {key}"):
+        edit(data)
+        with pytest.raises(SchemaError, match=message):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["operators"][1].update(count=2.0), "operators entry 1: count must be an int"),
+        (lambda d: d["operators"][1].update(count=True), "operators entry 1: count must be an int"),
+        (lambda d: d["operators"][1].update(count="2"), "operators entry 1: count must be an int"),
+        (lambda d: d["operators"][1].update(count=0), "operators entry 1: count must be an int"),
+        (lambda d: d["operators"][1].update(count=-1), "operators entry 1: count must be an int"),
+        (lambda d: d["operators"][1].update(count=3), "add up to 9, but there are 8 samples"),
+        (lambda d: d["operators"][1].update(count=10 ** 30), "add up to 10+6, but there are 8"),
+        (lambda d: d["operators"].pop(), "add up to 6, but there are 8 samples"),
+        (lambda d: d.update(operators=[]), "add up to 0, but there are 8 samples"),
+        (lambda d: d["operators"][1]["shape_operator"].pop(), "operators entry 1: shape_operator"),
+        (lambda d: d["operators"][1].pop("count"), "operators must be a list of objects"),
+        (lambda d: d["operators"][1].pop("shape_operator"), "operators must be a list of objects"),
+        (lambda d: d.update(operators=None), "operators must be a list of objects"),
+    ], ids=["float", "bool", "string", "zero", "negative", "too_many", "beyond_int64",
+            "too_few", "empty_table", "ragged_entry", "entry_without_count",
+            "entry_without_matrix", "null_table"])
+    def test_operator_table_schema_errors(self, tmp_path, edit, message):
+        data = saved_dict(profile_field(), tmp_path)
+        edit(data)
+        with pytest.raises(SchemaError, match=message):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("kind", "Torus", "spec: kind 'Torus' is not a surface kind"),
+        ("n", 3, "spec: n, the hypersurface dimension, must be >= 4, got 3"),
+        ("grid", [1, 4], r"spec: grid counts must be >= 2, got \(1, 4\)"),
+    ], ids=["unknown_kind", "n_below_4", "grid_count_1"])
+    def test_spec_refused_by_surface_spec_is_schema_error(self, tmp_path, key, value, message):
+        data = saved_dict(build_cylinder(4, 1.0, 1.0, grid=[2, 2]), tmp_path)
+        data["spec"][key] = value
+        with pytest.raises(SchemaError, match=message):
             field_from_dict(data)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
