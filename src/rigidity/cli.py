@@ -17,16 +17,13 @@ import numpy as np
 from .defaults import ARTIFACT, TOLERANCES, VERSION
 from .energy import report_csv, report_to_dict, rotational_energy
 from .errors import BadParams, RigidityError
+from .fields import ingest_field, save_field, write_json, write_text
 from .surfaces import (
-    _write_json,
-    _write_text,
     build_catenoid,
     build_cylinder,
     build_ellipsoid,
     build_rotation_hypersurface,
     build_sphere,
-    ingest_field,
-    save_field,
 )
 from .verify import run_verification_campaign
 
@@ -95,7 +92,7 @@ def make_parser() -> argparse.ArgumentParser:
 def cmd_verify(args) -> int:
     report = run_verification_campaign(args.n, args.samples, args.seed,
                                        lambda_count=args.lambda_count)
-    _write_json(args.out, report)
+    write_json(args.out, report)
     families = report["checks"]
     passed = sum(1 for stats in families.values() if stats["pass"])
     print(f"verify: {passed}/{len(families)} check families passed; report written to {args.out}")
@@ -166,9 +163,9 @@ def cmd_analyze(args) -> int:
         # the gate fails closed, and a non-finite energy cannot be written as JSON
         print(f"analyze: E_rot_conf is {report.e_rot_conf}; no report written", file=sys.stderr)
         return 1
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     if args.csv:
-        _write_text(args.csv, report_csv(report))
+        write_text(args.csv, report_csv(report))
     print(f"analyze: {field.spec.kind} n={field.spec.n} classification={report.classification} "
           f"E_rot={report.e_rot:.6e} E_rot_conf={report.e_rot_conf:.6e}")
     if tol is not None:

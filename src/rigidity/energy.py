@@ -16,16 +16,14 @@ import numpy as np
 
 from .defaults import tolerance
 from .errors import InvalidField, NonFiniteResult
+from .fields import SampleTable, ShapeField, equal_runs, text_rows
 from .inequalities import classify_spectrum_batch, main_inequality_batch
 from .inequalities import main_inequality  # noqa: F401  (unused; the benchmark's tests read it)
 from .spectral import examine_batch, trace_free_project_batch
-from .surfaces import (_CHUNK, SampleTable, ShapeField, _area_weights, _equal_runs, _json_texts,
-                       _weight_scale)
 
 __all__ = [
     "EnergyReport",
     "rotational_energy",
-    "conformal_rescale",
     "report_to_dict",
     "report_csv",
 ]
@@ -64,7 +62,7 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
         raise InvalidField("expected a ShapeField")
     n, operators, weights = field.spec.n, field.operators, field.weights  # SurfaceSpec keeps n >= 4
     # the kernels run once per run of equal operators (an orbit, or a sphere); results are per matrix
-    starts, runs = _equal_runs(operators)
+    starts, runs = equal_runs(operators)
     distinct = operators[starts]
     try:
         stack = examine_batch(trace_free_project_batch(distinct))
@@ -110,19 +108,8 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     )
 
 
-def conformal_rescale(field: ShapeField, t: float) -> ShapeField:
-    """Field of the same immersion with the ambient metric scaled by t^2.
-
-    Shape operators map A -> A / t and area weights map w -> t^n w, so the
-    conformal energy is unchanged while the plain energy picks up t^(n-4).
-    """
-    weights = _area_weights(f"t {t}", field.weights, _weight_scale("t", t, field.spec.n))
-    return ShapeField(field.spec, field.coords, field.operators / t, weights,
-                      minimal_claimed=field.minimal_claimed)
-
-
 def report_to_dict(report: EnergyReport) -> dict:
-    """The report's JSON object; its ``pointwise`` list is a SampleTable for ``_write_json``."""
+    """The report's JSON object; its ``pointwise`` list is a SampleTable for ``write_json``."""
     count = len(report.pointwise["weight"])
     return {
         "E_rot": report.e_rot,
@@ -139,14 +126,10 @@ def report_to_dict(report: EnergyReport) -> dict:
 
 def report_csv(report: EnergyReport):
     """The flat per-sample export as the text pieces of a header and one row per sample, with
-    the bytes of csv.writer: the repr of each float, made once per distinct value in a piece."""
+    the bytes of csv.writer, rendered by ``text_rows``: the repr of each number, the kind as is."""
     p = report.pointwise
     keys = ("tracefree_norm_sq", "tracefree_sq_norm_sq", "defect")
     header = [f"coord{i}" for i in range(p["coords"].shape[1])] + [*keys, "equality_kind"]
-    row = ",".join(["%s"] * len(header)) + "\r\n"
     yield ",".join(header) + "\r\n"
-    for lo in range(0, len(p["weight"]), _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        texts = [_json_texts(p["coords"][part])] + [_json_texts(p[key][part, None]) for key in keys]
-        texts.append(p["equality_kind"][part, None].astype(object))
-        yield row * len(texts[0]) % tuple(np.concatenate(texts, axis=1).ravel().tolist())
+    yield from text_rows([p["coords"], *(p[key] for key in keys), p["equality_kind"]],
+                         ",".join(["%s"] * len(header)) + "\r\n", strings=str)

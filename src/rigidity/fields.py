@@ -1,0 +1,327 @@
+"""The shape-field record, its JSON files, and the text writer that reports share.
+
+A field is a ``SurfaceSpec`` plus per-sample coordinates, shape operators and
+area weights. Files keep each run of equal consecutive operators once. The
+writer streams ``SampleTable`` columns through one chunked text renderer,
+``text_rows``, which the per-sample CSV export shares.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import shutil
+import tempfile
+from dataclasses import asdict, dataclass
+from itertools import chain
+
+import numpy as np
+
+from .defaults import tolerance
+from .errors import BadDimension, BadParams, InvariantViolation, NonFiniteResult, ParseError, SchemaError
+
+__all__ = [
+    "SURFACE_KINDS",
+    "SurfaceSpec",
+    "ShapeField",
+    "equal_runs",
+    "CHUNK",
+    "text_rows",
+    "SampleTable",
+    "write_json",
+    "write_text",
+    "save_field",
+    "field_from_dict",
+    "ingest_field",
+]
+
+SURFACE_KINDS = ("Sphere", "Cylinder", "RotationHypersurface", "Catenoid", "Chart")
+
+
+@dataclass(frozen=True)
+class SurfaceSpec:
+    """Construction record for a sampled hypersurface."""
+
+    kind: str
+    n: int
+    params: dict
+    grid: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in SURFACE_KINDS:
+            raise BadParams(f"kind {self.kind!r} is not a surface kind; valid: {SURFACE_KINDS}")
+        if self.n < 4:
+            raise BadDimension(f"n, the hypersurface dimension, must be >= 4, got {self.n}")
+        if not self.grid:
+            raise BadParams("grid must contain at least one count")
+        if any(g < 2 for g in self.grid):
+            raise BadParams(f"grid counts must be >= 2, got {self.grid}")
+
+
+@dataclass(frozen=True, eq=False)
+class ShapeField:
+    """Samples of an immersed hypersurface patch as read-only arrays: parameter ``coords``
+    (N, len(spec.grid)), exactly symmetric finite shape ``operators`` (N, n, n) and positive
+    finite quadrature ``weights`` (N,). Built and ingested fields pass the same checks, each
+    naming the first sample that fails it.
+    """
+
+    spec: SurfaceSpec
+    coords: np.ndarray
+    operators: np.ndarray
+    weights: np.ndarray
+    minimal_claimed: bool = False
+
+    def __post_init__(self) -> None:
+        coords, operators, weights = (np.array(a, dtype=float)
+                                      for a in (self.coords, self.operators, self.weights))
+        count, n = weights.size, self.spec.n
+        if not count:
+            raise InvariantViolation("shape field must contain at least one sample")
+        for name, array, shape in (("weights", weights, (count,)),
+                                   ("operators", operators, (count, n, n)),
+                                   ("coords", coords, (count, len(self.spec.grid)))):
+            if array.shape != shape:
+                raise InvariantViolation(f"{name} have shape {array.shape}, expected {shape}")
+        _first_bad(~np.isfinite(coords).all(axis=1), "coords must be finite")
+        _first_bad(~np.isfinite(operators).all(axis=(1, 2)), "shape operator entries must be finite")
+        _first_bad((operators != np.swapaxes(operators, 1, 2)).any(axis=(1, 2)),
+                   "shape operator entries are not exactly symmetric")
+        _first_bad(~((weights > 0.0) & (weights < math.inf)),
+                   lambda i: f"area weight must be positive and finite, got {weights[i]}")
+        if self.minimal_claimed:
+            tol = tolerance("minimality_tol")
+            residual = (np.abs(np.trace(operators, axis1=1, axis2=2))
+                        / (1.0 + np.sqrt((operators * operators).sum(axis=(1, 2)))))
+            _first_bad(residual > tol,
+                       lambda i: f"minimality residual {residual[i]:.3e} exceeds {tol:.1e}")
+        for name, array in (("coords", coords), ("operators", operators), ("weights", weights)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+
+def _first_bad(bad: np.ndarray, message) -> None:
+    """InvariantViolation naming the first sample where ``bad`` holds; ``message`` may take its index."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation(f"sample {i}: {message(i) if callable(message) else message}")
+
+
+def equal_runs(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First sample and length of each run of bitwise-equal consecutive operators (N, n, n)."""
+    bits = operators.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))])
+    return starts, np.diff(np.r_[starts, len(operators)])
+
+
+CHUNK = 256  # samples per piece of text that text_rows renders
+
+
+def _texts(part: np.ndarray, strings) -> np.ndarray:
+    """The text of each entry of ``part``, made once per distinct value (floats by bit pattern,
+    so -0.0 keeps its sign): the repr of a number, which is what json and csv write, else
+    ``strings`` of the value."""
+    keys = part.view(np.int64) if part.dtype.kind == "f" else part
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    render = repr if part.dtype.kind in "fiu" else strings
+    texts = [render(value) for value in part.ravel()[first].tolist()]
+    return np.array(texts, dtype=object)[inverse].reshape(part.shape)
+
+
+def text_rows(columns, row: str, strings=json.dumps):
+    """The text of one ``row`` per sample, ``CHUNK`` samples a piece: ``row`` holds a %s for each
+    entry of a sample's ``columns`` (per-sample arrays, trailing axes flattened), in order."""
+    columns = list(columns)
+    count = len(columns[0])
+    for lo in range(0, count, CHUNK):
+        hi = min(lo + CHUNK, count)
+        values = np.concatenate([_texts(column[lo:hi].reshape(hi - lo, -1), strings)
+                                 for column in columns], axis=1)
+        yield row * (hi - lo) % tuple(values.ravel().tolist())
+
+
+class SampleTable:
+    """Columns of per-sample arrays (numbers, booleans or strings; trailing axes become nested
+    lists) that ``write_json`` writes as a list of one JSON object per sample, key-sorted."""
+
+    def __init__(self, columns: dict) -> None:
+        self.columns = {key: np.asarray(value) for key, value in sorted(columns.items())}
+
+    def nonfinite(self) -> str | None:
+        """The first inf or NaN, by key then sample, as a message."""
+        for key, column in self.columns.items():
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                i = int(np.argmin(np.isfinite(column).all(axis=tuple(range(1, column.ndim)))))
+                return f"sample {i}: {key} {column[i].tolist()} is not JSON compliant"
+        return None
+
+    def pieces(self, indent: str):
+        """The list's JSON text at ``indent``, rendered by ``text_rows`` into the row template
+        that json.dumps makes of a row of placeholders."""
+        # "\0s", not "\0": numpy strips a trailing NUL from the fill value
+        marks = {key: np.full(column.shape[1:], "\0s", dtype=object).tolist()
+                 for key, column in self.columns.items()}
+        row = json.dumps(marks, indent=2, sort_keys=True).replace("%", "%%").replace('"\\u0000s"', "%s")
+        rows = text_rows(self.columns.values(), f",\n{indent}  " + row.replace("\n", f"\n{indent}  "))
+        yield "[\n" + next(rows)[2:]  # every table has a sample; no comma before the first
+        yield from rows
+        yield f"\n{indent}]"
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as ``json.dump(payload, indent=2, sort_keys=True)`` does, plus a newline.
+
+    A SampleTable anywhere in ``payload`` is streamed from its columns through
+    ``text_rows``, so no per-sample object or whole text is built. An inf or NaN
+    raises NonFiniteResult before anything is written; the text goes to ``path``
+    through ``write_text``.
+    """
+    tables = []
+
+    def mark(value):
+        if not isinstance(value, SampleTable):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        tables.append(value)
+        return f"\0table{len(tables) - 1}\0"
+
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=mark)
+    except ValueError as exc:
+        raise NonFiniteResult(f"{path} not written: {exc}") from exc
+    for table in tables:
+        if problem := table.nonfinite():
+            raise NonFiniteResult(f"{path} not written: {problem}")
+    parts = []
+    for i, table in enumerate(tables):  # in text order, the order json.dumps met them
+        head, text = text.split(f'"\\u0000table{i}\\u0000"', 1)
+        line = head[head.rfind("\n") + 1:]
+        parts += [[head], table.pieces(line[:len(line) - len(line.lstrip(" "))])]
+    write_text(path, chain(*parts, [f"{text}\n"]))
+
+
+def write_text(path, pieces) -> None:
+    """Write text ``pieces`` to a temporary file, copied to ``path`` only once all are made."""
+    with tempfile.TemporaryFile() as tmp:
+        for piece in pieces:
+            tmp.write(piece.encode())
+        tmp.seek(0)
+        with open(path, "wb") as fh:
+            shutil.copyfileobj(tmp, fh)
+
+
+def save_field(field_: ShapeField, path) -> None:
+    """Write ``field_``: each run of equal consecutive shape operators is one ``operators`` entry,
+    its operator and the ``count`` of samples in the run, and ``samples`` holds the rest."""
+    starts, runs = equal_runs(field_.operators)
+    write_json(path, {
+        "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
+        "operators": SampleTable({"count": runs, "shape_operator": field_.operators[starts]}),
+        "samples": SampleTable({"coords": field_.coords, "area_weight": field_.weights}),
+        "minimal_claimed": field_.minimal_claimed,
+    })
+
+
+def _expect(cond: bool, message: str) -> None:
+    if not cond:
+        raise SchemaError(message)
+
+
+def _numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``value`` as a float array if it is JSON numbers, not booleans, nested to ``shape``; else None."""
+    try:
+        array = np.array(value)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an integer beyond int64
+        return None
+    if array.dtype.kind not in "if" or array.shape != shape:
+        return None
+    items = [value]
+    for _ in shape:
+        items = chain.from_iterable(items)
+    # numpy reads true and false among numbers as 1.0 and 0.0
+    return array.astype(float) if set(map(type, items)) <= {int, float} else None
+
+
+def _stacked(values: list, shape: tuple[int, ...], what: str, item: str = "sample") -> np.ndarray:
+    """The ``values`` as one (N, *shape) float array; SchemaError names the first bad ``item``."""
+    array = _numbers(values, (len(values),) + shape)
+    if array is None:
+        bad = next(i for i, value in enumerate(values) if _numbers(value, shape) is None)
+        raise SchemaError(f"{item} {bad}: {what}")
+    return array
+
+
+def field_from_dict(data: dict) -> ShapeField:
+    """The ShapeField of a parsed field file (an ``operators`` entry per run of samples, or, as older
+    versions wrote, a ``shape_operator`` in each sample); SchemaError on bad keys, types or shapes."""
+    _expect(isinstance(data, dict), "top level must be an object")
+    for key in ("spec", "samples", "minimal_claimed"):
+        _expect(key in data, f"missing top-level key {key!r}")
+    _expect(type(data["minimal_claimed"]) is bool, "minimal_claimed must be true or false")
+    raw_spec = data["spec"]
+    _expect(isinstance(raw_spec, dict), "spec must be an object")
+    for key in ("kind", "n", "params", "grid"):
+        _expect(key in raw_spec, f"spec missing key {key!r}")
+    # type() is int: a JSON integer, where isinstance would also let a bool through
+    _expect(type(raw_spec["n"]) is int, "spec n must be an integer")
+    _expect(isinstance(raw_spec["grid"], list) and all(type(g) is int for g in raw_spec["grid"]),
+            "spec grid must be a list of integer counts")
+    # earlier files carry the flat ambient space as this key; the toolkit models no other
+    curvature = raw_spec.get("ambient_curvature", 0.0)
+    _expect(type(curvature) in (int, float) and curvature == 0,
+            "spec ambient_curvature must be 0.0 (flat ambient space) when present")
+    try:
+        spec = SurfaceSpec(
+            kind=str(raw_spec["kind"]),
+            n=raw_spec["n"],
+            params=dict(raw_spec["params"]),
+            grid=tuple(raw_spec["grid"]),
+        )
+    except (TypeError, ValueError, BadParams, BadDimension) as exc:
+        raise SchemaError(f"spec: {exc}") from exc
+    raw_samples = data["samples"]
+    _expect(isinstance(raw_samples, list) and raw_samples, "samples must be a nonempty list")
+    _expect(math.prod(spec.grid) == len(raw_samples),
+            f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
+            f"but there are {len(raw_samples)} samples")
+    legacy = "operators" not in data  # earlier versions wrote a shape_operator in every sample
+    # other sample keys are ignored, such as the umbilic_flag that earlier versions wrote
+    keys = ("coords", "shape_operator", "area_weight") if legacy else ("coords", "area_weight")
+    required = set(keys)
+    if not all(isinstance(raw, dict) and raw.keys() >= required for raw in raw_samples):
+        i, raw = next((i, raw) for i, raw in enumerate(raw_samples)
+                      if not (isinstance(raw, dict) and raw.keys() >= required))
+        _expect(isinstance(raw, dict), f"sample {i} must be an object")
+        raise SchemaError(f"sample {i} missing key {next(k for k in keys if k not in raw)!r}")
+    if legacy:  # a table of one entry per sample
+        table, item = raw_samples, "sample"
+    else:
+        table, item = data["operators"], "operators entry"
+        _expect(isinstance(table, list)
+                and all(isinstance(e, dict) and e.keys() >= {"count", "shape_operator"} for e in table),
+                "operators must be a list of objects with keys 'count' and 'shape_operator'")
+        counts = [e["count"] for e in table]
+        bad = next((i for i, k in enumerate(counts) if type(k) is not int or k < 1), None)
+        _expect(bad is None, f"operators entry {bad}: count must be an integer >= 1")
+        _expect(sum(counts) == len(raw_samples),
+                f"operators counts add up to {sum(counts)}, but there are {len(raw_samples)} samples")
+    n, d = spec.n, len(spec.grid)
+    coords = _stacked([raw["coords"] for raw in raw_samples], (d,),
+                      f"coords must be a list of {d} numbers, one per grid direction")
+    operators = _stacked([e["shape_operator"] for e in table], (n, n),
+                         f"shape_operator must be a list of {n} lists of {n} numbers", item)
+    return ShapeField(
+        spec, coords,
+        # counts of at least 1 that add up to N are all 1 when there are N entries
+        operators if len(table) == len(raw_samples) else np.repeat(operators, counts, axis=0),
+        _stacked([raw["area_weight"] for raw in raw_samples], (), "area_weight must be a number"),
+        minimal_claimed=data["minimal_claimed"])
+
+
+def ingest_field(path) -> ShapeField:
+    """Load and validate a shape-field JSON file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    return field_from_dict(data)

@@ -2,7 +2,8 @@
 
 Analytic families (sphere, cylinder, rotation hypersurfaces, the minimal
 rotation profile), charts differentiated by central differences (a round sphere
-is the ellipsoid chart with equal axes), and a JSON round trip for fields.
+is the ellipsoid chart with equal axes), and the constant conformal rescaling of
+a field. The field record and its files live in ``fields``.
 
 Rotation hypersurfaces are sampled on a (profile, orbit-angle) grid. One function
 gives each profile's curvatures and density; the shape operator is constant along
@@ -12,12 +13,7 @@ is the tensor-product midpoint rule; a weight out of range names its parameters.
 
 from __future__ import annotations
 
-import json
 import math
-import shutil
-import tempfile
-from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -28,17 +24,12 @@ from .errors import (
     BadProfile,
     DegenerateChart,
     InvariantViolation,
-    NonFiniteResult,
     ODEStepFailure,
-    ParseError,
-    SchemaError,
     StepTooLarge,
 )
+from .fields import ShapeField, SurfaceSpec
 
 __all__ = [
-    "SURFACE_KINDS",
-    "SurfaceSpec",
-    "ShapeField",
     "unit_sphere_volume",
     "build_sphere",
     "build_cylinder",
@@ -47,92 +38,10 @@ __all__ = [
     "build_catenoid",
     "build_rotation_hypersurface",
     "chart_shape_operator",
-    "cylinder_chart",
     "ellipsoid_chart",
     "build_ellipsoid",
-    "SampleTable",
-    "field_from_dict",
-    "save_field",
-    "ingest_field",
+    "conformal_rescale",
 ]
-
-SURFACE_KINDS = ("Sphere", "Cylinder", "RotationHypersurface", "Catenoid", "Chart")
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """Construction record for a sampled hypersurface."""
-
-    kind: str
-    n: int
-    params: dict
-    grid: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in SURFACE_KINDS:
-            raise BadParams(f"kind {self.kind!r} is not a surface kind; valid: {SURFACE_KINDS}")
-        if self.n < 4:
-            raise BadDimension(f"n, the hypersurface dimension, must be >= 4, got {self.n}")
-        if not self.grid:
-            raise BadParams("grid must contain at least one count")
-        if any(g < 2 for g in self.grid):
-            raise BadParams(f"grid counts must be >= 2, got {self.grid}")
-
-
-@dataclass(frozen=True, eq=False)
-class ShapeField:
-    """Samples of an immersed hypersurface patch as read-only arrays: parameter ``coords``
-    (N, len(spec.grid)), exactly symmetric finite shape ``operators`` (N, n, n) and positive
-    finite quadrature ``weights`` (N,). Built and ingested fields pass the same checks, each
-    naming the first sample that fails it.
-    """
-
-    spec: SurfaceSpec
-    coords: np.ndarray
-    operators: np.ndarray
-    weights: np.ndarray
-    minimal_claimed: bool = False
-
-    def __post_init__(self) -> None:
-        coords, operators, weights = (np.array(a, dtype=float)
-                                      for a in (self.coords, self.operators, self.weights))
-        count, n = weights.size, self.spec.n
-        if not count:
-            raise InvariantViolation("shape field must contain at least one sample")
-        for name, array, shape in (("weights", weights, (count,)),
-                                   ("operators", operators, (count, n, n)),
-                                   ("coords", coords, (count, len(self.spec.grid)))):
-            if array.shape != shape:
-                raise InvariantViolation(f"{name} have shape {array.shape}, expected {shape}")
-        _first_bad(~np.isfinite(coords).all(axis=1), "coords must be finite")
-        _first_bad(~np.isfinite(operators).all(axis=(1, 2)), "shape operator entries must be finite")
-        _first_bad((operators != np.swapaxes(operators, 1, 2)).any(axis=(1, 2)),
-                   "shape operator entries are not exactly symmetric")
-        _first_bad(~((weights > 0.0) & (weights < math.inf)),
-                   lambda i: f"area weight must be positive and finite, got {weights[i]}")
-        if self.minimal_claimed:
-            tol = tolerance("minimality_tol")
-            residual = (np.abs(np.trace(operators, axis1=1, axis2=2))
-                        / (1.0 + np.sqrt((operators * operators).sum(axis=(1, 2)))))
-            _first_bad(residual > tol,
-                       lambda i: f"minimality residual {residual[i]:.3e} exceeds {tol:.1e}")
-        for name, array in (("coords", coords), ("operators", operators), ("weights", weights)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-
-def _first_bad(bad: np.ndarray, message) -> None:
-    """InvariantViolation naming the first sample where ``bad`` holds; ``message`` may take its index."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvariantViolation(f"sample {i}: {message(i) if callable(message) else message}")
-
-
-def _equal_runs(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First sample and length of each run of bitwise-equal consecutive operators (N, n, n)."""
-    bits = operators.view(np.int64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=(1, 2))])
-    return starts, np.diff(np.r_[starts, len(operators)])
 
 
 def unit_sphere_volume(m: int) -> float:
@@ -169,13 +78,16 @@ def _grid_points(axes) -> np.ndarray:
 
 
 def _grid_counts(grid, defaults: tuple[int, ...]) -> tuple[int, ...]:
-    # ``defaults`` when no grid is given; else broadcast the last entry to len(defaults) counts
+    # ``defaults`` when no grid is given; a shorter grid is stretched by its last count
     if grid is None:
         return defaults
-    counts = [int(g) for g in (grid if hasattr(grid, "__len__") else [grid])]
+    counts = [int(g) for g in grid]
     if not counts:
         raise BadParams("grid must contain at least one count")
-    return tuple(counts + counts[-1:] * (len(defaults) - len(counts)))[:len(defaults)]
+    if len(counts) > len(defaults):
+        raise BadParams(f"grid {counts} has {len(counts)} counts, "
+                        f"but the surface has {len(defaults)} directions")
+    return tuple(counts + counts[-1:] * (len(defaults) - len(counts)))
 
 
 def _area_weights(what: str, *factors) -> np.ndarray:
@@ -188,6 +100,17 @@ def _area_weights(what: str, *factors) -> np.ndarray:
         raise BadParams(f"area weights are not positive and finite for {what}: "
                         f"got {weights.flat[np.argmin(good)]}")
     return weights
+
+
+def conformal_rescale(field: ShapeField, t: float) -> ShapeField:
+    """Field of the same immersion with the ambient metric scaled by t^2.
+
+    Shape operators map A -> A / t and area weights map w -> t^n w, so the
+    conformal energy is unchanged while the plain energy picks up t^(n-4).
+    """
+    weights = _area_weights(f"t {t}", field.weights, _weight_scale("t", t, field.spec.n))
+    return ShapeField(field.spec, field.coords, field.operators / t, weights,
+                      minimal_claimed=field.minimal_claimed)
 
 
 def build_sphere(n: int, radius: float, grid=None) -> ShapeField:
@@ -446,7 +369,7 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[
 
 
 def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
-                         self_check: bool = True, params: dict | None = None) -> ShapeField:
+                         params: dict | None = None) -> ShapeField:
     """Shape operators of a parametric immersion into flat (n+1)-space.
 
     ``chart`` maps an (N, n) array of parameter points to the (N, n + 1)
@@ -471,17 +394,17 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     cell = math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, counts))
     points = _grid_points(axes)
 
-    if self_check:  # the probes at step h and at h / 2 share one stencil pass
-        probes = sorted({0, len(points) // 2, len(points) - 1})
-        steps = np.repeat([h, h / 2.0], len(probes))[:, None]
-        full, half = np.split(_chart_operators(chart, points[probes * 2], steps)[0], 2)
-        diff = np.abs(full - half).max(axis=(1, 2))
-        bad = diff > tolerance("fd_self_check_tol") * np.maximum(
-            1.0, np.sqrt((full * full).sum(axis=(1, 2))))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise StepTooLarge(
-                f"fd_step {h:.3e} fails self-consistency at sample {probes[k]}: diff {diff[k]:.3e}")
+    # the self-check probes at step h and at h / 2 share one stencil pass
+    probes = sorted({0, len(points) // 2, len(points) - 1})
+    steps = np.repeat([h, h / 2.0], len(probes))[:, None]
+    full, half = np.split(_chart_operators(chart, points[probes * 2], steps)[0], 2)
+    diff = np.abs(full - half).max(axis=(1, 2))
+    bad = diff > tolerance("fd_self_check_tol") * np.maximum(
+        1.0, np.sqrt((full * full).sum(axis=(1, 2))))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise StepTooLarge(
+            f"fd_step {h:.3e} fails self-consistency at sample {probes[k]}: diff {diff[k]:.3e}")
 
     operators, density = _chart_operators(chart, points, h)
     return ShapeField(spec, points, operators, density * cell, minimal_claimed=False)
@@ -497,17 +420,6 @@ def _sphere_embed(angles: np.ndarray) -> np.ndarray:
         sin_prod = sin_prod * np.sin(angles[..., d])
     x[..., n] = sin_prod
     return x
-
-
-def cylinder_chart(n: int, radius: float, height: float):
-    """Chart of S^(n-1)(r) x [0, height]: n-1 sphere angles plus the axis."""
-
-    def chart(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.concatenate([radius * _sphere_embed(u[..., : n - 1]), u[..., n - 1:]], axis=-1)
-
-    domain = [(0.0, math.pi)] * (n - 2) + [(0.0, 2.0 * math.pi), (0.0, height)]
-    return chart, domain
 
 
 def ellipsoid_chart(semi_axes):
@@ -533,210 +445,3 @@ def build_ellipsoid(semi_axes, grid=None, fd_step: float | None = None) -> Shape
     return chart_shape_operator(chart, domain, grid=grid, fd_step=fd_step,
                                 params={"semi_axes": [float(a) for a in semi_axes]})
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_CHUNK = 256  # samples per piece of text that SampleTable writes
-
-
-def _json_texts(part: np.ndarray) -> np.ndarray:
-    """The JSON text of each entry of ``part``, made once per distinct value (floats by bit
-    pattern, so -0.0 keeps its sign): the repr of a Python float or int is what json writes."""
-    keys = part.view(np.int64) if part.dtype.kind == "f" else part
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    render = repr if part.dtype.kind in "fiu" else json.dumps
-    texts = [render(value) for value in part.ravel()[first].tolist()]
-    return np.array(texts, dtype=object)[inverse].reshape(part.shape)
-
-
-class SampleTable:
-    """Columns of per-sample arrays (numbers, booleans or strings; trailing axes become nested
-    lists) that ``_write_json`` writes as a list of one JSON object per sample."""
-
-    def __init__(self, columns: dict) -> None:
-        self.columns = {key: np.asarray(value) for key, value in sorted(columns.items())}
-        self.count = len(next(iter(self.columns.values())))
-
-    def nonfinite(self) -> str | None:
-        """The first inf or NaN, by key then sample, as a message."""
-        for key, column in self.columns.items():
-            if column.dtype.kind == "f" and not np.isfinite(column).all():
-                i = int(np.argmin(np.isfinite(column).all(axis=tuple(range(1, column.ndim)))))
-                return f"sample {i}: {key} {column[i].tolist()} is not JSON compliant"
-        return None
-
-    def pieces(self, indent: str):
-        """The list's JSON text at ``indent``, ``_CHUNK`` samples a piece, each row filled into
-        a %s template that json.dumps makes of a row of placeholders."""
-        # "\0s", not "\0": numpy strips a trailing NUL from the fill value
-        marks = {key: np.full(column.shape[1:], "\0s", dtype=object).tolist()
-                 for key, column in self.columns.items()}
-        row = json.dumps(marks, indent=2, sort_keys=True).replace("%", "%%").replace('"\\u0000s"', "%s")
-        row = f"{indent}  " + row.replace("\n", f"\n{indent}  ")
-        yield "[\n"
-        for lo in range(0, self.count, _CHUNK):
-            hi = min(lo + _CHUNK, self.count)
-            values = np.concatenate([_json_texts(column[lo:hi].reshape(hi - lo, -1))
-                                     for column in self.columns.values()], axis=1)
-            yield (",\n" if lo else "") + ",\n".join([row] * (hi - lo)) % tuple(values.ravel().tolist())
-        yield f"\n{indent}]"
-
-
-def _write_json(path, payload: dict) -> None:
-    """Write ``payload`` as ``json.dump(payload, indent=2, sort_keys=True)`` does, plus a newline.
-
-    A SampleTable anywhere in ``payload`` is streamed from its columns, so no
-    per-sample object or whole text is built. An inf or NaN raises
-    NonFiniteResult before anything is written; the text goes to ``path``
-    through ``_write_text``.
-    """
-    tables = []
-
-    def mark(value):
-        if not isinstance(value, SampleTable):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        tables.append(value)
-        return f"\0table{len(tables) - 1}\0"
-
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=mark)
-    except ValueError as exc:
-        raise NonFiniteResult(f"{path} not written: {exc}") from exc
-    for table in tables:
-        if problem := table.nonfinite():
-            raise NonFiniteResult(f"{path} not written: {problem}")
-    parts = []
-    for i, table in enumerate(tables):  # in text order, the order json.dumps met them
-        head, text = text.split(f'"\\u0000table{i}\\u0000"', 1)
-        line = head[head.rfind("\n") + 1:]
-        parts += [[head], table.pieces(line[:len(line) - len(line.lstrip(" "))])]
-    _write_text(path, chain(*parts, [f"{text}\n"]))
-
-
-def _write_text(path, pieces) -> None:
-    """Write text ``pieces`` to a temporary file, copied to ``path`` only once all are made."""
-    with tempfile.TemporaryFile() as tmp:
-        for piece in pieces:
-            tmp.write(piece.encode())
-        tmp.seek(0)
-        with open(path, "wb") as fh:
-            shutil.copyfileobj(tmp, fh)
-
-
-def save_field(field_: ShapeField, path) -> None:
-    """Write ``field_``: each run of equal consecutive shape operators is one ``operators`` entry,
-    its operator and the ``count`` of samples in the run, and ``samples`` holds the rest."""
-    starts, runs = _equal_runs(field_.operators)
-    _write_json(path, {
-        "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
-        "operators": SampleTable({"count": runs, "shape_operator": field_.operators[starts]}),
-        "samples": SampleTable({"coords": field_.coords, "area_weight": field_.weights}),
-        "minimal_claimed": field_.minimal_claimed,
-    })
-
-
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise SchemaError(message)
-
-
-def _numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``value`` as a float array if it is JSON numbers, not booleans, nested to ``shape``; else None."""
-    try:
-        array = np.array(value)
-    except (TypeError, ValueError, OverflowError):  # ragged, or an integer beyond int64
-        return None
-    if array.dtype.kind not in "if" or array.shape != shape:
-        return None
-    items = [value]
-    for _ in shape:
-        items = chain.from_iterable(items)
-    # numpy reads true and false among numbers as 1.0 and 0.0
-    return array.astype(float) if set(map(type, items)) <= {int, float} else None
-
-
-def _stacked(values: list, shape: tuple[int, ...], what: str, item: str = "sample") -> np.ndarray:
-    """The ``values`` as one (N, *shape) float array; SchemaError names the first bad ``item``."""
-    array = _numbers(values, (len(values),) + shape)
-    if array is None:
-        bad = next(i for i, value in enumerate(values) if _numbers(value, shape) is None)
-        raise SchemaError(f"{item} {bad}: {what}")
-    return array
-
-
-def field_from_dict(data: dict) -> ShapeField:
-    """The ShapeField of a parsed field file (an ``operators`` entry per run of samples, or, as older
-    versions wrote, a ``shape_operator`` in each sample); SchemaError on bad keys, types or shapes."""
-    _expect(isinstance(data, dict), "top level must be an object")
-    for key in ("spec", "samples", "minimal_claimed"):
-        _expect(key in data, f"missing top-level key {key!r}")
-    _expect(type(data["minimal_claimed"]) is bool, "minimal_claimed must be true or false")
-    raw_spec = data["spec"]
-    _expect(isinstance(raw_spec, dict), "spec must be an object")
-    for key in ("kind", "n", "params", "grid"):
-        _expect(key in raw_spec, f"spec missing key {key!r}")
-    # type() is int: a JSON integer, where isinstance would also let a bool through
-    _expect(type(raw_spec["n"]) is int, "spec n must be an integer")
-    _expect(isinstance(raw_spec["grid"], list) and all(type(g) is int for g in raw_spec["grid"]),
-            "spec grid must be a list of integer counts")
-    # earlier files carry the flat ambient space as this key; the toolkit models no other
-    curvature = raw_spec.get("ambient_curvature", 0.0)
-    _expect(type(curvature) in (int, float) and curvature == 0,
-            "spec ambient_curvature must be 0.0 (flat ambient space) when present")
-    try:
-        spec = SurfaceSpec(
-            kind=str(raw_spec["kind"]),
-            n=raw_spec["n"],
-            params=dict(raw_spec["params"]),
-            grid=tuple(raw_spec["grid"]),
-        )
-    except (TypeError, ValueError, BadParams, BadDimension) as exc:
-        raise SchemaError(f"spec: {exc}") from exc
-    raw_samples = data["samples"]
-    _expect(isinstance(raw_samples, list) and raw_samples, "samples must be a nonempty list")
-    _expect(math.prod(spec.grid) == len(raw_samples),
-            f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
-            f"but there are {len(raw_samples)} samples")
-    legacy = "operators" not in data  # earlier versions wrote a shape_operator in every sample
-    # other sample keys are ignored, such as the umbilic_flag that earlier versions wrote
-    keys = ("coords", "shape_operator", "area_weight") if legacy else ("coords", "area_weight")
-    required = set(keys)
-    if not all(isinstance(raw, dict) and raw.keys() >= required for raw in raw_samples):
-        i, raw = next((i, raw) for i, raw in enumerate(raw_samples)
-                      if not (isinstance(raw, dict) and raw.keys() >= required))
-        _expect(isinstance(raw, dict), f"sample {i} must be an object")
-        raise SchemaError(f"sample {i} missing key {next(k for k in keys if k not in raw)!r}")
-    if legacy:  # a table of one entry per sample
-        table, item = raw_samples, "sample"
-    else:
-        table, item = data["operators"], "operators entry"
-        _expect(isinstance(table, list)
-                and all(isinstance(e, dict) and e.keys() >= {"count", "shape_operator"} for e in table),
-                "operators must be a list of objects with keys 'count' and 'shape_operator'")
-        counts = [e["count"] for e in table]
-        bad = next((i for i, k in enumerate(counts) if type(k) is not int or k < 1), None)
-        _expect(bad is None, f"operators entry {bad}: count must be an integer >= 1")
-        _expect(sum(counts) == len(raw_samples),
-                f"operators counts add up to {sum(counts)}, but there are {len(raw_samples)} samples")
-    n, d = spec.n, len(spec.grid)
-    coords = _stacked([raw["coords"] for raw in raw_samples], (d,),
-                      f"coords must be a list of {d} numbers, one per grid direction")
-    operators = _stacked([e["shape_operator"] for e in table], (n, n),
-                         f"shape_operator must be a list of {n} lists of {n} numbers", item)
-    return ShapeField(
-        spec, coords,
-        # counts of at least 1 that add up to N are all 1 when there are N entries
-        operators if len(table) == len(raw_samples) else np.repeat(operators, counts, axis=0),
-        _stacked([raw["area_weight"] for raw in raw_samples], (), "area_weight must be a number"),
-        minimal_claimed=data["minimal_claimed"])
-
-
-def ingest_field(path) -> ShapeField:
-    """Load and validate a shape-field JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return field_from_dict(data)

@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 from rigidity.defaults import ARTIFACT, TOLERANCES, VERSION
-from rigidity.surfaces import save_field
+from rigidity.fields import save_field
 
 
 def dumped(reference) -> bytes:

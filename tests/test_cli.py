@@ -17,13 +17,8 @@ from rigidity import cli
 from rigidity.cli import main
 from rigidity.defaults import TOLERANCES, VERSION
 from rigidity.errors import BadParams, RigidityError, SchemaError
-from rigidity.surfaces import (
-    build_cylinder,
-    build_ellipsoid,
-    field_from_dict,
-    ingest_field,
-    save_field,
-)
+from rigidity.fields import field_from_dict, ingest_field, save_field
+from rigidity.surfaces import build_cylinder, build_ellipsoid
 
 from json_reference import own_entry, saved_dict, to_legacy
 
@@ -176,6 +171,18 @@ class TestCatalog:
         args = cli.make_parser().parse_args(["catalog", "--n", "4", *argv, "--out", "unused.json"])
         with pytest.raises(BadParams):
             cli._build_surface(args)
+
+    @pytest.mark.parametrize("surface, grid, message", [
+        ("sphere", "2x3x4x5x6x7", "grid [2, 3, 4, 5, 6, 7] has 6 counts, but the surface has 4"),
+        ("cylinder", "4x2x2", "grid [4, 2, 2] has 3 counts, but the surface has 2"),
+        ("ellipsoid", "2x2x2x2x2", "grid [2, 2, 2, 2, 2] has 5 counts, but the surface has 4"),
+    ], ids=["sphere", "cylinder", "ellipsoid"])
+    def test_over_long_grid_is_refused(self, tmp_path, capsys, surface, grid, message):
+        # a grid with more counts than the surface has directions is not cut short
+        out = tmp_path / "field.json"
+        code = main(["catalog", "--surface", surface, "--n", "4", "--grid", grid, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert f"catalog: {message} directions\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("surface, grid", [
         ("sphere", "2"), ("cylinder", "4x2"), ("catenoid", "8x2"), ("rotation", "4x2"),

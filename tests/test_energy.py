@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 
 from rigidity.energy import (
-    conformal_rescale,
     report_csv,
     report_to_dict,
     rotational_energy,
 )
 from rigidity.defaults import tolerance
 from rigidity.errors import BadParams, InvalidField, NonFiniteResult
+from rigidity.fields import ShapeField
 from rigidity.surfaces import (
-    ShapeField,
     build_catenoid,
     build_cylinder,
     build_ellipsoid,
     build_rotation_hypersurface,
     build_sphere,
+    conformal_rescale,
 )
 
 from reference import (
@@ -130,13 +130,14 @@ class TestRotationalEnergy:
         report = rotational_energy(cylinder4)
         data = report_to_dict(report)
         assert data["classification"] == "RotationCandidate"
-        assert data["samples"] == data["pointwise"].count == len(cylinder4.weights)
+        assert data["samples"] == len(data["pointwise"].columns["index"]) == len(cylinder4.weights)
         header, *rows = csv.reader(io.StringIO("".join(report_csv(report)), newline=""))
         assert header[:2] == ["coord0", "coord1"]
         assert len(rows) == len(cylinder4.weights)
         assert rows[0][-1] == "EigenspaceDimExactlyNMinus1"
 
-    @pytest.mark.parametrize("grid", [[2, 2], [40, 8], [64, 4]], ids=["4", "320", "256"])
+    @pytest.mark.parametrize("grid", [[2, 2], [40, 8], [64, 4], [103, 5]],
+                             ids=["4", "320", "256", "515"])
     def test_csv_is_what_csv_writer_writes(self, grid):
         # the columns' values, written row by row through the csv module
         field = build_cylinder(4, 1.0, 2.0, grid=grid)

@@ -11,19 +11,21 @@ from hypothesis import strategies as st
 from rigidity.cli import main
 from rigidity.energy import report_to_dict, rotational_energy
 from rigidity.errors import NonFiniteResult
-from rigidity.surfaces import (
-    _CHUNK,
+from rigidity.fields import (
+    CHUNK,
     SampleTable,
     ShapeField,
     SurfaceSpec,
-    _write_json,
+    ingest_field,
+    save_field,
+    write_json,
+)
+from rigidity.surfaces import (
     build_catenoid,
     build_cylinder,
     build_ellipsoid,
     build_rotation_hypersurface,
     build_sphere,
-    ingest_field,
-    save_field,
 )
 from rigidity.verify import run_verification_campaign
 
@@ -101,7 +103,7 @@ def edge_field(count: int) -> ShapeField:
     return ShapeField(spec, coords, operators, weights)
 
 
-@pytest.mark.parametrize("count", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("count", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 def test_chunk_edges_and_extreme_values(tmp_path, count):
     field = edge_field(count)
     path = tmp_path / "field.json"
@@ -112,7 +114,7 @@ def test_chunk_edges_and_extreme_values(tmp_path, count):
 def test_runs_split_at_any_bit_difference(tmp_path):
     # runs of 1 to 4 equal operators over several chunks; neighbouring runs that differ only
     # in the sign of a zero, or in the last bit of one entry, stay separate entries
-    count = 2 * _CHUNK + 3
+    count = 2 * CHUNK + 3
     field = edge_field(count)
     runs = np.resize([1, 2, 3, 4], count)
     operators = field.operators[np.repeat(np.arange(count), runs)[:count]]
@@ -179,7 +181,7 @@ def test_strings_booleans_integers_and_nesting(tmp_path):
     rows = [{"kind": k, "flag": f, "index": i, "value": v}
             for k, f, i, v in zip(kinds, columns["flag"], range(4), columns["value"].tolist())]
     path = tmp_path / "rows.json"
-    _write_json(path, {"inner": {"rows": SampleTable(columns)}, "listed": [SampleTable(columns), 1],
+    write_json(path, {"inner": {"rows": SampleTable(columns)}, "listed": [SampleTable(columns), 1],
                        "top": 3})
     assert path.read_bytes() == dumped({"inner": {"rows": rows}, "listed": [rows, 1], "top": 3})
 
@@ -187,14 +189,14 @@ def test_strings_booleans_integers_and_nesting(tmp_path):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("key", ["area_weight", "coords", "shape_operator"])
 def test_nonfinite_field_column_names_sample_and_key(tmp_path, key, bad):
-    count = _CHUNK + 5
+    count = CHUNK + 5
     shapes = {"area_weight": (), "coords": (2,), "shape_operator": (3, 3)}
     columns = {k: np.ones((count,) + shape) for k, shape in shapes.items()}
-    columns[key].reshape(count, -1)[_CHUNK + 2, -1] = bad
+    columns[key].reshape(count, -1)[CHUNK + 2, -1] = bad
     out = tmp_path / "field.json"
     out.write_text("previous\n", encoding="utf-8")
-    with pytest.raises(NonFiniteResult, match=f"sample {_CHUNK + 2}: {key} .*not JSON compliant"):
-        _write_json(out, {"samples": SampleTable(columns), "minimal_claimed": False})
+    with pytest.raises(NonFiniteResult, match=f"sample {CHUNK + 2}: {key} .*not JSON compliant"):
+        write_json(out, {"samples": SampleTable(columns), "minimal_claimed": False})
     assert out.read_text(encoding="utf-8") == "previous\n"
 
 
@@ -208,5 +210,5 @@ def test_nonfinite_report_column_names_sample_and_key(tmp_path, key, bad):
     broken = dataclasses.replace(report, pointwise=dict(report.pointwise, **{key: column}))
     out = tmp_path / "report.json"
     with pytest.raises(NonFiniteResult, match=f"sample 7: {key} .*not JSON compliant"):
-        _write_json(out, {"command": "analyze", "report": report_to_dict(broken)})
+        write_json(out, {"command": "analyze", "report": report_to_dict(broken)})
     assert not out.exists()

@@ -47,15 +47,27 @@ def test_oracle_independence():
 
 
 def test_surfaces_import_no_kernel_or_analysis_module():
-    # geometry and field I/O stand below the matrix kernels and the analyses built on them
-    tree = ast.parse(Path(rigidity.__file__).with_name("surfaces.py").read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.name for alias in node.names)
-            imported.add(getattr(node, "module", None) or "")
-    layers = {"spectral", "inequalities", "curvature", "energy"}
-    assert {name for name in imported if layers & set(name.split("."))} == set()
+    # geometry stands below the matrix kernels and the analyses built on them, and the field
+    # record and its files stand below the builders too
+    trees = _package_trees()
+    kernels = {"spectral", "inequalities", "curvature", "energy"}
+    for stem, below in (("surfaces", kernels), ("fields", kernels | {"surfaces"})):
+        imported = set()
+        for node in ast.walk(trees[stem]):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+                imported.add(getattr(node, "module", None) or "")
+        assert (stem, {name for name in imported if below & set(name.split("."))}) == (stem, set())
+
+
+def test_no_private_name_crosses_modules():
+    # a name one module of the package takes from another is public there
+    offenders = [f"{stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                 for stem, tree in _package_trees().items() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").split(".")[0] == "rigidity")
+                 for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
 
 
 # the calls that make up one examination of a trace-free stack, and how often it makes each

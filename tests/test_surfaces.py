@@ -18,8 +18,8 @@ from rigidity.errors import (
     RigidityError,
     StepTooLarge,
 )
+from rigidity.fields import ShapeField, field_from_dict, ingest_field, save_field
 from rigidity.surfaces import (
-    ShapeField,
     build_catenoid,
     build_cylinder,
     build_ellipsoid,
@@ -27,15 +27,12 @@ from rigidity.surfaces import (
     build_sphere,
     catenoid_profile,
     chart_shape_operator,
-    cylinder_chart,
     ellipsoid_chart,
-    field_from_dict,
-    ingest_field,
     minimality_residual,
-    save_field,
     unit_sphere_volume,
 )
 
+from charts import cylinder_chart
 from json_reference import own_entry, saved_dict, to_legacy
 from reference import SymMatrix, derived_rng, main_inequality, random_rotation, trace_free_project
 
@@ -236,8 +233,7 @@ class TestChart:
         chart, domain = ellipsoid_chart([1.0] * 5)
 
         def worst_error(h):
-            field = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2],
-                                         fd_step=h, self_check=False)
+            field = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=h)
             return np.max(np.abs(field.operators - np.eye(4)))
 
         e_coarse = worst_error(2e-2)
@@ -269,10 +265,8 @@ class TestChart:
         def rotated(u):
             return e_chart(u) @ q.T  # q @ x for each row x
 
-        base = chart_shape_operator(e_chart, e_domain, grid=[2, 2, 2, 3], fd_step=1e-2,
-                                    self_check=False)
-        turned = chart_shape_operator(rotated, e_domain, grid=[2, 2, 2, 3], fd_step=1e-2,
-                                      self_check=False)
+        base = chart_shape_operator(e_chart, e_domain, grid=[2, 2, 2, 3], fd_step=1e-2)
+        turned = chart_shape_operator(rotated, e_domain, grid=[2, 2, 2, 3], fd_step=1e-2)
         for a, b in zip(base.operators, turned.operators):
             ea = np.sort(np.linalg.eigvalsh(a))
             eb = np.sort(np.linalg.eigvalsh(b))
@@ -280,10 +274,9 @@ class TestChart:
 
     def test_orientation_flip_preserves_invariants(self):
         chart, domain = ellipsoid_chart([1.0] * 5)
-        plus = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=1e-4,
-                                    self_check=False)
+        plus = chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=1e-4)
         minus = chart_shape_operator(lambda u: chart(u) * [1, 1, 1, 1, -1], domain,
-                                     grid=[2, 2, 2, 2], fd_step=1e-4, self_check=False)
+                                     grid=[2, 2, 2, 2], fd_step=1e-4)
         assert np.allclose(plus.operators, -minus.operators, atol=0)
         assert np.array_equal(plus.weights, minus.weights)
 
@@ -294,8 +287,7 @@ class TestChart:
             return s * np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 
         with pytest.raises(DegenerateChart):
-            chart_shape_operator(collapsed, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2],
-                                 self_check=False)
+            chart_shape_operator(collapsed, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2])
 
     @pytest.mark.parametrize("grid", [[2, 2, 2, 2], [3, 2, 4, 3]])
     def test_one_chart_call_per_stencil_offset(self, grid):
@@ -329,7 +321,7 @@ class TestChart:
             return np.concatenate([u[..., :3], scale * u[..., 3:], height], axis=-1)
 
         with pytest.raises(DegenerateChart, match=r"rank deficient at \(0\.75, 0\.25, 0\.25, 0\.25\)"):
-            chart_shape_operator(chart, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2], self_check=False)
+            chart_shape_operator(chart, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2])
 
     def test_step_too_large(self):
         chart, domain = ellipsoid_chart([1.0] * 5)
