@@ -9,6 +9,7 @@ any RigidityError, such as a non-finite report value or ``--assert-zero`` TOL.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 from .defaults import ARTIFACT, TOLERANCES, VERSION
 from .energy import report_csv, report_to_dict, rotational_energy
 from .errors import BadParams, RigidityError
-from .fields import ingest_field, save_field, write_json, write_text
+from .fields import ingest_field, json_pieces, save_field, write_json, write_text
 from .surfaces import (
     build_catenoid,
     build_cylinder,
@@ -42,7 +43,11 @@ def _grid(text: str) -> list[int]:
     return [int(part) for part in text.lower().split("x") if part]
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: a build takes about a millisecond and leaves a
+    cyclic graph of a few hundred objects for the garbage collector. Callers share it and its
+    list defaults, which neither ``parse_args`` nor any command mutates."""
     parser = argparse.ArgumentParser(prog=ARTIFACT,
                                      description="Trace-free inequality and rotational energy toolkit")
     parser.add_argument("--version", action="version", version=f"{ARTIFACT} {VERSION}")
@@ -163,9 +168,10 @@ def cmd_analyze(args) -> int:
         # the gate fails closed, and a non-finite energy cannot be written as JSON
         print(f"analyze: E_rot_conf is {report.e_rot_conf}; no report written", file=sys.stderr)
         return 1
-    write_json(args.out, payload)
-    if args.csv:
+    pieces = json_pieces(args.out, payload)  # a non-finite report stops here, with nothing written
+    if args.csv:  # before the report, so that a failed CSV leaves --out as it was
         write_text(args.csv, report_csv(report))
+    write_text(args.out, pieces)
     print(f"analyze: {field.spec.kind} n={field.spec.n} classification={report.classification} "
           f"E_rot={report.e_rot:.6e} E_rot_conf={report.e_rot_conf:.6e}")
     if tol is not None:

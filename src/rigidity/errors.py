@@ -36,7 +36,7 @@ class StepTooLarge(RigidityError):
 
 
 class ParseError(RigidityError):
-    """Field file is not valid JSON."""
+    """Field file cannot be read, or is not UTF-8 JSON text."""
 
 
 class SchemaError(RigidityError):
@@ -53,3 +53,7 @@ class InvalidField(RigidityError):
 
 class NonFiniteResult(RigidityError):
     """A result overflowed or is NaN, so it cannot be reported as JSON."""
+
+
+class WriteError(RigidityError):
+    """An output file cannot be opened or written."""

@@ -8,6 +8,7 @@ writer streams ``SampleTable`` columns through one chunked text renderer,
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import shutil
@@ -18,7 +19,8 @@ from itertools import chain
 import numpy as np
 
 from .defaults import tolerance
-from .errors import BadDimension, BadParams, InvariantViolation, NonFiniteResult, ParseError, SchemaError
+from .errors import (BadDimension, BadParams, InvariantViolation, NonFiniteResult, ParseError,
+                     SchemaError, WriteError)
 
 __all__ = [
     "SURFACE_KINDS",
@@ -28,6 +30,7 @@ __all__ = [
     "CHUNK",
     "text_rows",
     "SampleTable",
+    "json_pieces",
     "write_json",
     "write_text",
     "save_field",
@@ -168,13 +171,14 @@ class SampleTable:
         yield f"\n{indent}]"
 
 
-def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as ``json.dump(payload, indent=2, sort_keys=True)`` does, plus a newline.
+def json_pieces(path, payload: dict):
+    """The text of ``payload`` as ``json.dump(payload, indent=2, sort_keys=True)`` writes it, plus
+    a newline, as an iterator of pieces.
 
     A SampleTable anywhere in ``payload`` is streamed from its columns through
     ``text_rows``, so no per-sample object or whole text is built. An inf or NaN
-    raises NonFiniteResult before anything is written; the text goes to ``path``
-    through ``write_text``.
+    raises NonFiniteResult naming ``path`` before this returns, so a caller can
+    check a payload before it writes anything.
     """
     tables = []
 
@@ -188,25 +192,45 @@ def write_json(path, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=mark)
     except ValueError as exc:
         raise NonFiniteResult(f"{path} not written: {exc}") from exc
-    for table in tables:
+    finally:
+        # indent= selects the pure-Python encoder, a reference cycle that holds ``mark``: emptying
+        # its cell frees the tables with the payload, not at the next collection
+        found, tables = tables, None
+    for table in found:
         if problem := table.nonfinite():
             raise NonFiniteResult(f"{path} not written: {problem}")
     parts = []
-    for i, table in enumerate(tables):  # in text order, the order json.dumps met them
+    for i, table in enumerate(found):  # in text order, the order json.dumps met them
         head, text = text.split(f'"\\u0000table{i}\\u0000"', 1)
         line = head[head.rfind("\n") + 1:]
         parts += [[head], table.pieces(line[:len(line) - len(line.lstrip(" "))])]
-    write_text(path, chain(*parts, [f"{text}\n"]))
+    return chain(*parts, [f"{text}\n"])
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as ``json_pieces`` renders it, through ``write_text``.
+
+    Nothing is written when ``payload`` holds an inf or NaN. Once this returns,
+    nothing of the writer's holds the payload's tables, so they go with the payload
+    by reference counting, with no wait for a garbage collection.
+    """
+    write_text(path, json_pieces(path, payload))
 
 
 def write_text(path, pieces) -> None:
-    """Write text ``pieces`` to a temporary file, copied to ``path`` only once all are made."""
+    """Write text ``pieces`` to a temporary file, copied to ``path`` only once all are made.
+
+    A ``path`` that cannot be opened or written raises WriteError naming it.
+    """
     with tempfile.TemporaryFile() as tmp:
         for piece in pieces:
             tmp.write(piece.encode())
         tmp.seek(0)
-        with open(path, "wb") as fh:
-            shutil.copyfileobj(tmp, fh)
+        try:
+            with open(path, "wb") as fh:
+                shutil.copyfileobj(tmp, fh)
+        except OSError as exc:
+            raise WriteError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def save_field(field_: ShapeField, path) -> None:
@@ -318,10 +342,27 @@ def field_from_dict(data: dict) -> ShapeField:
 
 
 def ingest_field(path) -> ShapeField:
-    """Load and validate a shape-field JSON file."""
+    """Load and validate a shape-field JSON file. A ``path`` that cannot be read, is not UTF-8
+    text or is not JSON raises ParseError naming it.
+
+    The cyclic garbage collector is paused while the parsed tree is alive, and the
+    caller's setting is restored on return. The tree (about 4.5k lists and dicts for
+    a 64x32 catenoid) holds no cycle, so reference counting frees it; with the
+    collector running, it would outlive young collections, be promoted, and start
+    full collections of every object of the interpreter.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+        return field_from_dict(data)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return field_from_dict(data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()

@@ -427,6 +427,15 @@ def ellipsoid_chart(semi_axes):
     axes = np.asarray(semi_axes, dtype=float)
     if not np.all((axes > 0) & (axes < math.inf)):
         raise BadParams(f"semi-axes must be positive and finite, got {semi_axes}")
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore", under="ignore"):
+        squares = axes * axes
+        bad = (squares < tiny) | (np.cumsum(squares) == math.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        how = "underflows" if squares[i] < tiny else "overflows"
+        raise BadParams(f"semi-axis {i} ({axes[i].item()!r}) {how} the chart's Gram product, "
+                        "which sums the squared semi-axes")
     n = axes.shape[0] - 1
 
     def chart(u: np.ndarray) -> np.ndarray:

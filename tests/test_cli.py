@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism, file formats."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -108,6 +109,9 @@ BAD_GEOMETRY = [
     ("ellipsoid", "--fd-step", "-1e-3", "fd_step", ()),
     ("ellipsoid", "--semi-axes", "nan,1,1,1,1", "semi-axes", ()),
     ("ellipsoid", "--semi-axes", "inf,1,1,1,1", "semi-axes", ()),
+    # squares that leave the double range in the chart's Gram product
+    ("ellipsoid", "--semi-axes", "1e300,1,1,1,1", "semi-axis 0", ()),
+    ("ellipsoid", "--semi-axes", "1,1,1,1,1e-300", "semi-axis 4", ()),
     ("catenoid", "--t-max", "50", "t_max", ()),
     # finite scales whose area weights leave the double range
     ("sphere", "--radius", "1.14e77", "radius", ("--grid", "2")),
@@ -498,6 +502,68 @@ class TestAnalyze:
         code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "analyze:" in capsys.readouterr().err
+
+
+# (argv with {field}, {tmp} and {out} to fill in, the path the error must name, what it says)
+UNUSABLE_PATHS = {
+    "missing_field": (["analyze", "--field", "{tmp}/missing.json", "--out", "{out}"],
+                      "{tmp}/missing.json", "cannot read"),
+    "directory_field": (["analyze", "--field", "{tmp}/a_directory", "--out", "{out}"],
+                        "{tmp}/a_directory", "cannot read"),
+    "latin1_field": (["analyze", "--field", "{tmp}/latin1.json", "--out", "{out}"],
+                     "{tmp}/latin1.json", "not UTF-8 text"),
+    "deeply_nested_field": (["analyze", "--field", "{tmp}/deep.json", "--out", "{out}"],
+                            "{tmp}/deep.json", "invalid JSON"),
+    "verify_out": (["verify", "--n", "4", "--samples", "10", "--seed", "1",
+                    "--out", "{tmp}/no_dir/r.json"], "{tmp}/no_dir/r.json", "cannot write"),
+    "catalog_out": (["catalog", "--surface", "sphere", "--n", "4", "--grid", "2",
+                     "--out", "{tmp}/no_dir/f.json"], "{tmp}/no_dir/f.json", "cannot write"),
+    "analyze_out": (["analyze", "--field", "{field}", "--out", "{tmp}/no_dir/r.json"],
+                    "{tmp}/no_dir/r.json", "cannot write"),
+    "analyze_csv": (["analyze", "--field", "{field}", "--out", "{out}",
+                     "--csv", "{tmp}/no_dir/s.csv"], "{tmp}/no_dir/s.csv", "cannot write"),
+}
+
+
+@pytest.mark.parametrize("argv, named, says", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
+def test_unusable_path_exit_2_naming_it(tmp_path, catenoid_path, capsys, argv, named, says):
+    # a path that cannot be read or written is one line naming it, not a traceback, and
+    # the existing --out keeps its bytes
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"spec": "\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+    out = tmp_path / "r.json"
+    out.write_text("previous report\n", encoding="utf-8")
+    fill = {"field": str(catenoid_path), "tmp": str(tmp_path), "out": str(out)}
+    code = main([arg.format(**fill) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(rf"{argv[0]}: {re.escape(named.format(**fill))}: {says}[^\n]*\n", err), err
+    assert out.read_text(encoding="utf-8") == "previous report\n"
+    assert not (tmp_path / "no_dir").exists()
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch):
+    # a parser takes about a millisecond to build and leaves a cyclic graph behind; a usage
+    # error in between leaves the parser, and so the good calls' bytes, as they were
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.make_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    out = tmp_path / "report.json"
+    good = ["verify", "--samples", "20", "--seed", "3", "--out", str(out)]  # the default --n list
+    assert main(good) == 0
+    first, count = out.read_bytes(), len(built)
+    assert main(["verify", "--samples", "twenty", "--seed", "3", "--out", str(out)]) == 2
+    assert out.read_bytes() == first
+    assert main(good) == 0
+    assert out.read_bytes() == first
+    assert count > 0 and len(built) == count
 
 
 def test_import_loads_neither_numpy_random_nor_polynomial():

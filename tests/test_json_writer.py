@@ -1,7 +1,9 @@
 """Streamed JSON: the same bytes as json.dumps of reference dicts, and never an inf or NaN."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -212,3 +214,19 @@ def test_nonfinite_report_column_names_sample_and_key(tmp_path, key, bad):
     with pytest.raises(NonFiniteResult, match=f"sample 7: {key} .*not JSON compliant"):
         write_json(out, {"command": "analyze", "report": report_to_dict(broken)})
     assert not out.exists()
+
+
+def test_written_table_is_freed_without_a_collection(tmp_path):
+    # json.dumps(indent=2) runs the pure-Python encoder, whose closures form a reference cycle
+    # that holds its default= function; that function must not keep the tables alive
+    table = SampleTable({"x": np.arange(4.0), "kind": np.array(["a", "b", "c", "d"])})
+    freed = weakref.ref(table)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        write_json(tmp_path / "rows.json", {"rows": table})
+        del table
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()

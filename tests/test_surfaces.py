@@ -1,5 +1,6 @@
 """Hypersurface catalog: analytic builders, chart differentiation, field I/O."""
 
+import gc
 import json
 import math
 
@@ -506,6 +507,51 @@ class TestFieldIO:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParseError):
             ingest_field(path)
+
+    def test_ingest_starts_no_collection(self, tmp_path):
+        # json.load's tree of the 64x32 catenoid (about 4.5k lists and dicts) is freed by
+        # reference counting; left running, the collector scans it and promotes it
+        path = tmp_path / "catenoid.json"
+        save_field(build_catenoid(4, grid=[64, 32]), path)
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            field = ingest_field(path)
+        finally:
+            gc.callbacks.remove(record)
+            if not enabled:
+                gc.disable()
+        assert started == []
+        assert len(field.weights) == 64 * 32
+
+    @pytest.mark.parametrize("text, error", [
+        (None, None), ("{not json", ParseError), ('{"spec": 1}', SchemaError),
+    ], ids=["loaded", "parse_error", "schema_error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+    def test_ingest_restores_the_collector(self, tmp_path, enabled, text, error):
+        path = tmp_path / "field.json"
+        if text is None:
+            save_field(build_cylinder(4, 1.0, 2.0, grid=[2, 2]), path)
+        else:
+            path.write_text(text, encoding="utf-8")
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                ingest_field(path)
+            else:
+                with pytest.raises(error):
+                    ingest_field(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
 
     def test_minimality_claim_enforced(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[2, 2])
