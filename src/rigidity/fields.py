@@ -3,7 +3,8 @@
 A field is a ``SurfaceSpec`` plus per-sample coordinates, shape operators and
 area weights. Files keep each run of equal consecutive operators once. The
 writer streams ``SampleTable`` columns through one chunked text renderer,
-``text_rows``, which the per-sample CSV export shares.
+``text_rows``, which the per-sample CSV export shares; it renders each
+distinct number of a column once per table.
 """
 
 from __future__ import annotations
@@ -120,32 +121,74 @@ def equal_runs(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 CHUNK = 256  # samples per piece of text that text_rows renders
 
 
-def _texts(part: np.ndarray, strings) -> np.ndarray:
-    """The text of each entry of ``part``, made once per distinct value (floats by bit pattern,
-    so -0.0 keeps its sign): the repr of a number, which is what json and csv write, else
-    ``strings`` of the value."""
-    keys = part.view(np.int64) if part.dtype.kind == "f" else part
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    render = repr if part.dtype.kind in "fiu" else strings
-    texts = [render(value) for value in part.ravel()[first].tolist()]
-    return np.array(texts, dtype=object)[inverse].reshape(part.shape)
+def _table_texts(column: np.ndarray, strings) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each distinct value in a column (N, E) of numbers or booleans, made once
+    (floats by bit pattern, so -0.0 keeps its sign), and each entry's index into those texts,
+    in the least unsigned type that holds it: the repr of a number, ``strings`` of a boolean.
+
+    Each sort holds one entry or, when more fit, as many entries as a ``CHUNK``-sample
+    piece holds; the distinct values of several sorts are merged by one more.
+    """
+    if column.dtype.kind == "b":
+        return np.array([strings(False), strings(True)], dtype=object), column.view(np.uint8)
+    floats = column.dtype.kind == "f"
+    keys = column.view(np.int64) if floats else column
+    step = max(1, CHUNK * keys.shape[1] // len(keys))
+    found = []
+    for k in range(0, keys.shape[1], step):
+        block = keys[:, k:k + step]
+        values, codes = np.unique(block, return_inverse=True)
+        found.append((values, codes.reshape(block.shape).astype(np.min_scalar_type(len(values)))))
+    if len(found) == 1:
+        distinct, codes = found[0]
+    else:
+        distinct, back = np.unique(np.concatenate([values for values, _ in found]),
+                                   return_inverse=True)
+        codes = np.empty(keys.shape, dtype=np.min_scalar_type(len(distinct)))
+        start = 0
+        for k, (values, block_codes) in zip(range(0, keys.shape[1], step), found):
+            codes[:, k:k + step] = back[start:start + len(values)][block_codes]
+            start += len(values)
+    values = distinct.view(float) if floats else distinct
+    texts = np.empty(len(values), dtype=object)
+    for lo in range(0, len(values), CHUNK):  # a piece at a time: no list of every value is made
+        texts[lo:lo + CHUNK] = [repr(value) for value in values[lo:lo + CHUNK].tolist()]
+    return texts, codes
+
+
+def _piece_texts(part: np.ndarray, strings) -> np.ndarray:
+    """``strings`` of each entry of ``part``, made once per distinct value."""
+    values = part.ravel().tolist()
+    made = {value: strings(value) for value in set(values)}
+    return np.array([made[value] for value in values], dtype=object).reshape(part.shape)
 
 
 def text_rows(columns, row: str, strings=json.dumps):
     """The text of one ``row`` per sample, ``CHUNK`` samples a piece: ``row`` holds a %s for each
-    entry of a sample's ``columns`` (per-sample arrays, trailing axes flattened), in order."""
+    entry of a sample's ``columns`` (per-sample arrays, trailing axes flattened), in order.
+
+    Numbers are written as their repr, which is what json and csv write, and anything
+    else as ``strings`` of it. Each distinct number or boolean of a column is rendered
+    once per table, and every piece indexes those texts; strings, which sorting would
+    copy whole, are rendered once per distinct value of a piece.
+    """
     columns = list(columns)
     count = len(columns[0])
+    columns = [column.reshape(count, -1) for column in columns]
+    tables = [_table_texts(column, strings) if column.dtype.kind in "biuf" and column.size
+              else (None, None) for column in columns]
     for lo in range(0, count, CHUNK):
         hi = min(lo + CHUNK, count)
-        values = np.concatenate([_texts(column[lo:hi].reshape(hi - lo, -1), strings)
-                                 for column in columns], axis=1)
+        values = np.concatenate([texts[codes[lo:hi]] if texts is not None
+                                 else _piece_texts(column[lo:hi], strings)
+                                 for column, (texts, codes) in zip(columns, tables)], axis=1)
         yield row * (hi - lo) % tuple(values.ravel().tolist())
 
 
 class SampleTable:
     """Columns of per-sample arrays (numbers, booleans or strings; trailing axes become nested
-    lists) that ``write_json`` writes as a list of one JSON object per sample, key-sorted."""
+    lists) that ``write_json`` writes as a list of one JSON object per sample, key-sorted.
+    ``text_rows`` renders each distinct number of a column once for the whole table."""
 
     def __init__(self, columns: dict) -> None:
         self.columns = {key: np.asarray(value) for key, value in sorted(columns.items())}

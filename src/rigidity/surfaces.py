@@ -375,10 +375,11 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     ``chart`` maps an (N, n) array of parameter points to the (N, n + 1)
     array of their images (BadParams otherwise); ``domain`` is a list of
     (lo, hi) bounds per direction. First and second fundamental forms come
-    from central differences with step ``fd_step``, one chart call over all
-    points per stencil offset; the normal is the QR complement of the tangent
-    space with a determinant-consistent sign. A step-halving self-consistency
-    probe raises :class:`StepTooLarge` when the differences are unreliable.
+    from central differences with step ``fd_step``, one chart call per stencil
+    offset over all points and the self-check probes; the normal is the QR
+    complement of the tangent space with a determinant-consistent sign. A
+    step-halving self-consistency probe raises :class:`StepTooLarge` when the
+    differences are unreliable.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in domain]
     dims = len(bounds)
@@ -394,10 +395,12 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     cell = math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, counts))
     points = _grid_points(axes)
 
-    # the self-check probes at step h and at h / 2 share one stencil pass
-    probes = sorted({0, len(points) // 2, len(points) - 1})
-    steps = np.repeat([h, h / 2.0], len(probes))[:, None]
-    full, half = np.split(_chart_operators(chart, points[probes * 2], steps)[0], 2)
+    # one stencil pass: every point at step h, then the self-check probes again at h / 2
+    count = len(points)
+    probes = sorted({0, count // 2, count - 1})
+    steps = np.repeat([h, h / 2.0], [count, len(probes)])[:, None]
+    operators, density = _chart_operators(chart, np.concatenate([points, points[probes]]), steps)
+    full, half = operators[probes], operators[count:]
     diff = np.abs(full - half).max(axis=(1, 2))
     bad = diff > tolerance("fd_self_check_tol") * np.maximum(
         1.0, np.sqrt((full * full).sum(axis=(1, 2))))
@@ -405,9 +408,8 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
         k = int(np.argmax(bad))
         raise StepTooLarge(
             f"fd_step {h:.3e} fails self-consistency at sample {probes[k]}: diff {diff[k]:.3e}")
-
-    operators, density = _chart_operators(chart, points, h)
-    return ShapeField(spec, points, operators, density * cell, minimal_claimed=False)
+    return ShapeField(spec, points, operators[:count], density[:count] * cell,
+                      minimal_claimed=False)
 
 
 def _sphere_embed(angles: np.ndarray) -> np.ndarray:
@@ -446,11 +448,21 @@ def ellipsoid_chart(semi_axes):
 
 
 def build_ellipsoid(semi_axes, grid=None, fd_step: float | None = None) -> ShapeField:
-    """Generic strictly curved hypersurface: an ellipsoid sampled via its chart."""
+    """Generic strictly curved hypersurface: an ellipsoid sampled via its chart.
+
+    The chart's Jacobian pivots scale with the semi-axes, so semi-axes whose largest and
+    smallest differ by a factor of 1 / chart_rank_tol or more raise BadParams naming them.
+    """
     chart, domain = ellipsoid_chart(semi_axes)
     n = len(domain)
     if n < 4:
         raise BadDimension(f"need at least 5 semi-axes, got {len(list(semi_axes))}")
+    axes = [float(a) for a in semi_axes]
+    ratio, tol = max(axes) / min(axes), tolerance("chart_rank_tol")
+    if ratio * tol >= 1.0:
+        raise BadParams(f"semi-axes {axes} have ratio largest / smallest {ratio:.3g}, at least "
+                        f"1 / chart_rank_tol = {1.0 / tol:.3g}: the chart Jacobian would be "
+                        "nearly rank deficient")
     return chart_shape_operator(chart, domain, grid=grid, fd_step=fd_step,
-                                params={"semi_axes": [float(a) for a in semi_axes]})
+                                params={"semi_axes": axes})
 

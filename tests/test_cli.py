@@ -112,6 +112,10 @@ BAD_GEOMETRY = [
     # squares that leave the double range in the chart's Gram product
     ("ellipsoid", "--semi-axes", "1e300,1,1,1,1", "semi-axis 0", ()),
     ("ellipsoid", "--semi-axes", "1,1,1,1,1e-300", "semi-axis 4", ()),
+    # an axis ratio of 1 / chart_rank_tol, which the chart Jacobian cannot resolve
+    ("ellipsoid", "--semi-axes", "1e8,1,1,1,1", "semi-axes", ("--grid", "3x3x3x3")),
+    ("ellipsoid", "--semi-axes", "1e-8,1,1,1,1", "semi-axes", ("--grid", "3x3x3x3")),
+    ("ellipsoid", "--semi-axes", "1,1,1e4,1,1e-4", "semi-axes", ("--grid", "3x3x3x3")),
     ("catenoid", "--t-max", "50", "t_max", ()),
     # finite scales whose area weights leave the double range
     ("sphere", "--radius", "1.14e77", "radius", ("--grid", "2")),

@@ -14,7 +14,7 @@ from rigidity.energy import (
 )
 from rigidity.defaults import tolerance
 from rigidity.errors import BadParams, InvalidField, NonFiniteResult
-from rigidity.fields import ShapeField
+from rigidity.fields import CHUNK, ShapeField
 from rigidity.surfaces import (
     build_catenoid,
     build_cylinder,
@@ -143,6 +143,11 @@ class TestRotationalEnergy:
         field = build_cylinder(4, 1.0, 2.0, grid=grid)
         coords = field.coords.copy()
         coords[0, 0] = -0.0
+        if len(coords) > 2 * CHUNK + 1:
+            # texts are made once per table: 0.1 recurs in pieces 0 and 2 but not in piece 1, and
+            # 0.0 in piece 2 shares an entry with piece 0's -0.0
+            coords[[5, 2 * CHUNK + 1], 1] = 0.1
+            coords[2 * CHUNK, 0] = 0.0
         report = rotational_energy(ShapeField(field.spec, coords, field.operators, field.weights))
         keys = ("coords", "tracefree_norm_sq", "tracefree_sq_norm_sq", "defect", "equality_kind")
         want = io.StringIO(newline="")
@@ -152,6 +157,7 @@ class TestRotationalEnergy:
         writer.writerows([*c, *rest] for c, *rest in zip(*columns))
         text = "".join(report_csv(report))
         assert text == want.getvalue() and "\r\n-0.0," in text
+        assert ("\r\n0.0," in text) == (len(coords) > 2 * CHUNK + 1)
 
 
 CATALOG = {

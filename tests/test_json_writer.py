@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -108,9 +109,65 @@ def edge_field(count: int) -> ShapeField:
 @pytest.mark.parametrize("count", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 def test_chunk_edges_and_extreme_values(tmp_path, count):
     field = edge_field(count)
+    if count > 2 * CHUNK:
+        # texts are made once per table: 0.1 and 0.25 recur in pieces 0 and 2 but not in piece 1,
+        # and 0.0 and -0.0 sit in different pieces of one entry
+        coords, operators, weights = field.coords.copy(), field.operators.copy(), field.weights.copy()
+        coords[[5, 2 * CHUNK + 1], 1] = 0.1
+        coords[9, 1], coords[2 * CHUNK + 2, 1] = 0.0, -0.0
+        weights[[1, 2 * CHUNK + 1]] = 0.25
+        operators[4, 2, 3] = operators[4, 3, 2] = 0.0
+        operators[2 * CHUNK, 2, 3] = operators[2 * CHUNK, 3, 2] = -0.0
+        field = ShapeField(field.spec, coords, operators, weights)
     path = tmp_path / "field.json"
     save_field(field, path)
     assert path.read_bytes() == dumped(field_to_table_dict(field))
+
+
+@pytest.mark.parametrize("tail", [0, 1], ids=["one_entry_columns", "with_a_three_entry_column"])
+def test_distinct_values_are_sorted_once_per_table(monkeypatch, tail):
+    # np.unique runs per column, or per entry and once to merge, never per piece: a table of 3
+    # rows sorts each column once, as one piece; past a piece, a column of E entries takes E + 1
+    sorts = []
+
+    def counted(*args, **kwargs):
+        sorts.append(args[0])
+        return unique(*args, **kwargs)
+
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", counted)
+
+    def calls(count):
+        rng = np.random.default_rng(count)
+        columns = {"x": rng.normal(size=count), "i": np.arange(count), "flag": np.arange(count) % 3 == 0,
+                   "kind": np.resize(np.array(["a", "bb", "ccc"]), count)}
+        if tail:
+            columns["xyz"] = np.round(rng.normal(size=(count, 3)), 1)
+        sorts.clear()
+        assert "".join(SampleTable(columns).pieces("")).startswith("[")
+        return len(sorts)
+
+    assert calls(2 * CHUNK + 3) == calls(8 * CHUNK) == 2 + 4 * tail
+    assert calls(3) == 2 + tail
+
+
+def test_rendering_holds_less_than_the_columns(tmp_path):
+    # an all-distinct float column is rendered once per table, so its texts are all held at once;
+    # a string column is rendered a piece at a time. Together they stay under the columns' bytes
+    count = 20000
+    columns = {"value": np.random.default_rng(7).normal(size=count),
+               "kind": np.array([f"{i:027d}" for i in range(count)])}
+    assert columns["kind"].dtype == np.dtype("<U27")
+    budget = sum(column.nbytes for column in columns.values())
+    table = SampleTable(columns)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_json(tmp_path / "rows.json", {"rows": table})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak, budget)
 
 
 def test_runs_split_at_any_bit_difference(tmp_path):

@@ -248,6 +248,12 @@ class TestChart:
             eigs = np.sort(np.linalg.eigvalsh(a))
             assert np.max(np.abs(eigs - np.array([0.0, 0.5, 0.5, 0.5]))) <= 1e-6
 
+    @pytest.mark.parametrize("big", [1e6, 1e-6])
+    def test_axis_ratio_of_a_million_builds(self, big):
+        # a ratio of 1e8 is refused naming the semi-axes (test_cli's BAD_GEOMETRY)
+        field = build_ellipsoid([big, 1, 1, 1, 1], grid=[3, 3, 3, 3])
+        assert len(field.weights) == 81
+
     def test_ellipsoid_strictly_generic(self):
         field = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4], fd_step=1e-4)
         positive = 0
@@ -300,8 +306,8 @@ class TestChart:
             return chart(u)
 
         field = chart_shape_operator(counted, domain, grid=grid, fd_step=1e-4)
-        # 2n^2 + 1 offsets for the self-check probes (3 points at h and h / 2), then for all points
-        assert shapes == [(6, 4)] * 33 + [(len(field.weights), 4)] * 33
+        # 2n^2 + 1 offsets, each over all points at h and the 3 self-check probes at h / 2
+        assert shapes == [(len(field.weights) + 3, 4)] * 33
 
     @pytest.mark.parametrize("wrong", [
         lambda x: x[:, :-1],
@@ -328,6 +334,21 @@ class TestChart:
         chart, domain = ellipsoid_chart([1.0] * 5)
         with pytest.raises(StepTooLarge):
             chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=0.9)
+
+    def test_degenerate_point_wins_over_a_large_step(self):
+        # u3 is frozen near u1 = pi / 2, the middle of three u1 values, where no probe lies; the
+        # probes and every point share one stencil pass, so the rank fault is found first
+        chart, domain = ellipsoid_chart([1.0] * 5)
+
+        def frozen(u):
+            u = u.copy()
+            u[np.abs(u[:, 1] - math.pi / 2) < 0.1, 3] = 0.0
+            return chart(u)
+
+        with pytest.raises(StepTooLarge):
+            chart_shape_operator(chart, domain, grid=[2, 3, 2, 2], fd_step=0.9)
+        with pytest.raises(DegenerateChart, match=r"rank deficient at \(0\.785[0-9]*, 1\.570"):
+            chart_shape_operator(frozen, domain, grid=[2, 3, 2, 2], fd_step=0.9)
 
 
 class TestShapeField:
