@@ -80,9 +80,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--t-range", type=_float_list, default=[-1.0, 1.0],
                            help="profile parameter range for rotation surfaces")
     p_catalog.add_argument("--semi-axes", type=_float_list, default=None,
-                           help="ellipsoid semi-axes (n + 1 values)")
-    p_catalog.add_argument("--fd-step", type=float, default=None,
-                           help="finite-difference step for chart surfaces")
+                           help="semi-axes of the ellipsoid (n + 1 values), whose shape "
+                                "operators are computed in closed form")
     p_catalog.add_argument("--out", required=True, help="field JSON path")
 
     p_analyze = sub.add_parser("analyze", help="energies and classification of a field file")
@@ -134,7 +133,7 @@ def _build_surface(args):
     if len(axes) != args.n + 1:
         raise BadParams(
             f"ellipsoid of dimension {args.n} needs {args.n + 1} semi-axes, got {len(axes)}")
-    return build_ellipsoid(axes, grid=args.grid, fd_step=args.fd_step)
+    return build_ellipsoid(axes, grid=args.grid)
 
 
 def cmd_catalog(args) -> int:

@@ -1,9 +1,9 @@
 """Sampled hypersurfaces: shape operators plus quadrature weights.
 
 Analytic families (sphere, cylinder, rotation hypersurfaces, the minimal
-rotation profile), charts differentiated by central differences (a round sphere
-is the ellipsoid chart with equal axes), and the constant conformal rescaling of
-a field. The field record and its files live in ``fields``.
+rotation profile), the ellipsoid in closed form, charts differentiated by central
+differences (the ellipsoid's chart is its oracle), and the constant conformal
+rescaling of a field. The field record and its files live in ``fields``.
 
 Rotation hypersurfaces are sampled on a (profile, orbit-angle) grid. One function
 gives each profile's curvatures and density; the shape operator is constant along
@@ -305,6 +305,13 @@ def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, floa
     return _orbit_samples(spec, "the profile", t_values, dt, kr, kp, density, minimal=False)
 
 
+def _chart_grid(bounds, grid) -> tuple[tuple[int, ...], np.ndarray, float]:
+    """Counts (6 per direction by default), midpoints (N, n) and cell volume of a chart domain."""
+    counts = _grid_counts(grid, (6,) * len(bounds))
+    axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
+    return counts, _grid_points(axes), math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, counts))
+
+
 def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shape operators (N, n, n) in orthonormal tangent frames and area densities (N,).
 
@@ -323,27 +330,11 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[
     e = [h * unit for unit in np.eye(n)]
     x0, plus, minus = at(0.0), [at(ei) for ei in e], [at(-ei) for ei in e]
     jac = np.stack([(plus[i] - minus[i]) / (2.0 * h) for i in range(n)], axis=2)
-    gram = np.swapaxes(jac, 1, 2) @ jac
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        for k in range(count):  # find the first point whose Gram matrix is not positive definite
-            try:
-                np.linalg.cholesky(gram[k])
-            except np.linalg.LinAlgError:
-                break
-        raise DegenerateChart(f"chart Jacobian is rank deficient at {tuple(points[k].tolist())}") from exc
-    pivots = np.diagonal(chol, axis1=1, axis2=2)
-    thin = pivots.min(axis=1) <= tolerance("chart_rank_tol") * pivots.max(axis=1)
-    if thin.any():
-        raise DegenerateChart("chart Jacobian is nearly rank deficient at "
-                              f"{tuple(points[np.argmax(thin)].tolist())}")
-
     q, _ = np.linalg.qr(jac, mode="complete")
     normal = q[:, :, n]
     sign, _ = np.linalg.slogdet(np.concatenate([jac, normal[:, :, None]], axis=2))
-    # det([J | normal]) < 0: the standard hyperspherical chart of the round sphere then
-    # yields A = +I/r, matching the analytic builders; a reflected chart gives -A
+    # det([J | normal]) < 0: the standard hyperspherical chart of the round n-sphere then yields
+    # A = +I/r for even n, as the analytic builders do, and -I/r for odd n; a reflected chart, -A
     normal = -sign[:, None] * normal
 
     # projections onto the normal: the builtin sum adds ambient terms in a fixed order, point by point
@@ -354,6 +345,27 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[
             ei, ej = e[i], e[j]
             dij = (at(ei + ej) - at(ei - ej) - at(ej - ei) + at(-ei - ej)) / (4.0 * h * h)
             second[:, i, j] = second[:, j, i] = sum((dij * normal).T)
+    return _frame_operators(np.swapaxes(jac, 1, 2) @ jac, second,
+                            lambda k: f"at {tuple(points[k].tolist())}")
+
+
+def _frame_operators(gram: np.ndarray, second: np.ndarray, where) -> tuple[np.ndarray, np.ndarray]:
+    """Shape operators (N, n, n) in orthonormal tangent frames and area densities sqrt(det g) (N,)
+    from the first and second fundamental forms (N, n, n); ``where(k)`` names sample k in a
+    DegenerateChart (a Cholesky pivot ratio at most chart_rank_tol) or an InvariantViolation."""
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        for k in range(len(gram)):  # find the first point whose Gram matrix is not positive definite
+            try:
+                np.linalg.cholesky(gram[k])
+            except np.linalg.LinAlgError:
+                break
+        raise DegenerateChart(f"chart Jacobian is rank deficient {where(k)}") from exc
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    thin = pivots.min(axis=1) <= tolerance("chart_rank_tol") * pivots.max(axis=1)
+    if thin.any():
+        raise DegenerateChart(f"chart Jacobian is nearly rank deficient {where(np.argmax(thin))}")
 
     # orthonormal frame via g = L L^T: A = L^-1 II L^-T, then symmetrised once its asymmetry
     # is checked against a tolerance relative to max(1, max |A|)
@@ -363,9 +375,9 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[
     skew = (np.abs(a_frame - a_flip).max(axis=(1, 2))
             > 1e-9 * np.maximum(1.0, np.abs(a_frame).max(axis=(1, 2))))
     if skew.any():
-        raise InvariantViolation("shape operator asymmetry exceeds tolerance at "
-                                 f"{tuple(points[np.argmax(skew)].tolist())}")
-    return 0.5 * (a_frame + a_flip), np.prod(pivots, axis=1)  # sqrt(det g)
+        raise InvariantViolation(f"shape operator asymmetry exceeds tolerance {where(np.argmax(skew))}")
+    with np.errstate(over="ignore", under="ignore"):  # a weight out of range is for the caller to name
+        return 0.5 * (a_frame + a_flip), np.prod(pivots, axis=1)
 
 
 def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
@@ -385,15 +397,11 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     dims = len(bounds)
     if any(not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo for lo, hi in bounds):
         raise BadParams("domain bounds must be finite and ordered")
-    counts = _grid_counts(grid, (6,) * dims)
+    counts, points, cell = _chart_grid(bounds, grid)
     span = max(hi - lo for lo, hi in bounds)
     h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, span)
     _positive_finite("fd_step", h)
     spec = SurfaceSpec("Chart", dims, dict(params or {}, fd_step=h), counts)
-
-    axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
-    cell = math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, counts))
-    points = _grid_points(axes)
 
     # one stencil pass: every point at step h, then the self-check probes again at h / 2
     count = len(points)
@@ -424,6 +432,23 @@ def _sphere_embed(angles: np.ndarray) -> np.ndarray:
     return x
 
 
+def _sphere_jacobian(angles: np.ndarray) -> np.ndarray:
+    """Derivatives (N, n + 1, n) of ``_sphere_embed`` at (N, n) angles, in one pass over them."""
+    count, n = angles.shape
+    cos, sin = np.cos(angles), np.sin(angles)
+    jac = np.zeros((count, n + 1, n))
+    # the product of the sines before angle d, and its derivative in each of those angles
+    sin_prod, d_prod = np.ones(count), np.zeros((count, n))
+    for d in range(n):  # x_d = sin_prod * cos(u_d)
+        jac[:, d, :d] = d_prod[:, :d] * cos[:, d, None]
+        jac[:, d, d] = -sin_prod * sin[:, d]
+        d_prod[:, :d] *= sin[:, d, None]
+        d_prod[:, d] = sin_prod * cos[:, d]
+        sin_prod = sin_prod * sin[:, d]
+    jac[:, n] = d_prod  # x_n = sin_prod
+    return jac
+
+
 def ellipsoid_chart(semi_axes):
     """Chart of the ellipsoid sum (x_i / a_i)^2 = 1, on [..., n] arrays; dimension len(a) - 1."""
     axes = np.asarray(semi_axes, dtype=float)
@@ -447,13 +472,14 @@ def ellipsoid_chart(semi_axes):
     return chart, domain
 
 
-def build_ellipsoid(semi_axes, grid=None, fd_step: float | None = None) -> ShapeField:
-    """Generic strictly curved hypersurface: an ellipsoid sampled via its chart.
+def build_ellipsoid(semi_axes, grid=None) -> ShapeField:
+    """Generic strictly curved hypersurface: the ellipsoid sum (x_i / a_i)^2 = 1, in closed form.
 
-    The chart's Jacobian pivots scale with the semi-axes, so semi-axes whose largest and
-    smallest differ by a factor of 1 / chart_rank_tol or more raise BadParams naming them.
+    On ``ellipsoid_chart``'s x = D w(u), D = diag(a): g = dw^T D^2 dw and the inward second
+    fundamental form h = dw^T dw / |D^-1 w|. An axis ratio >= 1 / chart_rank_tol (BadParams) or a
+    pivot ratio of g <= chart_rank_tol (DegenerateChart) is refused naming the semi-axes.
     """
-    chart, domain = ellipsoid_chart(semi_axes)
+    _, domain = ellipsoid_chart(semi_axes)
     n = len(domain)
     if n < 4:
         raise BadDimension(f"need at least 5 semi-axes, got {len(list(semi_axes))}")
@@ -463,6 +489,11 @@ def build_ellipsoid(semi_axes, grid=None, fd_step: float | None = None) -> Shape
         raise BadParams(f"semi-axes {axes} have ratio largest / smallest {ratio:.3g}, at least "
                         f"1 / chart_rank_tol = {1.0 / tol:.3g}: the chart Jacobian would be "
                         "nearly rank deficient")
-    return chart_shape_operator(chart, domain, grid=grid, fd_step=fd_step,
-                                params={"semi_axes": axes})
-
+    counts, points, cell = _chart_grid(domain, grid)
+    dw, a = _sphere_jacobian(points), np.array(axes)
+    scaled, dist = a[:, None] * dw, np.linalg.norm(_sphere_embed(points) / a, axis=1)  # |D^-1 w|
+    operators, density = _frame_operators(
+        np.swapaxes(scaled, 1, 2) @ scaled, np.swapaxes(dw, 1, 2) @ dw / dist[:, None, None],
+        lambda k: f"for semi-axes {axes} (ratio largest / smallest {ratio:.3g})")
+    return ShapeField(SurfaceSpec("Chart", n, {"semi_axes": axes}, counts), points, operators,
+                      _area_weights(f"semi-axes {axes}", density, cell), minimal_claimed=False)

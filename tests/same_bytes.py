@@ -29,7 +29,7 @@ SURFACES = {
     "catenoid-substeps": "--surface catenoid --n 4 --ode-substeps 64 --t-max 0.3 --grid 8x2",
     "ellipsoid-n6": "--surface ellipsoid --n 6 --grid 3x3x3x3x2x2",
     "ellipsoid-n4": "--surface ellipsoid --n 4",
-    "ellipsoid-n4-fd": "--surface ellipsoid --n 4 --grid 3 --fd-step 1e-3",
+    "ellipsoid-n4-long": "--surface ellipsoid --n 4 --grid 3 --semi-axes 1,1,1,1,1e7",
     "sphere-n4": "--surface sphere --n 4",
     "sphere-n5-5": "--surface sphere --n 5 --grid 5",
     "cylinder-r2": "--surface cylinder --n 4 --radius 2",

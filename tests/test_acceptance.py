@@ -204,9 +204,13 @@ def test_criterion_7_rotation_vs_generic():
 
     grid = [3, 3, 3, 4]
     axes = [1.0, 1.2, 1.4, 1.6, 1.8]
-    ell = rotational_energy(build_ellipsoid(axes, grid=grid, fd_step=2e-4))
-    ell_half = rotational_energy(build_ellipsoid(axes, grid=grid, fd_step=1e-4))
-    noise_floor = abs(ell.e_rot - ell_half.e_rot) + 1e-15 * ell.quadrature_scale
+    ell = rotational_energy(build_ellipsoid(axes, grid=grid))
+    # the closed form's floor: how far the finite-difference route on the same chart moves when
+    # its step halves, and how far it lies from the closed form at the finer step
+    fd, fd_half = (rotational_energy(chart_shape_operator(*ellipsoid_chart(axes), grid=grid,
+                                                          fd_step=h)).e_rot for h in (2e-4, 1e-4))
+    noise_floor = (max(abs(fd - fd_half), abs(ell.e_rot - fd_half))
+                   + 1e-15 * ell.quadrature_scale)
 
     cyl_ok = (abs(cylinder.e_rot) <= 1e-10 * cylinder.quadrature_scale
               and cylinder.classification == "RotationCandidate")
@@ -236,7 +240,7 @@ def test_criterion_8_conformal_invariance():
             conf_ok = conf_ok and abs(scaled.e_rot_conf - base.e_rot_conf) <= 1e-12 * max(
                 1.0, base.quadrature_scale_conf)
 
-    ell5 = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8, 2.0], grid=[2, 2, 2, 2, 3], fd_step=1e-4)
+    ell5 = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8, 2.0], grid=[2, 2, 2, 2, 3])
     base5 = rotational_energy(ell5)
     factor_ok = base5.e_rot > 0.0
     for t in (0.5, 2.0):

@@ -104,9 +104,6 @@ BAD_GEOMETRY = [
     ("cylinder", "--radius", "1e300", "radius", ()),
     ("sphere", "--radius", "1e-300", "radius", ()),
     ("cylinder", "--radius", "1e-300", "radius", ()),
-    ("ellipsoid", "--fd-step", "nan", "fd_step", ()),
-    ("ellipsoid", "--fd-step", "0", "fd_step", ()),
-    ("ellipsoid", "--fd-step", "-1e-3", "fd_step", ()),
     ("ellipsoid", "--semi-axes", "nan,1,1,1,1", "semi-axes", ()),
     ("ellipsoid", "--semi-axes", "inf,1,1,1,1", "semi-axes", ()),
     # squares that leave the double range in the chart's Gram product
@@ -116,9 +113,12 @@ BAD_GEOMETRY = [
     ("ellipsoid", "--semi-axes", "1e8,1,1,1,1", "semi-axes", ("--grid", "3x3x3x3")),
     ("ellipsoid", "--semi-axes", "1e-8,1,1,1,1", "semi-axes", ("--grid", "3x3x3x3")),
     ("ellipsoid", "--semi-axes", "1,1,1e4,1,1e-4", "semi-axes", ("--grid", "3x3x3x3")),
+    # a smaller ratio whose metric still has a Cholesky pivot ratio under chart_rank_tol
+    ("ellipsoid", "--semi-axes", "3e7,1,1,1,1", "semi-axes", ("--grid", "3x3x3x3")),
     ("catenoid", "--t-max", "50", "t_max", ()),
     # finite scales whose area weights leave the double range
     ("sphere", "--radius", "1.14e77", "radius", ("--grid", "2")),
+    ("ellipsoid", "--semi-axes", "1e100,1e100,1e100,1e100,1e100", "semi-axes", ("--grid", "2")),
     ("cylinder", "--radius", "1e102", "height", ("--height", "1e300")),
     ("rotation", "--profile-coeffs", "1e200", "profile", ()),
     ("rotation", "--profile-coeffs", "1,0,1e200", "profile", ()),
@@ -223,6 +223,25 @@ class TestCatalog:
         assert code == 2
         assert "semi-axes" in capsys.readouterr().err
 
+    def test_pivot_refusal_names_the_semi_axes_and_their_ratio(self, tmp_path, capsys):
+        code = main(["catalog", "--surface", "ellipsoid", "--n", "4", "--semi-axes", "3e7,1,1,1,1",
+                     "--grid", "3x3x3x3", "--out", str(tmp_path / "e.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "catalog: chart Jacobian is nearly rank deficient for semi-axes "
+            "[30000000.0, 1.0, 1.0, 1.0, 1.0] (ratio largest / smallest 3e+07)\n")
+
+    def test_a_long_last_semi_axis_builds(self, tmp_path):
+        # the finite-difference route refused it: its default step failed the step-halving check
+        out = tmp_path / "e.json"
+        assert main(["catalog", "--surface", "ellipsoid", "--n", "4", "--grid", "3",
+                     "--semi-axes", "1,1,1,1,1e7", "--out", str(out)]) == 0
+        field = ingest_field(out)
+        assert field.spec.params == {"semi_axes": [1.0, 1.0, 1.0, 1.0, 1e7]}
+        report = tmp_path / "r.json"
+        assert main(["analyze", "--field", str(out), "--out", str(report)]) == 0
+        assert read_json(report)["report"]["classification"] == "Generic"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("surface, option, value, named, extra", BAD_GEOMETRY,
                              ids=["-".join(case[:4] + case[4]) for case in BAD_GEOMETRY])
@@ -274,7 +293,7 @@ class TestAnalyze:
     def test_ellipsoid_assert_zero_fails(self, tmp_path):
         field_path = tmp_path / "ell.json"
         assert main(["catalog", "--surface", "ellipsoid", "--n", "4",
-                     "--grid", "3x3x3x4", "--fd-step", "1e-4",
+                     "--grid", "3x3x3x4",
                      "--out", str(field_path)]) == 0
         out = tmp_path / "report.json"
         code = main(["analyze", "--field", str(field_path), "--out", str(out),
@@ -455,8 +474,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("previous", [None, "previous report\n"], ids=["absent", "existing"])
     def test_overflowing_sum_exit_2_and_out_untouched(self, tmp_path, capsys, previous):
-        data = saved_dict(build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 3],
-                                          fd_step=1e-3), tmp_path)
+        data = saved_dict(build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 3]), tmp_path)
         for sample in data["samples"]:
             sample["area_weight"] = 1e308
         field_path = tmp_path / "field.json"

@@ -14,7 +14,7 @@ from rigidity.energy import (
 )
 from rigidity.defaults import tolerance
 from rigidity.errors import BadParams, InvalidField, NonFiniteResult
-from rigidity.fields import CHUNK, ShapeField
+from rigidity.fields import CHUNK, ShapeField, equal_runs, field_from_dict
 from rigidity.surfaces import (
     build_catenoid,
     build_cylinder,
@@ -24,6 +24,7 @@ from rigidity.surfaces import (
     conformal_rescale,
 )
 
+from json_reference import own_entry, saved_dict
 from reference import (
     SymMatrix,
     derived_rng,
@@ -41,7 +42,7 @@ def cylinder4():
 
 @pytest.fixture(scope="module")
 def ellipsoid4():
-    return build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4], fd_step=1e-4)
+    return build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4])
 
 
 class TestRotationalEnergy:
@@ -160,14 +161,48 @@ class TestRotationalEnergy:
         assert ("\r\n0.0," in text) == (len(coords) > 2 * CHUNK + 1)
 
 
+class TestDecisionBoundaries:
+    def test_one_off_locus_run_among_more_than_100_makes_the_field_generic(self, tmp_path):
+        data = saved_dict(build_catenoid(4, grid=[128, 2]), tmp_path)
+        entry = own_entry(data, 101)
+        operator = np.array(entry["shape_operator"])
+        # off-diagonal, so the trace and the minimality residual stay as they are
+        bump = 1e-3 * np.sqrt((operator * operator).sum())
+        operator[0, 1] += bump
+        operator[1, 0] += bump
+        entry["shape_operator"] = operator.tolist()
+        field = field_from_dict(data)
+        assert len(equal_runs(field.operators)[1]) == 128  # 127 runs of the catenoid, one split
+        base = rotational_energy(build_catenoid(4, grid=[128, 2]))
+        report = rotational_energy(field)
+        assert base.classification == "CatenoidCandidate"
+        assert report.classification == "Generic"
+        changed = report.pointwise["equality_kind"] != base.pointwise["equality_kind"]
+        assert np.flatnonzero(changed).tolist() == [101]
+
+    @pytest.mark.parametrize("size", [1.0, 1e3])
+    def test_umbilic_test_is_umbilic_tol_times_the_norm(self, size):
+        # |tracefree(A)| at 0.1x and 10x umbilic_tol * |A| falls on either side of the test
+        sphere = build_sphere(4, 1.0, grid=[2])
+        # trace-free with unit norm, and off the diagonal, so that adding it leaves the trace exact
+        direction = np.zeros((4, 4))
+        direction[0, 1] = direction[1, 0] = math.sqrt(0.5)
+        scale = tolerance("umbilic_tol") * size
+        operators = np.stack([size / 2.0 * np.eye(4) + f * scale * direction for f in (0.1, 10.0)])
+        report = rotational_energy(ShapeField(sphere.spec, sphere.coords[:2], operators,
+                                              sphere.weights[:2]))
+        assert np.sqrt((operators * operators).sum(axis=(1, 2))) == pytest.approx(size)
+        assert report.pointwise["umbilic"].tolist() == [True, False]
+        assert report.classification != "AllUmbilic"
+
+
 CATALOG = {
     "sphere": lambda: build_sphere(5, 1.5, grid=[3]),
     "cylinder": lambda: build_cylinder(4, 1.0, 2.0, grid=[6, 4]),
     "catenoid": lambda: build_catenoid(5, grid=[16, 4]),
     "rotation": lambda: build_rotation_hypersurface(6, lambda t: 1.0 + 0.5 * t * t, grid=[8, 3],
                                                     fp=lambda t: t, fpp=lambda t: 1.0),
-    "ellipsoid": lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4],
-                                         fd_step=1e-4),
+    "ellipsoid": lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4]),
 }
 
 
@@ -225,8 +260,7 @@ class TestConformalRescale:
                 assert scaled.e_rot_conf == base.e_rot_conf
 
     def test_n5_homogeneity(self):
-        field = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8, 2.0], grid=[2, 2, 2, 2, 3],
-                                fd_step=1e-4)
+        field = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8, 2.0], grid=[2, 2, 2, 2, 3])
         base = rotational_energy(field)
         assert base.e_rot > 0.0
         for t in (0.5, 2.0):

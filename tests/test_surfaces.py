@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from rigidity import surfaces
 from rigidity.errors import (
     BadDimension,
     BadParams,
@@ -255,7 +256,7 @@ class TestChart:
         assert len(field.weights) == 81
 
     def test_ellipsoid_strictly_generic(self):
-        field = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4], fd_step=1e-4)
+        field = build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[3, 3, 3, 4])
         positive = 0
         for i in range(len(field.operators)):
             verdict, _ = main_inequality(tracefree_at(field, i))
@@ -330,6 +331,12 @@ class TestChart:
         with pytest.raises(DegenerateChart, match=r"rank deficient at \(0\.75, 0\.25, 0\.25, 0\.25\)"):
             chart_shape_operator(chart, [(0.0, 1.0)] * 4, grid=[2, 2, 2, 2])
 
+    @pytest.mark.parametrize("step", [math.nan, 0.0, -1e-3])
+    def test_fd_step_out_of_range_is_refused(self, step):
+        chart, domain = ellipsoid_chart([1.0, 1.2, 1.4, 1.6, 1.8])
+        with pytest.raises(BadParams, match=r"^fd_step must be positive and finite"):
+            chart_shape_operator(chart, domain, grid=[2, 2, 2, 2], fd_step=step)
+
     def test_step_too_large(self):
         chart, domain = ellipsoid_chart([1.0] * 5)
         with pytest.raises(StepTooLarge):
@@ -349,6 +356,61 @@ class TestChart:
             chart_shape_operator(chart, domain, grid=[2, 3, 2, 2], fd_step=0.9)
         with pytest.raises(DegenerateChart, match=r"rank deficient at \(0\.785[0-9]*, 1\.570"):
             chart_shape_operator(frozen, domain, grid=[2, 3, 2, 2], fd_step=0.9)
+
+
+# unequal semi-axes with n = 4, 5, 6, and a grid for each
+ELLIPSOIDS = [
+    ([1.0, 1.3, 0.8, 1.7, 1.2], [3, 3, 3, 4]),
+    ([1.0, 1.2, 1.4, 1.6, 1.8, 2.0], [2, 2, 2, 2, 3]),
+    ([0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.3], [2, 2, 2, 2, 2, 3]),
+]
+
+
+class TestEllipsoid:
+    @pytest.mark.parametrize("axes, grid", ELLIPSOIDS, ids=["n4", "n5", "n6"])
+    def test_finite_differences_converge_to_the_closed_form(self, axes, grid):
+        field = build_ellipsoid(axes, grid=grid)
+        # the finite-difference route orients its normal by det([J | normal]); on this chart
+        # that is the closed form's inward normal for even n and the outward one for odd n
+        orientation = (-1.0) ** field.spec.n
+
+        def gaps(h):
+            fd = chart_shape_operator(*ellipsoid_chart(axes), grid=grid, fd_step=h)
+            assert np.array_equal(fd.coords, field.coords)
+            return (np.abs(orientation * fd.operators - field.operators).max()
+                    / np.abs(field.operators).max(),
+                    np.abs(fd.weights / field.weights - 1.0).max())
+
+        coarse, fine = gaps(1e-3), gaps(5e-4)
+        assert max(fine) <= 1e-6
+        # central differences converge at O(h^2): halving h divides the gap by about 4
+        assert coarse[0] >= 3.0 * fine[0] and coarse[1] >= 3.0 * fine[1]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_equal_axes_give_the_round_sphere(self, n):
+        grid = [3] * (n - 1) + [4]
+        field = build_ellipsoid([1.7] * (n + 1), grid=grid)
+        sphere = build_sphere(n, 1.7, grid=grid)
+        assert np.abs(field.operators - np.eye(n) / 1.7).max() <= 1e-13 / 1.7
+        assert np.array_equal(field.coords, sphere.coords)
+        assert np.abs(field.weights / sphere.weights - 1.0).max() <= 1e-13
+
+    def test_frame_checks_name_the_sample(self):
+        # the frame both routes share: A = L^-1 II L^-T with g = L L^T, and sqrt(det g)
+        gram = np.stack([np.diag([4.0, 1.0, 1.0, 9.0])] * 3)
+        second = gram.copy()
+        operators, density = surfaces._frame_operators(gram, second, lambda k: f"at sample {k}")
+        assert np.allclose(operators, np.eye(4), rtol=0, atol=1e-15)
+        assert np.array_equal(density, [6.0] * 3)
+        second[2, 0, 1] += 1e-3
+        with pytest.raises(InvariantViolation, match="asymmetry exceeds tolerance at sample 2$"):
+            surfaces._frame_operators(gram, second, lambda k: f"at sample {k}")
+        gram[1, 3, 3] = 1e-17  # a pivot ratio of sqrt(1e-17) / 2, under chart_rank_tol
+        with pytest.raises(DegenerateChart, match="nearly rank deficient at sample 1$"):
+            surfaces._frame_operators(gram, second, lambda k: f"at sample {k}")
+        gram[0, 3, 3] = -1.0
+        with pytest.raises(DegenerateChart, match="Jacobian is rank deficient at sample 0$"):
+            surfaces._frame_operators(gram, second, lambda k: f"at sample {k}")
 
 
 class TestShapeField:
@@ -509,7 +571,7 @@ class TestFieldIO:
         lambda: build_catenoid(4, grid=[2, 2]),
         lambda: build_rotation_hypersurface(4, lambda t: 1.0 + t * t, grid=[2, 2],
                                             fp=lambda t: 2.0 * t, fpp=lambda t: 2.0),
-        lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 2], fd_step=1e-3),
+        lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 2]),
     ], ids=["sphere", "cylinder", "catenoid", "rotation", "chart"])
     def test_ambient_curvature_key(self, tmp_path, build):
         # files written before the key was dropped carry the flat ambient space as 0.0
