@@ -52,8 +52,10 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
 
     The operators go through the examination and kernels of the verify campaigns
     as one stack, each run of equal consecutive operators once; summation is
-    math.fsum in sample order. Every sample is classified through the sharp
-    inequality, so the report carries an equality-locus map. A norm or power
+    math.fsum in sample order. The trace-free part of an operator that passes
+    the umbilic test is taken as zero before examination. Every sample is
+    classified through the sharp inequality, so the report carries an
+    equality-locus map. A norm or power
     of |tracefree(A)| too large for a double raises NonFiniteResult naming the
     first such sample, and a sum beyond the double range raises it naming the
     sum.
@@ -64,18 +66,26 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     # the kernels run once per run of equal operators (an orbit, or a sphere); results are per matrix
     starts, runs = equal_runs(operators)
     distinct = operators[starts]
+    tracefree = trace_free_project_batch(distinct)
+    with np.errstate(over="ignore"):
+        # the umbilic test |tracefree(A)| <= umbilic_tol * max(1, |A|), |tracefree(A)|^2 as
+        # examine_batch sums it; |A| may overflow to inf
+        a2 = (tracefree * tracefree).sum(axis=(1, 2))
+        frob = np.sqrt((distinct * distinct).sum(axis=(1, 2)))
+    umbilic = np.sqrt(a2) <= tolerance("umbilic_tol") * np.maximum(1.0, frob)
+    # an umbilic trace-free part is rounding, whose trace examine_batch would weigh against that
+    # same rounding, so it is zero; where |A| or |tracefree(A)|^2 overflows the test compares with
+    # inf and decides nothing, so the row is left for examine_batch
+    tracefree[umbilic & np.isfinite(a2) & np.isfinite(frob)] = 0.0
     try:
-        stack = examine_batch(trace_free_project_batch(distinct))
+        stack = examine_batch(tracefree)
     except NonFiniteResult:  # an overflow is at a run's first sample; the whole stack names it
-        examine_batch(trace_free_project_batch(operators))
+        examine_batch(np.repeat(tracefree, runs, axis=0))
         raise
     with np.errstate(over="ignore"):
         # a numpy scalar's pow rounds as Python's float pow, as reports always did; np.power does not
         norm_n = np.array([x ** (n / 2.0) for x in stack.a2])
         conf_factor = 1.0 if n == 4 else np.array([x ** ((n - 4) / 2.0) for x in stack.a2])
-        # the umbilic test |tracefree(A)| <= umbilic_tol * max(1, |A|); |A| may overflow to inf
-        frob = np.sqrt((distinct * distinct).sum(axis=(1, 2)))
-    umbilic = np.sqrt(stack.a2) <= tolerance("umbilic_tol") * np.maximum(1.0, frob)
     verdict, large = main_inequality_batch(stack)
     if umbilic.all():
         classification = "AllUmbilic"

@@ -312,6 +312,20 @@ class TestAnalyze:
         assert report["report"]["E_rot"] == 0.0
         assert report["report"]["E_rot_conf"] == 0.0
 
+    @pytest.mark.parametrize("surface", [
+        ["--surface", "sphere", "--n", "7", "--radius", "0.3", "--grid", "2"],
+        ["--surface", "ellipsoid", "--n", "4", "--semi-axes", "1,1,1,1,1", "--grid", "3"],
+    ], ids=["sphere", "ellipsoid"])
+    def test_round_sphere_all_umbilic(self, tmp_path, surface):
+        # each exited 2 with NotTraceFree: the trace of rounding measured against rounding
+        field_path = tmp_path / "sphere.json"
+        assert main(["catalog", *surface, "--out", str(field_path)]) == 0
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--field", str(field_path), "--out", str(out)]) == 0
+        report = read_json(out)["report"]
+        assert (report["classification"], report["E_rot"], report["E_rot_conf"]) == (
+            "AllUmbilic", 0.0, 0.0)
+
     def test_csv_export(self, tmp_path, catenoid_path):
         out = tmp_path / "report.json"
         csv_path = tmp_path / "samples.csv"

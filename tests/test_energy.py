@@ -52,6 +52,21 @@ class TestRotationalEnergy:
         assert report.e_rot == 0.0
         assert report.e_rot_conf == 0.0
 
+    @pytest.mark.parametrize("build, dims", [
+        (lambda n, r: build_sphere(n, r, grid=[2]), range(4, 11)),
+        (lambda n, r: build_ellipsoid([r] * (n + 1), grid=[2] * n), range(4, 7)),
+    ], ids=["sphere", "ellipsoid"])
+    def test_round_spheres_are_all_umbilic(self, build, dims):
+        # an umbilic operator's trace-free part is rounding, whose trace was weighed against that
+        # same rounding and refused (NotTraceFree) for many radii
+        for n in dims:
+            for r in (0.1, 0.3, 0.7, 1.1, 1.3, 2.5, 3.0, 7.0):
+                report = rotational_energy(build(n, r))
+                assert report.classification == "AllUmbilic", (n, r)
+                assert report.e_rot == report.e_rot_conf == 0.0, (n, r)
+                assert report.pointwise["umbilic"].all(), (n, r)
+                assert not report.pointwise["tracefree_norm_sq"].any(), (n, r)
+
     def test_cylinder_zero_energy(self, cylinder4):
         report = rotational_energy(cylinder4)
         assert report.classification == "RotationCandidate"
@@ -113,6 +128,15 @@ class TestRotationalEnergy:
         operators = cylinder4.operators.copy()
         operators[7] *= 1e100
         with pytest.raises(NonFiniteResult, match="sample 7: .* overflows"):
+            rotational_energy(ShapeField(cylinder4.spec, cylinder4.coords, operators,
+                                         cylinder4.weights))
+
+    def test_overflowing_frobenius_norm_is_not_taken_as_umbilic(self, cylinder4):
+        # |A|^2 overflows while |tracefree(A)|^2 = 1e306 does not; |tracefree(A)| / |A| is 1e-5,
+        # far above umbilic_tol, so the trace-free part must not be zeroed and |A|^4 overflows
+        operators = np.broadcast_to(1e158 * np.eye(4), cylinder4.operators.shape).copy()
+        operators[:, 0, 1] = operators[:, 1, 0] = 1e153 / math.sqrt(2.0)
+        with pytest.raises(NonFiniteResult, match=r"^sample 0: \|A\|\^4 overflows"):
             rotational_energy(ShapeField(cylinder4.spec, cylinder4.coords, operators,
                                          cylinder4.weights))
 

@@ -1,11 +1,12 @@
 """Batched campaign kernel against the scalar reference functions, and the keyed stream."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rigidity import inequalities, spectral, verify
+from rigidity import curvature, inequalities, spectral, verify
 from rigidity.cli import main
 from rigidity.curvature import kn_identity_suite_batch
 from rigidity.errors import (
@@ -37,7 +38,9 @@ from reference import (
     derived_rng,
     eigen_spectrum,
     equality_family_matrix,
+    fialkow_tensor,
     kn_identity_suite,
+    kulkarni_nomizu,
     lambda_scan,
     lambda_scan_scales,
     main_inequality,
@@ -54,7 +57,7 @@ from reference import (
 )
 
 DIMS = range(4, 13)
-COUNT = 20  # more than two KN sub-batches
+COUNT = 20  # more than one KN contraction step from n = 7 on
 TOL = 1e-12
 
 
@@ -131,6 +134,8 @@ def test_batched_kernel_matches_scalar(n, corpus):
     gaps, products = lambda_scan_batch(t, np.broadcast_to(lam, (len(a), lam.size)))
     bridge = bridge_residual(t)
     kn = kn_identity_suite_batch(t)
+    # at the largest n the rows below span more than one KN contraction step
+    assert COUNT > curvature._kn_step_rows(max(DIMS))
 
     for b in range(len(a)):
         m = SymMatrix(a[b])
@@ -174,6 +179,30 @@ def test_batched_kernel_matches_scalar(n, corpus):
         np.testing.assert_allclose(gaps[b], values[:-1] / q_scale, rtol=TOL, atol=TOL)
         assert abs(products[b] - values[-1] / product_scale) <= TOL
         np.testing.assert_allclose(kn[b], kn_identity_suite(m), rtol=0, atol=TOL * hom4)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_kn_contractions_are_within_8_ulps_of_the_exact_n4_sum(n):
+    # the three norms against math.fsum over every entry of the reference's full rank-4 products;
+    # gathering with x[:, idx] instead of take sums non-contiguous rows and misses this
+    corpus = [SymMatrix(m) for m in random_corpus(n)]
+    a = np.stack([m.entries for m in corpus])
+    f = np.stack([fialkow_tensor(m)[0].entries for m in corpus])
+    got = curvature._kn_contractions(a, f)
+    for b, m in enumerate(corpus):
+        aa, fg = kulkarni_nomizu(m, m).entries, kulkarni_nomizu(f[b], np.eye(n)).entries
+        for k, (x, y) in enumerate(((aa, aa), (aa, fg), (fg, fg))):
+            exact = math.fsum((x * y).ravel().tolist())
+            assert abs(got[k, b] - exact) <= 8 * math.ulp(exact), (b, k)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_kn_row_does_not_depend_on_its_step(n):
+    count = 2 * curvature._kn_step_rows(n) + 3  # the stack spans three steps
+    a = np.stack([random_trace_free(derived_rng(1200 + n, i), n).entries for i in range(count)])
+    whole = kn_identity_suite_batch(examine_batch(a))
+    for b in (0, count // 2, count - 1):
+        assert np.array_equal(kn_identity_suite_batch(examine_batch(a[b:b + 1]))[0], whole[b])
 
 
 @pytest.mark.parametrize("corpus", [random_corpus, equality_corpus, near_cluster_corpus],
@@ -283,6 +312,16 @@ def test_report_does_not_depend_on_the_chunk(monkeypatch, chunk):
     args = ([4, 5, 6, 9, 12], 60, 5)
     whole = verify.run_verification_campaign(*args)
     monkeypatch.setattr(verify, "campaign_chunk", lambda dims, lambda_count: chunk)
+    assert verify.run_verification_campaign(*args) == whole
+
+
+def test_report_does_not_depend_on_the_kn_steps_of_a_chunk(monkeypatch):
+    # at the default chunk each dimension's stack is drawn whole and spans more than two KN
+    # contraction steps; at chunk 100 the n = 4 stacks fit within one step
+    args = ([4, 12], 2 * (2 * curvature._kn_step_rows(4) + 1), 11, 100)
+    assert campaign_chunk(args[0], args[3]) >= args[1]
+    whole = verify.run_verification_campaign(*args)
+    monkeypatch.setattr(verify, "campaign_chunk", lambda dims, lambda_count: 100)
     assert verify.run_verification_campaign(*args) == whole
 
 
