@@ -9,7 +9,8 @@ eigenspace of dimension at least n-1.
 
 Each check runs over a stack at once and reads the plain arrays of the one
 record of it that spectral.examine_batch makes (norms, spectrum, and sigma and
-p as (n + 1, B) arrays), computed and checked trace-free once.
+p as (n + 1, B) arrays), computed and checked trace-free once. All but the Newton
+gaps and the lambda scan also take a merge_stacks record, with n per row.
 Every verdict carries an explicit scale matched to the homogeneity degree of
 its inequality; the holds/equality decisions use the homogeneous part of the
 scale so they are invariant under rescaling the matrix, while the reported
@@ -20,7 +21,6 @@ does not carry its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .defaults import tolerance
 from .errors import BadDimension, InvariantViolation
-from .spectral import TraceFreeStack, examine_batch
+from .spectral import TraceFreeStack, examine_batch, large_eigenspace_batch
 
 __all__ = [
     "EqualityKind",
@@ -73,14 +73,14 @@ class InequalityVerdict:
 
 
 def defect_coefficient(n: int) -> float:
-    """The sharp constant (n^2 - 3n + 3) / (n (n - 1))."""
+    """The sharp constant (n^2 - 3n + 3) / (n (n - 1)), per entry for an int array n."""
     return (n * n - 3 * n + 3) / (n * (n - 1))
 
 
 def bridge_residual(stack: TraceFreeStack) -> np.ndarray:
     """Residuals (B,) of C(n,4)(p_4 + 3 p_2^2) = -1/4 (|A^2|^2 - coef |A|^4)."""
     n, p2, p4 = stack.n, stack.p[2], stack.p[4]
-    left = math.comb(n, 4) * (p4 + 3.0 * p2 * p2)
+    left = (n * (n - 1) * (n - 2) * (n - 3) // 24) * (p4 + 3.0 * p2 * p2)  # C(n, 4), per row
     right = -0.25 * (stack.a22 - defect_coefficient(n) * stack.a2 * stack.a2)
     return left - right
 
@@ -116,11 +116,6 @@ def _verdict_batch(lhs, rhs, hom_scale) -> InequalityVerdict:
                              defect >= -threshold, np.abs(defect) <= threshold)
 
 
-def _large_eigenspace_batch(links: np.ndarray) -> np.ndarray:
-    # a cluster of n - 1 or more eigenvalues is a linked run over the first or the last n - 1
-    return links[:, 1:].all(axis=1) | links[:, :-1].all(axis=1)
-
-
 def classify_spectrum_batch(w: np.ndarray, links: np.ndarray) -> np.ndarray:
     """EqualityKind values (B,) of the spectra (w, links) of eigen_spectrum_batch.
 
@@ -129,7 +124,7 @@ def classify_spectrum_batch(w: np.ndarray, links: np.ndarray) -> np.ndarray:
     least n - 1, and None otherwise.
     """
     radius = np.max(np.abs(w), axis=1)
-    large = _large_eigenspace_batch(links)  # past the one-cluster case, exactly n - 1 eigenvalues
+    large = large_eigenspace_batch(links)  # past the one-cluster case, exactly n - 1 eigenvalues
     trace_free = (np.abs(w.sum(axis=1))
                   <= tolerance("trace_free_tol") * w.shape[1] * np.maximum(1.0, radius))
     conditions = [radius <= tolerance("umbilic_tol"), links.all(axis=1), large & trace_free, large]
@@ -189,8 +184,8 @@ def main_inequality_batch(stack: TraceFreeStack) -> tuple[InequalityVerdict, np.
     """|A^2|^2 <= ((n^2-3n+3)/(n(n-1))) |A|^4 over a stack, n >= 4, asserting on every row the
     quartic bridge identity that ties the defect to C(n,4)(p_4 + 3 p_2^2).
 
-    Also returns per row whether an eigenspace has dimension >= n - 1, the
-    equality case, from the cluster links of the spectrum.
+    Also returns the record's ``large``: per row whether an eigenspace has
+    dimension >= n - 1, the equality case, from the cluster links of the spectrum.
     """
     hom = stack.a2 * stack.a2
     residual = bridge_residual(stack)
@@ -200,7 +195,7 @@ def main_inequality_batch(stack: TraceFreeStack) -> tuple[InequalityVerdict, np.
         raise InvariantViolation(f"bridge identity residual {residual[i]:.3e} exceeds "
                                  f"tolerance at scale {hom[i]:.3e}")
     verdict = _verdict_batch(stack.a22, defect_coefficient(stack.n) * hom, hom)
-    return verdict, _large_eigenspace_batch(stack.links)
+    return verdict, stack.large
 
 
 def sigma_norm_identities_batch(stack: TraceFreeStack) -> tuple[np.ndarray, np.ndarray]:

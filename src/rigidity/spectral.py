@@ -8,6 +8,7 @@ cross-validate against this redundancy. Every kernel takes a (B, n, n) stack,
 or its (B, n) eigenvalues, at once, and every check reads the one
 TraceFreeStack record of a stack that ``examine_batch`` makes: plain named
 arrays, with the normalized p_k = sigma_k / C(n, k) divided out once.
+``merge_stacks`` joins the rows of records of several dimensions into one.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ __all__ = [
     "trace_free_project_batch",
     "eigen_spectrum_batch",
     "symfun_from_spectrum_batch",
+    "power_sums_batch",
     "symfun_from_power_sums_batch",
     "norms_batch",
+    "large_eigenspace_batch",
+    "merge_stacks",
 ]
 
 
@@ -70,21 +74,24 @@ def symfun_from_spectrum_batch(w: np.ndarray) -> np.ndarray:
     return c
 
 
-def symfun_from_power_sums_batch(m: np.ndarray) -> np.ndarray:
-    """sigma_0..sigma_n (n + 1, B) of each matrix of a stack from traces of its powers, with no
-    eigendecomposition.
-
-    sigma_k = (1/k) * sum_{j=1..k} (-1)^(j-1) sigma_{k-j} s_j: the oracle path
-    for the eigenvalue route.
-    """
+def power_sums_batch(m: np.ndarray) -> np.ndarray:
+    """Power sums s_j = tr A^j (n + 1, B), row 0 = n, of each matrix of a stack (B, n, n)."""
     n = m.shape[-1]
-    s, sigma, power = np.empty((n + 1, len(m))), np.zeros((n + 1, len(m))), m
+    s, power = np.full((n + 1, len(m)), float(n)), m  # row 0 keeps s_0 = n
     for j in range(1, n + 1):
         s[j] = np.trace(power, axis1=1, axis2=2)
         power = power @ m
+    return s
+
+
+def symfun_from_power_sums_batch(s: np.ndarray) -> np.ndarray:
+    """sigma_0..sigma_K (K + 1, B) of power sums s (K + 1, B), with no eigendecomposition: the
+    oracle path for the eigenvalue route, sigma_k = (1/k) sum_{j=1..k} (-1)^(j-1) sigma_{k-j} s_j.
+    Zero-padding s past a matrix's n leaves its sigma_0..sigma_n as they are."""
+    sigma = np.zeros_like(s)
     sigma[0] = 1.0
-    signs = (-1.0) ** np.arange(n)[:, None]
-    for k in range(1, n + 1):
+    signs = (-1.0) ** np.arange(len(s) - 1)[:, None]
+    for k in range(1, len(s)):
         # cumsum adds in j order whatever B is; a matrix product or sum may not
         sigma[k] = np.cumsum(signs[:k] * sigma[k - 1::-1] * s[1:k + 1], axis=0)[-1] / k
     return sigma
@@ -97,25 +104,29 @@ def norms_batch(m: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple((x * y).sum(axis=(1, 2)) for x, y in ((m, m), (b, b), (b, m)))
 
 
+def large_eigenspace_batch(links: np.ndarray) -> np.ndarray:
+    """Per row of links (B, n - 1), whether the first or last n - 1 eigenvalues are one cluster."""
+    return links[:, 1:].all(axis=1) | links[:, :-1].all(axis=1)
+
+
 @dataclass(frozen=True)
 class TraceFreeStack:
     """A trace-free stack ``a`` (B, n, n) with its ``trace``, ``a2`` = |A|^2, ``a22`` = |A^2|^2
-    and ``t3`` = tr A^3 from the entries, each (B,); eigenvalues ``w`` and ``links`` from
-    eigen_spectrum_batch; ``sigma`` (n + 1, B) of ``w``, and ``p`` = sigma_k / C(n, k)."""
+    and ``t3`` = tr A^3 from the entries, each (B,); eigenvalues ``w``, ``links`` and ``large``
+    from eigen_spectrum_batch; ``sigma`` (n + 1, B) of ``w``, and ``p`` = sigma_k / C(n, k).
+    In a merge_stacks record ``n`` is a (B,) int array and ``a``, ``w`` and ``links`` are None."""
 
-    a: np.ndarray
+    a: np.ndarray | None
     trace: np.ndarray
     a2: np.ndarray
     a22: np.ndarray
     t3: np.ndarray
-    w: np.ndarray
-    links: np.ndarray
+    w: np.ndarray | None
+    links: np.ndarray | None
     sigma: np.ndarray
     p: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[-1]
+    n: int | np.ndarray
+    large: np.ndarray
 
 
 def examine_batch(a: np.ndarray) -> TraceFreeStack:
@@ -134,5 +145,15 @@ def examine_batch(a: np.ndarray) -> TraceFreeStack:
     sigma = symfun_from_spectrum_batch(w)
     # s_1 = sigma_1; cumsum adds s_2 left to right whatever B is
     _require_trace_free_batch(sigma[1], np.cumsum(w * w, axis=1)[:, -1], n)
-    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    return TraceFreeStack(a, trace, a2, a22, t3, w, links, sigma, sigma / binomials[:, None])
+    p = sigma / np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)[:, None]
+    return TraceFreeStack(a, trace, a2, a22, t3, w, links, sigma, p, n, large_eigenspace_batch(links))
+
+
+def merge_stacks(stacks) -> TraceFreeStack:
+    """The rows of records of any dimensions as one record, in order: ``n`` per row, and rows
+    0..4 of ``sigma`` and ``p``, which every n >= 4 has."""
+    def join(name: str, rows=slice(None)) -> np.ndarray:
+        return np.concatenate([getattr(stack, name)[rows] for stack in stacks], axis=-1)
+    n = np.concatenate([np.full(len(stack.a2), stack.n) for stack in stacks])
+    return TraceFreeStack(None, join("trace"), join("a2"), join("a22"), join("t3"), None, None,
+                          join("sigma", slice(5)), join("p", slice(5)), n, join("large"))

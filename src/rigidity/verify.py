@@ -1,17 +1,19 @@
 """Randomized verification campaigns over seeded trace-free matrices.
 
-Every inequality family runs on whole stacks of matrices of one dimension at
-a time and records worst-case relative defects. Matrices and lambda grids
-come from the stream keyed by the seed (see ``sampling``), drawn a chunk of
-indices at a time. ``_fold`` merges each chunk into a statistic by its name: a
-count, a ``min_*`` or a ``max_*``, so the report does not depend on the chunking
-and is byte-identical for a fixed seed and config. Its ``config`` holds the
-campaign's inputs, and its ``tolerances`` the table of thresholds, each value once.
+Matrices and lambda grids come from the stream keyed by the seed (see
+``sampling``), a chunk of indices at a time in groups of one dimension. Each
+group runs its examination, power sums, Newton gaps, Kulkarni-Nomizu suite and
+lambda scan; every other check runs once over all rows of the chunk
+(``spectral.merge_stacks``). ``_fold`` merges each chunk into a statistic by
+name: a count, a ``min_*`` or a ``max_*``, so the report does not depend on the
+chunking and is byte-identical for a fixed seed and config. Its ``config``
+holds the campaign's inputs, and its ``tolerances`` the thresholds, each once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -29,11 +31,9 @@ from .inequalities import (
     sigma_norm_identities_batch,
 )
 from .sampling import campaign_chunk, campaign_samples
-from .spectral import examine_batch, symfun_from_power_sums_batch
+from .spectral import examine_batch, merge_stacks, power_sums_batch, symfun_from_power_sums_batch
 
-__all__ = [
-    "run_verification_campaign",
-]
+__all__ = ["run_verification_campaign"]
 
 
 def _fold(stats: dict, **values) -> None:
@@ -63,6 +63,48 @@ def _passes(family: str, stats: dict) -> bool:
     return stats["violations"] == 0
 
 
+def _check_chunk(checks: dict, oracle: dict, include_kn: bool, groups) -> None:
+    """Fold one chunk's groups (n, matrices, lambda grids) into ``checks`` and ``oracle``."""
+    top, count = max(n for n, _, _ in groups), sum(len(a) for _, a, _ in groups)
+    sigma, power_sums = np.zeros((2, top + 1, count))  # zero-padded to the largest n
+    stacks, newton, kn, gaps, products, lo = [], [], [], [], [], 0
+    for n, a, lam in groups:
+        stack, rows = examine_batch(a), slice(lo, lo + len(a))
+        sigma[:n + 1, rows], power_sums[:n + 1, rows], lo = stack.sigma, power_sums_batch(a), rows.stop
+        stacks.append(stack)
+        newton.append(newton_gap_batch(stack).relative_defect.ravel())
+        if include_kn:
+            kn.append(np.max(np.abs(kn_identity_suite_batch(stack)), axis=1))
+        row_gaps, row_products = lambda_scan_batch(stack, lam)
+        gaps.append(row_gaps.min(axis=1))  # min is exact, so the fold does not change
+        products.append(row_products)
+    stack = merge_stacks(stacks)
+    hom4 = np.maximum(1.0, stack.a2 * stack.a2)
+    deviation = np.abs(sigma - symfun_from_power_sums_batch(power_sums))
+    deviation[np.arange(top + 1)[:, None] > stack.n] = 0.0  # rows past a matrix's n are rounding
+    _fold(oracle, max_deviation=np.max(deviation, axis=0)
+          / np.maximum(1.0, np.max(np.abs(sigma), axis=0)))
+    fuzz, (verdict, large) = tolerance("fuzz_defect_tol"), main_inequality_batch(stack)
+    defects = {"newton_gap": np.concatenate(newton), "prop_p3": prop_p3_batch(stack).relative_defect,
+               "prop_p4": prop_p4_batch(stack).relative_defect,
+               "cubic_bound": cubic_bound_batch(stack).relative_defect,
+               "main_inequality": verdict.relative_defect}
+    for family, rel in defects.items():
+        # counted unless >= -fuzz, so a NaN defect is a violation
+        _fold(checks[family], count=rel.size, min_relative_defect=rel,
+              violations=np.count_nonzero(~(rel >= -fuzz)))
+    _fold(checks["main_inequality"],
+          false_equalities=np.count_nonzero(verdict.equality & ~large),
+          max_bridge_residual=np.abs(bridge_residual(stack)) / hom4)
+    r2, r4 = sigma_norm_identities_batch(stack)
+    _fold(checks["sigma_norm_identities"], count=count,
+          max_relative_residual=np.maximum(np.abs(r2), np.abs(r4)) / hom4)
+    _fold(checks["lambda_scan"], count=count, min_relative_gap=np.concatenate(gaps),
+          max_relative_product=np.concatenate(products))
+    if include_kn:
+        _fold(checks["kn_identity_suite"], count=count, max_relative_residual=np.concatenate(kn) / hom4)
+
+
 def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int = 100,
                               threads: int = 1, include_kn: bool = True) -> dict:
     """Run every check family over a seeded random campaign and build a report.
@@ -81,43 +123,11 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
         raise BadParams("lambda-count must be >= 1")
     if not 0 <= seed < 2 ** 128:
         raise BadParams(f"seed must be in [0, 2**128), got {seed}")
-    fuzz = tolerance("fuzz_defect_tol")
-    defect_families = ("newton_gap", "prop_p3", "prop_p4", "cubic_bound", "main_inequality")
-    families = defect_families + ("sigma_norm_identities", "lambda_scan")
-    checks: dict = {family: {} for family in families + (("kn_identity_suite",) if include_kn else ())}
-    oracle: dict = {}
-    chunk = campaign_chunk(dims, lambda_count)
+    # a family's stats enter the report in the order of its first fold
+    checks, oracle, chunk = defaultdict(dict), {}, campaign_chunk(dims, lambda_count)
     for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
-        for _, a, lam in campaign_samples(seed, dims, lambda_count, start, count):
-            stack = examine_batch(a)
-            hom4 = np.maximum(1.0, stack.a2 * stack.a2)
-
-            sigma, alt = stack.sigma, symfun_from_power_sums_batch(a)
-            _fold(oracle, max_deviation=np.max(np.abs(sigma - alt), axis=0)
-                  / np.maximum(1.0, np.max(np.abs(sigma), axis=0)))
-
-            verdict, large = main_inequality_batch(stack)
-            defects = (newton_gap_batch(stack), prop_p3_batch(stack), prop_p4_batch(stack),
-                       cubic_bound_batch(stack), verdict)
-            for family, family_verdict in zip(defect_families, defects):
-                rel = family_verdict.relative_defect
-                # counted unless >= -fuzz, so a NaN defect is a violation
-                _fold(checks[family], count=rel.size, min_relative_defect=rel,
-                      violations=np.count_nonzero(~(rel >= -fuzz)))
-            _fold(checks["main_inequality"],
-                  false_equalities=np.count_nonzero(verdict.equality & ~large),
-                  max_bridge_residual=np.abs(bridge_residual(stack)) / hom4)
-
-            r2, r4 = sigma_norm_identities_batch(stack)
-            residuals = [np.maximum(np.abs(r2), np.abs(r4))]
-            if include_kn:
-                residuals.append(np.max(np.abs(kn_identity_suite_batch(stack)), axis=1))
-            for family, worst in zip(("sigma_norm_identities", "kn_identity_suite"), residuals):
-                _fold(checks[family], count=len(a), max_relative_residual=worst / hom4)
-            gaps, products = lambda_scan_batch(stack, lam)
-            _fold(checks["lambda_scan"], count=len(a), min_relative_gap=gaps,
-                  max_relative_product=products)
+        _check_chunk(checks, oracle, include_kn,
+                     campaign_samples(seed, dims, lambda_count, start, min(chunk, samples - start)))
 
     for family, stats in checks.items():
         stats["pass"] = _passes(family, stats)
@@ -137,7 +147,7 @@ def run_verification_campaign(dims, samples: int, seed: int, lambda_count: int =
             "include_kn": include_kn,
         },
         "tolerances": dict(TOLERANCES),
-        "checks": checks,
+        "checks": dict(checks),
         "diagnostics": diagnostics,
         "pass": all(stats["pass"] for stats in checks.values()) and diagnostics["symfun_oracle_pass"],
     }

@@ -44,6 +44,8 @@ VERIFY = {
     "verify-99": "--n 4,5,6 --seed 99 --samples 600",
     "verify-7": "--n 4,5,6,7,8,9,10,11,12 --seed 7 --samples 2000",
     "verify-one": "--n 4 --samples 1 --seed 0 --lambda-count 1",
+    # dimensions out of order, over more samples than one chunk holds
+    "verify-two-chunks": "--n 12,4,7,5 --seed 3 --samples 3001 --lambda-count 7",
 }
 
 CLI = "import sys; from rigidity.cli import main; sys.exit(main(sys.argv[1:]))"

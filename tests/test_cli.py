@@ -610,3 +610,14 @@ def test_import_loads_neither_numpy_random_nor_polynomial():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # python -m rigidity.cli is the console script's command line
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(rigidity.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rigidity.cli", "verify", "--n", "4", "--samples",
+                           "10", "--seed", "0", "--out", str(out)], env=env, capture_output=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(out)["config"]["samples"] == 10

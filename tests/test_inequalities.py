@@ -1,8 +1,13 @@
 """Inequality chain: Newton gaps, shifted propositions, the quartic bound."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from rigidity import inequalities
+from rigidity.defaults import tolerance
 from rigidity.errors import BadDimension, NotTraceFree
 from rigidity.inequalities import EqualityKind
 
@@ -304,3 +309,41 @@ def test_trace_free_projection_feeds_the_chain():
     a = trace_free_project(SymMatrix(np.diag(rng.uniform(-1, 1, 6))))
     verdict, _ = main_inequality(a)
     assert verdict.holds
+
+
+# |A| = 1, 2^20 and 2^-20
+SCALES = [1.0, 2.0 ** 20, 2.0 ** -20]
+
+
+class TestVerdictThreshold:
+    """The package's verdicts decide at verdict_tol times the homogeneous scale, |A|^4 for the
+    quartic bound, on both sides of it and across the double range."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [4, 7, 12])
+    def test_main_inequality_equality_at_the_threshold(self, n, ratio, scale):
+        # eigenvalues (1 + d, 1 - d, 1, ..., 1, 1 - n), near the equality case, normalized to
+        # |A| = scale: the defect is about 4 n (n - 3) d^2 / (n (n - 1))^2 |A|^4
+        tol = tolerance("verdict_tol")
+        d = math.sqrt(ratio * tol * (n * (n - 1)) ** 2 / (4 * n * (n - 3)))
+        w = np.array([1.0 + d, 1.0 - d] + [1.0] * (n - 3) + [1.0 - n])
+        w *= scale / math.sqrt(math.fsum(w * w))
+        exact = [Fraction(x) for x in w]
+        a4 = sum(x * x for x in exact) ** 2
+        defect = Fraction(n * n - 3 * n + 3, n * (n - 1)) * a4 - sum(x ** 4 for x in exact)
+        assert abs(defect / (a4 * Fraction(tol)) / Fraction(ratio) - 1) < 1e-3
+        verdict, _ = inequalities.main_inequality(np.diag(w))
+        assert verdict.holds
+        assert verdict.equality == (ratio < 1)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_holds_and_equality_at_the_threshold(self, scale):
+        # defects of real matrices are never negative, so lhs - rhs is set directly to -2, -0.5,
+        # 0.5 and 2 times the threshold, at the homogeneous scale |A|^4
+        hom = np.full(4, scale ** 4)
+        threshold = tolerance("verdict_tol") * hom
+        verdict = inequalities._verdict_batch(hom + np.array([-2.0, -0.5, 0.5, 2.0]) * threshold,
+                                              hom, hom)
+        assert verdict.holds.tolist() == [True, True, True, False]
+        assert verdict.equality.tolist() == [False, True, True, False]

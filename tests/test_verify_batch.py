@@ -1,5 +1,6 @@
 """Batched campaign kernel against the scalar reference functions, and the keyed stream."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from rigidity import curvature, inequalities, spectral, verify
 from rigidity.cli import main
 from rigidity.curvature import kn_identity_suite_batch
+from rigidity.defaults import tolerance
 from rigidity.errors import (
     BadDimension,
     BadParams,
@@ -28,7 +30,13 @@ from rigidity.inequalities import (
     sigma_norm_identities_batch,
 )
 from rigidity.sampling import campaign_chunk, campaign_samples
-from rigidity.spectral import eigen_spectrum_batch, examine_batch, symfun_from_power_sums_batch
+from rigidity.spectral import (
+    eigen_spectrum_batch,
+    examine_batch,
+    merge_stacks,
+    power_sums_batch,
+    symfun_from_power_sums_batch,
+)
 
 from reference import (
     SymMatrix,
@@ -120,7 +128,7 @@ def test_batched_kernel_matches_scalar(n, corpus):
     lam = np.linspace(-2.0, 2.0, 9)
     t = examine_batch(a)
     links, sigma, a2, a22, t3 = t.links, t.sigma, t.a2, t.a22, t.t3
-    alt = symfun_from_power_sums_batch(a)
+    alt = symfun_from_power_sums_batch(power_sums_batch(a))
     np.testing.assert_array_equal(t.trace, np.trace(a, axis1=1, axis2=2))
     main_batch, large = main_inequality_batch(t)
     batch = {
@@ -323,6 +331,110 @@ def test_report_does_not_depend_on_the_kn_steps_of_a_chunk(monkeypatch):
     whole = verify.run_verification_campaign(*args)
     monkeypatch.setattr(verify, "campaign_chunk", lambda dims, lambda_count: 100)
     assert verify.run_verification_campaign(*args) == whole
+
+
+def campaign_by_group(dims, samples, seed, lambda_count, include_kn):
+    """The checks and diagnostics of a campaign folded one dimension group at a time, every
+    family on the group's own stack with a scalar n: the oracle of the campaign's merged pass."""
+    fuzz = tolerance("fuzz_defect_tol")
+    defect_families = ("newton_gap", "prop_p3", "prop_p4", "cubic_bound", "main_inequality")
+    families = defect_families + ("sigma_norm_identities", "lambda_scan")
+    checks = {family: {} for family in families + (("kn_identity_suite",) if include_kn else ())}
+    oracle = {}
+    chunk = campaign_chunk(dims, lambda_count)
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        for _, a, lam in campaign_samples(seed, dims, lambda_count, start, count):
+            stack = examine_batch(a)
+            hom4 = np.maximum(1.0, stack.a2 * stack.a2)
+
+            sigma, alt = stack.sigma, symfun_from_power_sums_batch(power_sums_batch(a))
+            verify._fold(oracle, max_deviation=np.max(np.abs(sigma - alt), axis=0)
+                         / np.maximum(1.0, np.max(np.abs(sigma), axis=0)))
+
+            verdict, large = main_inequality_batch(stack)
+            defects = (newton_gap_batch(stack), prop_p3_batch(stack), prop_p4_batch(stack),
+                       cubic_bound_batch(stack), verdict)
+            for family, family_verdict in zip(defect_families, defects):
+                rel = family_verdict.relative_defect
+                verify._fold(checks[family], count=rel.size, min_relative_defect=rel,
+                             violations=np.count_nonzero(~(rel >= -fuzz)))
+            verify._fold(checks["main_inequality"],
+                         false_equalities=np.count_nonzero(verdict.equality & ~large),
+                         max_bridge_residual=np.abs(bridge_residual(stack)) / hom4)
+
+            r2, r4 = sigma_norm_identities_batch(stack)
+            residuals = [np.maximum(np.abs(r2), np.abs(r4))]
+            if include_kn:
+                residuals.append(np.max(np.abs(kn_identity_suite_batch(stack)), axis=1))
+            for family, worst in zip(("sigma_norm_identities", "kn_identity_suite"), residuals):
+                verify._fold(checks[family], count=len(a), max_relative_residual=worst / hom4)
+            gaps, products = lambda_scan_batch(stack, lam)
+            verify._fold(checks["lambda_scan"], count=len(a), min_relative_gap=gaps,
+                         max_relative_product=products)
+    for family, stats in checks.items():
+        stats["pass"] = verify._passes(family, stats)
+    return checks, {
+        "symfun_oracle_max_relative_deviation": oracle["max_deviation"],
+        "symfun_oracle_pass": oracle["max_deviation"] <= tolerance("oracle_agreement_tol"),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+@pytest.mark.parametrize("include_kn", [False, True], ids=["kn_off", "kn_on"])
+@pytest.mark.parametrize("dims", [list(DIMS), [12, 4, 7, 5], [5]], ids=["4-12", "12-4-7-5", "5"])
+def test_merged_pass_equals_the_per_group_loop(monkeypatch, dims, include_kn, chunk):
+    # the oracle draws the whole campaign as one chunk; JSON text compares every float bitwise
+    args = (dims, 60, 23, 9)
+    checks, diagnostics = campaign_by_group(*args, include_kn)
+    monkeypatch.setattr(verify, "campaign_chunk", lambda dims, lambda_count: chunk)
+    report = verify.run_verification_campaign(*args, include_kn=include_kn)
+    assert json.dumps(report["checks"]) == json.dumps(checks)
+    assert json.dumps(report["diagnostics"]) == json.dumps(diagnostics)
+
+
+def result_arrays(result):
+    """The arrays of a kernel's result: a verdict's fields, each item of a tuple, or the array."""
+    if isinstance(result, tuple):
+        return [x for item in result for x in result_arrays(item)]
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, field.name) for field in dataclasses.fields(result)]
+    return [result]
+
+
+def test_per_row_n_equals_scalar_n_bitwise():
+    # each dimension's random and equality-family rows, merged with n per row, against each
+    # dimension's own record, whose n is an int
+    stacks = [examine_batch(np.concatenate([stack(random_corpus, n), stack(equality_corpus, n)]))
+              for n in DIMS]
+    merged = merge_stacks(stacks)
+    assert merged.n.tolist() == [n for n in DIMS for _ in range(2 * COUNT)]
+    assert merged.a is merged.w is merged.links is None
+    assert merged.large.any() and not merged.large.all()
+    for name, rows in (("trace", ...), ("a2", ...), ("a22", ...), ("t3", ...), ("large", ...),
+                       ("sigma", slice(5)), ("p", slice(5))):
+        want = np.concatenate([getattr(s, name)[rows] for s in stacks], axis=-1)
+        assert np.array_equal(getattr(merged, name), want), name
+    kernels = (bridge_residual, cubic_bound_batch, prop_p3_batch, prop_p4_batch,
+               main_inequality_batch, sigma_norm_identities_batch)
+    for kernel in kernels:
+        # a field may be a scalar, such as the 0.0 side of prop_p3
+        want = zip(*([np.broadcast_to(x, s.a2.shape) for x in result_arrays(kernel(s))]
+                     for s in stacks))
+        for got, parts in zip(result_arrays(kernel(merged)), want, strict=True):
+            got = np.broadcast_to(got, merged.a2.shape)
+            assert np.array_equal(got, np.concatenate(parts)), kernel
+
+
+def test_zero_padded_power_sums_give_the_same_sigma():
+    # rows k <= n of the recurrence on power sums padded with zeros to a larger K are the
+    # unpadded rows, bitwise; the rows past n are rounding, which the campaign masks out
+    for n in (4, 7, 11):
+        s = power_sums_batch(stack(random_corpus, n))
+        padded = np.zeros((13, s.shape[1]))
+        padded[:n + 1] = s
+        assert np.array_equal(symfun_from_power_sums_batch(padded)[:n + 1],
+                              symfun_from_power_sums_batch(s))
 
 
 def shifted_corpus(n):
