@@ -73,8 +73,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--radius", type=float, default=1.0)
     p_catalog.add_argument("--height", type=float, default=2.0)
     p_catalog.add_argument("--t-max", type=float, default=None, help="catenoid profile half-range")
-    p_catalog.add_argument("--ode-substeps", type=int, default=None,
-                           help="integration steps per profile cell")
     p_catalog.add_argument("--profile-coeffs", type=_float_list, default=[1.0, 0.0, 1.0],
                            help="polynomial profile coefficients, lowest degree first")
     p_catalog.add_argument("--t-range", type=_float_list, default=[-1.0, 1.0],
@@ -109,8 +107,7 @@ def _build_surface(args):
     if args.surface == "cylinder":
         return build_cylinder(args.n, args.radius, args.height, grid=args.grid)
     if args.surface == "catenoid":
-        return build_catenoid(args.n, grid=args.grid, t_max=args.t_max,
-                              ode_substeps=args.ode_substeps)
+        return build_catenoid(args.n, grid=args.grid, t_max=args.t_max)
     if args.surface == "rotation":
         # numpy.polynomial takes milliseconds to import, so only rotation surfaces load it
         from numpy.polynomial import Polynomial

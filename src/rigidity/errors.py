@@ -23,10 +23,6 @@ class BadProfile(RigidityError):
     """Rotation profile is nonpositive somewhere on the requested domain."""
 
 
-class ODEStepFailure(RigidityError):
-    """Profile integration cannot meet the requested minimality tolerance."""
-
-
 class DegenerateChart(RigidityError):
     """Chart Jacobian is rank deficient at a sample point."""
 

@@ -77,10 +77,10 @@ def symfun_from_spectrum_batch(w: np.ndarray) -> np.ndarray:
 def power_sums_batch(m: np.ndarray) -> np.ndarray:
     """Power sums s_j = tr A^j (n + 1, B), row 0 = n, of each matrix of a stack (B, n, n)."""
     n = m.shape[-1]
-    s, power = np.full((n + 1, len(m)), float(n)), m  # row 0 keeps s_0 = n
-    for j in range(1, n + 1):
+    s = np.full((n + 1, len(m)), float(n))  # row 0 keeps s_0 = n
+    for j in range(1, n + 1):  # n - 1 products: A^n is the last power read
+        power = m if j == 1 else power @ m
         s[j] = np.trace(power, axis1=1, axis2=2)
-        power = power @ m
     return s
 
 

@@ -1,8 +1,8 @@
 """Sampled hypersurfaces: shape operators plus quadrature weights.
 
-Analytic families (sphere, cylinder, rotation hypersurfaces, the minimal
-rotation profile), the ellipsoid in closed form, charts differentiated by central
-differences (the ellipsoid's chart is its oracle), and the constant conformal
+Analytic families (sphere, cylinder, rotation hypersurfaces), the catenoid (from its
+profile's first integral) and the ellipsoid in closed form, charts differentiated by
+central differences (the ellipsoid's chart is its oracle), and the constant conformal
 rescaling of a field. The field record and its files live in ``fields``.
 
 Rotation hypersurfaces are sampled on a (profile, orbit-angle) grid. One function
@@ -13,6 +13,7 @@ is the tensor-product midpoint rule; a weight out of range names its parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from .errors import (
     BadProfile,
     DegenerateChart,
     InvariantViolation,
-    ODEStepFailure,
     StepTooLarge,
 )
 from .fields import ShapeField, SurfaceSpec
@@ -33,8 +33,6 @@ __all__ = [
     "unit_sphere_volume",
     "build_sphere",
     "build_cylinder",
-    "catenoid_profile",
-    "minimality_residual",
     "build_catenoid",
     "build_rotation_hypersurface",
     "chart_shape_operator",
@@ -168,53 +166,6 @@ def build_cylinder(n: int, radius: float, height: float, grid=None) -> ShapeFiel
                           minimal=False)
 
 
-def _rk4_step(n: int, y0: float, y1: float, h: float) -> tuple[float, float]:
-    """One classical RK4 step of the profile system (f, f')' = (f', (n-1)(1 + f'^2) / f)."""
-    k1a, k1b = y1, (n - 1) * (1.0 + y1 * y1) / y0
-    y0b, y1b = y0 + 0.5 * h * k1a, y1 + 0.5 * h * k1b
-    k2a, k2b = y1b, (n - 1) * (1.0 + y1b * y1b) / y0b
-    y0c, y1c = y0 + 0.5 * h * k2a, y1 + 0.5 * h * k2b
-    k3a, k3b = y1c, (n - 1) * (1.0 + y1c * y1c) / y0c
-    y0d, y1d = y0 + h * k3a, y1 + h * k3b
-    k4a, k4b = y1d, (n - 1) * (1.0 + y1d * y1d) / y0d
-    return (y0 + h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0,
-            y1 + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0)
-
-
-_F_CAP = 2.0  # the default catenoid patch stops short of where its profile reaches this radius
-
-
-def _default_t_max(n: int) -> float:
-    # coarse scan until the profile reaches _F_CAP; deterministic for fixed inputs
-    h = 1e-3
-    y0, y1 = 1.0, 0.0
-    t = 0.0
-    for _ in range(200000):
-        if y0 >= _F_CAP:
-            break
-        y0, y1 = _rk4_step(n, y0, y1, h)
-        t += h
-    return 0.9 * t
-
-
-def catenoid_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimal rotation profile on [0, t_max] by fixed-step RK4 for f'' f = (n-1)(1 + f'^2),
-    f(0) = 1, f'(0) = 0: the steps + 1 nodes, f, and f'."""
-    if n < 4:
-        raise BadDimension(f"dimension must be >= 4, got {n}")
-    _positive_finite("t_max", t_max)
-    if steps < 1:
-        raise BadParams(f"steps must be >= 1, got {steps}")
-    h = t_max / steps
-    f, fp = np.empty((2, steps + 1))
-    y0, y1 = 1.0, 0.0
-    f[0], fp[0] = y0, y1
-    for i in range(steps):
-        y0, y1 = _rk4_step(n, y0, y1, h)
-        f[i + 1], fp[i + 1] = y0, y1
-    return np.linspace(0.0, t_max, steps + 1), f, fp
-
-
 def _profile_curvatures(n: int, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray):
     """Curvatures and area density of a rotation profile f with derivatives f', f'': kappa_rot =
     1 / (f sqrt(1 + f'^2)) of multiplicity n - 1, kappa_profile = -f'' / (1 + f'^2)^(3/2) and the
@@ -224,62 +175,87 @@ def _profile_curvatures(n: int, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray):
         return 1.0 / (f * np.sqrt(u)), -fpp / u ** 1.5, f ** (n - 1) * np.sqrt(u)
 
 
-def minimality_residual(n: int, f: np.ndarray, fp: np.ndarray) -> float:
-    """max |tr A| / (1 + |A|) over the profile nodes."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the profile's blow-up
-        # f'' = (n-1) f^(2n-3) from the conserved relation 1 + f'^2 = f^(2(n-1)), so the
-        # trace residual stays sensitive to integration error instead of cancelling identically
-        kr, kp, _ = _profile_curvatures(n, f, fp, (n - 1) * f ** (2 * n - 3))
-        trace = (n - 1) * kr + kp
-        frob = np.sqrt((n - 1) * kr * kr + kp * kp)
-        return float(np.max(np.abs(trace) / (1.0 + frob)))
+_F_CAP = 2.0  # the default catenoid t_max is 0.9 times the t where its profile reaches this radius
 
 
-def build_catenoid(n: int, grid=None, t_max: float | None = None,
-                   ode_substeps: int | None = None) -> ShapeField:
-    """Minimal rotation hypersurface patch from the profile equation.
+@functools.cache
+def _gauss_legendre(count: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the count-point Gauss-Legendre rule on [0, 1], built on first use by
+    Newton's method on the three-term recurrence of P_count; its last passes move a node by an ulp."""
+    x = np.array([math.cos(math.pi * (k + 0.75) / (count + 0.5)) for k in range(count)])
+    for _ in range(6):
+        p0, p1 = np.ones(count), x
+        for k in range(2, count + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = count * (x * p1 - p0) / (x * x - 1.0)  # P'_count(x)
+        x = x - p1 / dp
+    nodes, weights = (1.0 + x) / 2.0, 1.0 / ((1.0 - x * x) * dp * dp)
+    nodes.flags.writeable = weights.flags.writeable = False  # every caller shares this one copy
+    return nodes, weights
 
-    Solves f'' f = (n-1)(1 + f'^2) with f(0) = 1, f'(0) = 0 by fixed-step RK4
-    over [-t_max, t_max] (mirrored by evenness) and assembles principal
-    curvatures (kappa_rot x (n-1), kappa_profile). The integration step is
-    refined until the minimality residual meets minimality_tol unless
-    ``ode_substeps`` pins it; a residual above it, or NaN, raises :class:`ODEStepFailure`.
+
+def _profile_end(m: int) -> float:
+    """t_end = B(1/2 - 1/(2m), 1/2) / (2m), where the catenoid profile of n = m + 1 blows up."""
+    a = 0.5 - 0.5 / m
+    return math.exp(math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)) / (2 * m)
+
+
+def _profile_time(m: int, phi: np.ndarray) -> np.ndarray:
+    """t(phi) = (1/m) int_0^phi cos(psi)^(-1/m) dpsi for angles 0 <= phi <= pi/2, by Gauss-Legendre.
+
+    Up to pi/3 the rule runs on [0, phi]. Past it, t = t_end - (1/m) int_0^V sin(v)^(-1/m) dv with
+    V = pi/2 - phi, and v = V x^p, p = m/(m-1), turns the integrand into p V^(1-1/m) (v / sin v)^(1/m).
     """
-    tol = tolerance("minimality_tol")
+    x, w = _gauss_legendre()
+    near = phi / m * (np.cos(phi[:, None] * x) ** (-1.0 / m) @ w)
+    p, big_v = m / (m - 1.0), math.pi / 2 - phi
+    # sinc(v / pi) = sin(v) / v, and 1 at v = 0
+    ratio = np.sinc(big_v[:, None] * x ** p / math.pi) ** (-1.0 / m) @ w
+    far = _profile_end(m) - p / m * big_v ** (1.0 - 1.0 / m) * ratio
+    return np.where(phi <= math.pi / 3, near, far)
+
+
+def _profile_angle(m: int, t: np.ndarray) -> np.ndarray:
+    """The angles phi with t(phi) = t, for 0 <= t < t_end, by Newton's method.
+
+    t is convex with t' = cos(phi)^(-1/m) / m >= 1/m, so phi <= m t: from min(m t, pi/2) the
+    iterates fall monotonically onto the root. They stop when no angle falls any further.
+    """
+    phi = np.minimum(m * t, math.pi / 2)
+    while True:
+        new = phi - (_profile_time(m, phi) - t) * m * np.cos(phi) ** (1.0 / m)
+        if not (new < phi).any():
+            return phi
+        phi = np.where(new < phi, new, phi)
+
+
+def build_catenoid(n: int, grid=None, t_max: float | None = None) -> ShapeField:
+    """Minimal rotation hypersurface patch over [-t_max, t_max], from the first integral
+    1 + f'^2 = f^(2m), m = n - 1, of f'' f = m (1 + f'^2), f(0) = 1: f' = tan(phi) and
+    f = cos(phi)^(-1/m) at t(phi). A t_max at or past t_end, where f blows up, is BadParams. Each
+    node's angle is solved on |t|, so the nodes at +-t carry bitwise-equal operators."""
+    if n < 4:
+        raise BadDimension(f"dimension must be >= 4, got {n}")
+    m = n - 1
     m_t, m_theta = _grid_counts(grid, (48, 8))
+    t_end = _profile_end(m)
     if t_max is None:
-        t_max = _default_t_max(n)
-    _positive_finite("t_max", t_max)
+        t_max = 0.9 * float(_profile_time(m, np.array([math.acos(_F_CAP ** -m)]))[0])
+    if not 0 < t_max < t_end:  # NaN fails too
+        raise BadParams(f"t_max must be positive and finite and below t_end = {t_end!r}, got {t_max}")
     spec = SurfaceSpec("Catenoid", n, {"t_max": t_max, "f_cap": _F_CAP}, (m_t, m_theta))
 
-    substeps = 32 if ode_substeps is None else int(ode_substeps)
-    if substeps < 1:
-        raise BadParams("ode_substeps must be >= 1")
-    attempts = 6 if ode_substeps is None else 1
-    residual = math.inf
-    for _ in range(attempts):
-        _, f, fp = catenoid_profile(n, t_max, m_t * substeps)
-        residual = minimality_residual(n, f, fp)
-        if residual <= tol:
-            break
-        substeps *= 2
-    if not math.isfinite(residual):  # RK4 overflowed, at every step size tried
-        raise ODEStepFailure(f"minimality residual {residual:.3e}: the profile is not finite on "
-                             f"[0, t_max] for t_max {t_max}; shrink t_max")
-    if not residual <= tol:
-        raise ODEStepFailure(
-            f"minimality residual {residual:.3e} above {tol:.1e}; refine ode_substeps or shrink t_max")
-
-    # midpoints of [-t_max, t_max] land on ODE nodes: |2i + 1 - m_t| * substeps
-    dt = 2.0 * t_max / m_t
     offset = 2 * np.arange(m_t) + 1 - m_t
-    node = np.abs(offset) * substeps
     t_values = t_max * offset / m_t
-    # f is even and f' odd; at offset 0, f'(0) = 0 exactly
-    f_mid, fp_mid = f[node], np.sign(offset) * fp[node]
-    # f'' from the conserved relation, as in minimality_residual
-    kr, kp, density = _profile_curvatures(n, f_mid, fp_mid, (n - 1) * f_mid ** (2 * n - 3))
-    return _orbit_samples(spec, f"t_max {t_max}", t_values, dt, kr, kp, density, minimal=True)
+    # the angles of |t| at offsets >= 0; the profile is even, with f' = tan(phi) odd
+    phi = _profile_angle(m, t_values[m_t // 2:])[np.abs(offset) // 2]
+    cos = np.cos(phi)
+    f = cos ** (-1.0 / m)
+    # f'' = m f^(2m-1) from the first integral
+    kr, kp, density = _profile_curvatures(n, f, np.sign(offset) * np.sin(phi) / cos,
+                                          m * f ** (2 * m - 1))
+    return _orbit_samples(spec, f"t_max {t_max}", t_values, 2.0 * t_max / m_t, kr, kp, density,
+                          minimal=True)
 
 
 def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, float] = (-1.0, 1.0),
@@ -305,11 +281,11 @@ def build_rotation_hypersurface(n: int, f, grid=None, t_range: tuple[float, floa
     return _orbit_samples(spec, "the profile", t_values, dt, kr, kp, density, minimal=False)
 
 
-def _chart_grid(bounds, grid) -> tuple[tuple[int, ...], np.ndarray, float]:
-    """Counts (6 per direction by default), midpoints (N, n) and cell volume of a chart domain."""
-    counts = _grid_counts(grid, (6,) * len(bounds))
-    axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
-    return counts, _grid_points(axes), math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, counts))
+def _chart_grid(bounds, spec: SurfaceSpec) -> tuple[np.ndarray, float]:
+    """Midpoints (N, n) and cell volume of a chart domain on the grid of ``spec``, whose
+    construction has checked its counts."""
+    axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, spec.grid)]
+    return _grid_points(axes), math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, spec.grid))
 
 
 def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +308,9 @@ def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[
     jac = np.stack([(plus[i] - minus[i]) / (2.0 * h) for i in range(n)], axis=2)
     q, _ = np.linalg.qr(jac, mode="complete")
     normal = q[:, :, n]
-    sign, _ = np.linalg.slogdet(np.concatenate([jac, normal[:, :, None]], axis=2))
-    # det([J | normal]) < 0: the standard hyperspherical chart of the round n-sphere then yields
-    # A = +I/r for even n, as the analytic builders do, and -I/r for odd n; a reflected chart, -A
+    sign, _ = np.linalg.slogdet(np.concatenate([normal[:, :, None], jac], axis=2))
+    # det([normal | J]) < 0: the standard hyperspherical chart of the round n-sphere then yields
+    # A = +I/r for every n, as the analytic builders do; a reflected chart, -A
     normal = -sign[:, None] * normal
 
     # projections onto the normal: the builtin sum adds ambient terms in a fixed order, point by point
@@ -397,11 +373,11 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     dims = len(bounds)
     if any(not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo for lo, hi in bounds):
         raise BadParams("domain bounds must be finite and ordered")
-    counts, points, cell = _chart_grid(bounds, grid)
     span = max(hi - lo for lo, hi in bounds)
     h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, span)
     _positive_finite("fd_step", h)
-    spec = SurfaceSpec("Chart", dims, dict(params or {}, fd_step=h), counts)
+    spec = SurfaceSpec("Chart", dims, dict(params or {}, fd_step=h), _grid_counts(grid, (6,) * dims))
+    points, cell = _chart_grid(bounds, spec)
 
     # one stencil pass: every point at step h, then the self-check probes again at h / 2
     count = len(points)
@@ -489,11 +465,12 @@ def build_ellipsoid(semi_axes, grid=None) -> ShapeField:
         raise BadParams(f"semi-axes {axes} have ratio largest / smallest {ratio:.3g}, at least "
                         f"1 / chart_rank_tol = {1.0 / tol:.3g}: the chart Jacobian would be "
                         "nearly rank deficient")
-    counts, points, cell = _chart_grid(domain, grid)
+    spec = SurfaceSpec("Chart", n, {"semi_axes": axes}, _grid_counts(grid, (6,) * n))
+    points, cell = _chart_grid(domain, spec)
     dw, a = _sphere_jacobian(points), np.array(axes)
     scaled, dist = a[:, None] * dw, np.linalg.norm(_sphere_embed(points) / a, axis=1)  # |D^-1 w|
     operators, density = _frame_operators(
         np.swapaxes(scaled, 1, 2) @ scaled, np.swapaxes(dw, 1, 2) @ dw / dist[:, None, None],
         lambda k: f"for semi-axes {axes} (ratio largest / smallest {ratio:.3g})")
-    return ShapeField(SurfaceSpec("Chart", n, {"semi_axes": axes}, counts), points, operators,
-                      _area_weights(f"semi-axes {axes}", density, cell), minimal_claimed=False)
+    return ShapeField(spec, points, operators, _area_weights(f"semi-axes {axes}", density, cell),
+                      minimal_claimed=False)

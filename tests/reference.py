@@ -4,11 +4,11 @@ One matrix at a time: a ``SymMatrix`` wrapper, eigenvalue clusters from LAPACK
 or a self-contained cyclic Jacobi solver, symmetric-function profiles (the
 ``SymFunProfile`` defined here) along both routes, the inequality verdicts
 with their equality classification, and the rank-4 Kulkarni-Nomizu and Weyl
-algebra, plus the seeded generators the tests draw from. It imports from the
-package only its tolerance table, its errors and its data types, never a
-function, so the batched-vs-scalar tests compare two independent
-implementations. The thresholds and errors that only this route uses, and its
-per-call tolerance overrides, live here.
+algebra, the catenoid profile by fixed-step RK4, plus the seeded generators the
+tests draw from. It imports from the package only its tolerance table, its
+errors and its data types, never a function, so the batched-vs-scalar tests
+compare two independent implementations. The thresholds and errors that only
+this route uses, and its per-call tolerance overrides, live here.
 """
 
 from __future__ import annotations
@@ -758,3 +758,39 @@ def equality_family_matrix(n: int, mu: float,
         return SymMatrix(d)
     m = rotation @ d @ rotation.T
     return SymMatrix.from_array(m, asym_tol=1e-10)
+
+
+def _rk4_step(n: int, y0: float, y1: float, h: float) -> tuple[float, float]:
+    """One classical RK4 step of the profile system (f, f')' = (f', (n-1)(1 + f'^2) / f)."""
+    k1a, k1b = y1, (n - 1) * (1.0 + y1 * y1) / y0
+    y0b, y1b = y0 + 0.5 * h * k1a, y1 + 0.5 * h * k1b
+    k2a, k2b = y1b, (n - 1) * (1.0 + y1b * y1b) / y0b
+    y0c, y1c = y0 + 0.5 * h * k2a, y1 + 0.5 * h * k2b
+    k3a, k3b = y1c, (n - 1) * (1.0 + y1c * y1c) / y0c
+    y0d, y1d = y0 + h * k3a, y1 + h * k3b
+    k4a, k4b = y1d, (n - 1) * (1.0 + y1d * y1d) / y0d
+    return (y0 + h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0,
+            y1 + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0)
+
+
+def catenoid_profile(n: int, t_max: float, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimal rotation profile on [0, t_max] by fixed-step RK4 for f'' f = (n-1)(1 + f'^2),
+    f(0) = 1, f'(0) = 0: the steps + 1 nodes, f, and f'."""
+    h = t_max / steps
+    f, fp = np.empty((2, steps + 1))
+    y0, y1 = 1.0, 0.0
+    f[0], fp[0] = y0, y1
+    for i in range(steps):
+        y0, y1 = _rk4_step(n, y0, y1, h)
+        f[i + 1], fp[i + 1] = y0, y1
+    return np.linspace(0.0, t_max, steps + 1), f, fp
+
+
+def minimality_residual(n: int, f: np.ndarray, fp: np.ndarray) -> float:
+    """max |tr A| / (1 + |A|) over the profile nodes. f'' = (n-1) f^(2n-3) comes from the conserved
+    relation 1 + f'^2 = f^(2(n-1)), so the trace keeps the integration error instead of cancelling
+    it identically."""
+    u = 1.0 + fp * fp
+    kr, kp = 1.0 / (f * np.sqrt(u)), -(n - 1) * f ** (2 * n - 3) / u ** 1.5
+    trace = (n - 1) * kr + kp
+    return float(np.max(np.abs(trace) / (1.0 + np.sqrt((n - 1) * kr * kr + kp * kp))))

@@ -26,7 +26,7 @@ SURFACES = {
     "catenoid-64x32": "--surface catenoid --n 4 --grid 64x32 --t-max 0.4123456789",
     "catenoid-n5": "--surface catenoid --n 5",
     "catenoid-n6-10x3": "--surface catenoid --n 6 --grid 10x3",
-    "catenoid-substeps": "--surface catenoid --n 4 --ode-substeps 64 --t-max 0.3 --grid 8x2",
+    "catenoid-near-end": "--surface catenoid --n 4 --t-max 0.7 --grid 8x2",
     "ellipsoid-n6": "--surface ellipsoid --n 6 --grid 3x3x3x3x2x2",
     "ellipsoid-n4": "--surface ellipsoid --n 4",
     "ellipsoid-n4-long": "--surface ellipsoid --n 4 --grid 3 --semi-axes 1,1,1,1,1e7",

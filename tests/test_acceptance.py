@@ -18,11 +18,9 @@ from rigidity.surfaces import (
     build_ellipsoid,
     build_rotation_hypersurface,
     build_sphere,
-    catenoid_profile,
     chart_shape_operator,
     conformal_rescale,
     ellipsoid_chart,
-    minimality_residual,
 )
 from rigidity.verify import run_verification_campaign
 
@@ -30,10 +28,12 @@ from charts import cylinder_chart
 from equality_family import equality_family_stats
 from reference import (
     SymMatrix,
+    catenoid_profile,
     derived_rng,
     eigen_spectrum,
     equality_family_matrix,
     kn_identity_suite,
+    minimality_residual,
     norms,
     prop_p3,
     prop_p4,
@@ -180,20 +180,31 @@ def test_criterion_6_catenoid():
     report = rotational_energy(field)
     worst_defect = float(np.abs(report.pointwise["relative_defect"]).max())
     energy_ok = abs(report.e_rot) <= 1e-7 * report.quadrature_scale
+    # the RK4 oracle converges at 4th order, in its own residual and onto the closed form, whose
+    # kappa_rot = f^-4 it meets at the midpoints of 6 cells (each an RK4 node at both steps)
     t_max = 0.45
-    _, f1, fp1 = catenoid_profile(4, t_max, 96)
-    _, f2, fp2 = catenoid_profile(4, t_max, 192)
-    ratio = minimality_residual(4, f1, fp1) / minimality_residual(4, f2, fp2)
+    closed = build_catenoid(4, grid=[6, 2], t_max=t_max)
+    node = np.abs(closed.coords[::2, 0]) / t_max
+    residuals, gaps = [], []
+    for steps in (96, 192):
+        _, f, fp = catenoid_profile(4, t_max, steps)
+        residuals.append(minimality_residual(4, f, fp))
+        kr = f[np.rint(node * steps).astype(int)] ** -4.0
+        gaps.append(float(np.abs(kr / closed.operators[::2, 0, 0] - 1.0).max()))
+    ratio, gap_ratio = residuals[0] / residuals[1], gaps[0] / gaps[1]
     ok = (residual <= 1e-8 and worst_defect <= 1e-8 and energy_ok
-          and report.classification == "CatenoidCandidate" and ratio >= 8.0)
+          and report.classification == "CatenoidCandidate" and ratio >= 8.0
+          and gap_ratio >= 8.0 and gaps[1] <= 1e-9)
     announce(6, ok, f"catenoid minimality residual {residual:.2e}, pointwise defect "
                     f"{worst_defect:.2e}, E_rot/scale {abs(report.e_rot)/report.quadrature_scale:.2e}, "
-                    f"classification {report.classification}, step-halving ratio {ratio:.1f}x")
+                    f"classification {report.classification}, step-halving ratio {ratio:.1f}x, "
+                    f"RK4 vs closed form {gaps[1]:.2e} ({gap_ratio:.1f}x per halving)")
     assert residual <= 1e-8
     assert worst_defect <= 1e-8
     assert energy_ok
     assert report.classification == "CatenoidCandidate"
     assert ratio >= 8.0
+    assert gap_ratio >= 8.0 and gaps[1] <= 1e-9
 
 
 def test_criterion_7_rotation_vs_generic():

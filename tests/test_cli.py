@@ -116,6 +116,9 @@ BAD_GEOMETRY = [
     # a smaller ratio whose metric still has a Cholesky pivot ratio under chart_rank_tol
     ("ellipsoid", "--semi-axes", "3e7,1,1,1,1", "semi-axes", ("--grid", "3x3x3x3")),
     ("catenoid", "--t-max", "50", "t_max", ()),
+    # the end of the n = 4 profile, t_end = B(1/3, 1/2) / 6, and just past it
+    ("catenoid", "--t-max", "0.7010910526627274", "t_end", ()),
+    ("catenoid", "--t-max", "0.7010910526627275", "t_end", ()),
     # finite scales whose area weights leave the double range
     ("sphere", "--radius", "1.14e77", "radius", ("--grid", "2")),
     ("ellipsoid", "--semi-axes", "1e100,1e100,1e100,1e100,1e100", "semi-axes", ("--grid", "2")),

@@ -3,6 +3,10 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,6 @@ from rigidity.errors import (
     BadProfile,
     DegenerateChart,
     InvariantViolation,
-    ODEStepFailure,
     ParseError,
     SchemaError,
     RigidityError,
@@ -27,16 +30,22 @@ from rigidity.surfaces import (
     build_ellipsoid,
     build_rotation_hypersurface,
     build_sphere,
-    catenoid_profile,
     chart_shape_operator,
     ellipsoid_chart,
-    minimality_residual,
     unit_sphere_volume,
 )
 
 from charts import cylinder_chart
 from json_reference import own_entry, saved_dict, to_legacy
-from reference import SymMatrix, derived_rng, main_inequality, random_rotation, trace_free_project
+from reference import (
+    SymMatrix,
+    catenoid_profile,
+    derived_rng,
+    main_inequality,
+    minimality_residual,
+    random_rotation,
+    trace_free_project,
+)
 
 
 def field_volume(field):
@@ -148,17 +157,96 @@ class TestCatenoid:
     def test_t_max_must_be_positive_and_finite(self, t_max):
         with pytest.raises(BadParams, match="positive and finite"):
             build_catenoid(4, grid=[8, 2], t_max=t_max)
-        with pytest.raises(BadParams, match="positive and finite"):
-            catenoid_profile(4, t_max, 8)
 
-    def test_nan_residual_fails_closed(self):
-        # the profile blows up long before t = 50, so the residual is NaN
-        with np.errstate(all="ignore"), pytest.raises(ODEStepFailure, match="residual nan"):
-            build_catenoid(4, grid=[8, 2], t_max=50.0, ode_substeps=1)
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    def test_profile_end_is_the_beta_function(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        m = n - 1
+        with mpmath.workdps(30):
+            exact = mpmath.beta(mpmath.mpf(1) / 2 - mpmath.mpf(1) / (2 * m), 0.5) / (2 * m)
+            assert abs(surfaces._profile_end(m) - exact) <= 1e-15 * exact
 
-    def test_step_failure(self):
-        with pytest.raises(ODEStepFailure):
-            build_catenoid(4, grid=[8, 2], ode_substeps=1)
+    @pytest.mark.parametrize("past", [0.0, 1e-15, 0.3, 50.0])
+    def test_t_max_at_or_past_the_profile_end_is_refused(self, past):
+        t_end = surfaces._profile_end(3)
+        assert t_end == pytest.approx(0.70109, abs=1e-5)
+        with pytest.raises(BadParams, match=rf"below t_end = {t_end!r}, got {t_end + past}$"):
+            build_catenoid(4, grid=[8, 2], t_max=t_end + past)
+        build_catenoid(4, grid=[8, 2], t_max=math.nextafter(t_end, 0.0))
+
+    def test_default_t_max_is_nine_tenths_of_the_cap_time(self):
+        # 0.9 t_cap, where f(t_cap) = f_cap = 2, at n = 4
+        assert build_catenoid(4, grid=[4, 2]).spec.params == {"t_max": 0.5182607358970058,
+                                                              "f_cap": 2.0}
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_closed_form_matches_rk4(self, n):
+        # RK4 over 256 steps per cell; its nodes hold the cell midpoints of [-t_max, t_max]
+        m_t, substeps = 12, 256
+        t_max = 0.8 * build_catenoid(n, grid=[2, 2]).spec.params["t_max"]
+        _, f, fp = catenoid_profile(n, t_max, m_t * substeps)
+        node = np.abs(2 * np.arange(m_t) + 1 - m_t) * substeps
+        f, fp = f[node], fp[node]
+        u = 1.0 + fp * fp
+        kr, kp = 1.0 / (f * np.sqrt(u)), -(n - 1) * f ** (2 * n - 3) / u ** 1.5
+        field = build_catenoid(n, grid=[m_t, 3], t_max=t_max)
+        expected = np.zeros((m_t, n, n))
+        expected[:, range(n), range(n)] = np.column_stack([kr] * (n - 1) + [kp])
+        assert np.abs(field.operators[::3] - expected).max() <= 1e-11 * np.abs(expected).max()
+        weights = (f ** (n - 1) * np.sqrt(u) * (2.0 * t_max / m_t)
+                   * unit_sphere_volume(n - 1) / (2.0 * math.pi) * (2.0 * math.pi / 3))
+        assert np.abs(field.weights[::3] / weights - 1.0).max() <= 1e-11
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_closed_form_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        m, t_end = n - 1, surfaces._profile_end(n - 1)
+        with mpmath.workdps(30):
+            half, b = mpmath.mpf(1) / 2, mpmath.mpf(1) / 2 - mpmath.mpf(1) / (2 * m)
+
+            def t_of(phi):  # t(phi) = B(sin^2 phi; 1/2, b) / (2m)
+                return mpmath.betainc(half, b, 0, mpmath.sin(phi) ** 2) / (2 * m)
+
+            # backward error: the t at each solved angle, up to 0.999999 t_end
+            t = t_end * np.array([0.0, 0.05, 0.3, 0.6, 0.7, 0.8, 0.9, 0.99, 0.9999, 0.999999])
+            phi = surfaces._profile_angle(m, t)
+            assert all(0.0 <= p < math.pi / 2 for p in phi.tolist())
+            backward = max(abs(t_of(mpmath.mpf(p)) - mpmath.mpf(s)) for p, s in zip(phi, t))
+            assert backward <= 1e-12 * t_end
+            # forward error in f = kappa_rot^(-1/n) on the default range, against the root of t(phi)
+            field = build_catenoid(n, grid=[7, 2])
+            nodes, f = field.coords[::2, 0], field.operators[::2, 0, 0] ** (-1.0 / n)
+            for s, value in zip(nodes.tolist(), f.tolist()):
+                root = mpmath.findroot(lambda q: t_of(q) - abs(s), math.acos(value ** -m))
+                exact = mpmath.cos(root) ** (-mpmath.mpf(1) / m)
+                assert abs(value - exact) <= 1e-13 * exact
+
+    def test_mirrored_nodes_share_operators(self, tmp_path):
+        # the angle of each node is solved on |t|: 64 profile nodes make 63 runs in the field file
+        field = build_catenoid(4, grid=[64, 32], t_max=0.4123456789)
+        profile = field.operators[::32]
+        assert np.array_equal(profile, profile[::-1])
+        assert len(saved_dict(field, tmp_path)["operators"]) == 63
+
+    def test_gauss_legendre_rule(self):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = surfaces._gauss_legendre()
+        nodes, weights = leggauss(32)
+        order = np.argsort(x)
+        assert np.abs(x[order] - (1.0 + nodes) / 2.0).max() <= 1e-15
+        assert np.abs(w[order] - weights / 2.0).max() <= 1e-15
+
+    def test_gauss_legendre_rule_is_built_on_first_use(self):
+        probe = ("import sys; from rigidity import surfaces; "
+                 "print(surfaces._gauss_legendre.cache_info().currsize); "
+                 "surfaces.build_catenoid(4, grid=[4, 2]); "
+                 "print(surfaces._gauss_legendre.cache_info().currsize, "
+                 "'numpy.polynomial' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(surfaces.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.split() == ["0", "1", "False"]
 
     def test_other_dimensions(self):
         for n in (5, 6):
@@ -181,8 +269,8 @@ class TestRotationHypersurface:
         assert field_volume(field) == pytest.approx(field_volume(cylinder), rel=1e-12)
 
     def test_matches_catenoid_profile(self):
-        # feed the integrated minimal profile through the generic builder
-        n, t_max, m_t, substeps = 4, 0.4, 8, 16
+        # feed the RK4 minimal profile, at 256 steps per cell, through the generic builder
+        n, t_max, m_t, substeps = 4, 0.4, 8, 256
         nodes, f, fp = catenoid_profile(n, t_max, m_t * substeps)
         lookup = {round(t / (t_max / (m_t * substeps))): i for i, t in enumerate(nodes)}
 
@@ -200,7 +288,7 @@ class TestRotationHypersurface:
         generic = build_rotation_hypersurface(n, f_at, grid=[m_t, 2],
                                               t_range=(-t_max, t_max),
                                               fp=fp_at, fpp=fpp_at)
-        direct = build_catenoid(n, grid=[m_t, 2], t_max=t_max, ode_substeps=substeps)
+        direct = build_catenoid(n, grid=[m_t, 2], t_max=t_max)
         assert np.allclose(generic.operators, direct.operators, rtol=1e-12, atol=1e-12)
         assert generic.weights == pytest.approx(direct.weights, rel=1e-12)
 
@@ -279,6 +367,13 @@ class TestChart:
             ea = np.sort(np.linalg.eigvalsh(a))
             eb = np.sort(np.linalg.eigvalsh(b))
             assert np.max(np.abs(ea - eb)) <= 1e-10 * max(1.0, np.max(np.abs(ea)))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_round_sphere_chart_gives_plus_identity_over_r(self, n):
+        # the normal is oriented by det([normal | J]), the same for every n, as build_sphere's A
+        chart, domain = ellipsoid_chart([2.0] * (n + 1))
+        field = chart_shape_operator(chart, domain, grid=[2], fd_step=1e-4)
+        assert np.abs(field.operators - np.eye(n) / 2.0).max() <= 1e-6
 
     def test_orientation_flip_preserves_invariants(self):
         chart, domain = ellipsoid_chart([1.0] * 5)
@@ -370,14 +465,11 @@ class TestEllipsoid:
     @pytest.mark.parametrize("axes, grid", ELLIPSOIDS, ids=["n4", "n5", "n6"])
     def test_finite_differences_converge_to_the_closed_form(self, axes, grid):
         field = build_ellipsoid(axes, grid=grid)
-        # the finite-difference route orients its normal by det([J | normal]); on this chart
-        # that is the closed form's inward normal for even n and the outward one for odd n
-        orientation = (-1.0) ** field.spec.n
 
         def gaps(h):
             fd = chart_shape_operator(*ellipsoid_chart(axes), grid=grid, fd_step=h)
             assert np.array_equal(fd.coords, field.coords)
-            return (np.abs(orientation * fd.operators - field.operators).max()
+            return (np.abs(fd.operators - field.operators).max()
                     / np.abs(field.operators).max(),
                     np.abs(fd.weights / field.weights - 1.0).max())
 

@@ -437,6 +437,29 @@ def test_zero_padded_power_sums_give_the_same_sigma():
                               symfun_from_power_sums_batch(s))
 
 
+class CountedProducts(np.ndarray):
+    """A stack that counts the matrix products taken with it on the left."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountedProducts.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_power_sums_take_n_minus_one_products(n):
+    # s_1..s_n need A^1..A^n; A^(n+1) would be formed and never read
+    a = stack(random_corpus, n)
+    CountedProducts.products = 0
+    s = power_sums_batch(a.view(CountedProducts))
+    assert CountedProducts.products == n - 1
+    power = np.eye(n)
+    for j in range(1, n + 1):
+        power = power @ a[0]
+        assert s[j, 0] == pytest.approx(np.trace(power), rel=1e-12, abs=1e-12)
+
+
 def shifted_corpus(n):
     # an eigenspace of dimension n - 1 in a matrix that is not trace-free
     return [m + 0.5 * np.eye(n) for m in equality_corpus(n)]
