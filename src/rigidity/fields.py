@@ -1,10 +1,11 @@
 """The shape-field record, its JSON files, and the text writer that reports share.
 
 A field is a ``SurfaceSpec`` plus per-sample coordinates, shape operators and
-area weights. Files keep each run of equal consecutive operators once. The
-writer streams ``SampleTable`` columns through one chunked text renderer,
-``text_rows``, which the per-sample CSV export shares; it renders each
-distinct number of a column once per table.
+area weights. Its samples are the row-major ``grid_points`` of one axis per grid
+direction, so a file keeps the axes, the weights and each run of equal
+consecutive operators once. The writer streams ``SampleTable`` columns through
+one chunked text renderer, ``text_rows``, which the per-sample CSV export
+shares; it renders each distinct number of a column once per table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "SURFACE_KINDS",
     "SurfaceSpec",
     "ShapeField",
+    "grid_points",
     "equal_runs",
     "CHUNK",
     "text_rows",
@@ -102,6 +104,11 @@ class ShapeField:
         for name, array in (("coords", coords), ("operators", operators), ("weights", weights)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+
+def grid_points(axes) -> np.ndarray:
+    """Row-major grid of the axes' values as an (N, len(axes)) array, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _first_bad(bad: np.ndarray, message) -> None:
@@ -186,12 +193,14 @@ def text_rows(columns, row: str, strings=json.dumps):
 
 
 class SampleTable:
-    """Columns of per-sample arrays (numbers, booleans or strings; trailing axes become nested
-    lists) that ``write_json`` writes as a list of one JSON object per sample, key-sorted.
-    ``text_rows`` renders each distinct number of a column once for the whole table."""
+    """Per-sample arrays (numbers, booleans or strings; trailing axes become nested lists) that
+    ``write_json`` writes as a list: one key-sorted object per sample of a dict of columns, or the
+    entries of one column. ``text_rows`` renders each distinct number of a column once per table."""
 
-    def __init__(self, columns: dict) -> None:
-        self.columns = {key: np.asarray(value) for key, value in sorted(columns.items())}
+    def __init__(self, columns) -> None:
+        self.keyed = isinstance(columns, dict)
+        items = sorted(columns.items()) if self.keyed else [("value", columns)]
+        self.columns = {key: np.asarray(value) for key, value in items}
 
     def nonfinite(self) -> str | None:
         """The first inf or NaN, by key then sample, as a message."""
@@ -207,7 +216,8 @@ class SampleTable:
         # "\0s", not "\0": numpy strips a trailing NUL from the fill value
         marks = {key: np.full(column.shape[1:], "\0s", dtype=object).tolist()
                  for key, column in self.columns.items()}
-        row = json.dumps(marks, indent=2, sort_keys=True).replace("%", "%%").replace('"\\u0000s"', "%s")
+        row = json.dumps(marks if self.keyed else marks["value"], indent=2, sort_keys=True)
+        row = row.replace("%", "%%").replace('"\\u0000s"', "%s")
         rows = text_rows(self.columns.values(), f",\n{indent}  " + row.replace("\n", f"\n{indent}  "))
         yield "[\n" + next(rows)[2:]  # every table has a sample; no comma before the first
         yield from rows
@@ -277,13 +287,25 @@ def write_text(path, pieces) -> None:
 
 
 def save_field(field_: ShapeField, path) -> None:
-    """Write ``field_``: each run of equal consecutive shape operators is one ``operators`` entry,
-    its operator and the ``count`` of samples in the run, and ``samples`` holds the rest."""
+    """Write ``field_`` as ``axes``, read off the samples on each grid direction's first line;
+    ``samples``, the area weights in row-major grid order; and ``operators``, one entry with its
+    ``count`` per run of equal consecutive shape operators. InvariantViolation names the first
+    sample whose coords are not, bit for bit, its point of the axes' grid."""
+    coords, grid = field_.coords, field_.spec.grid
+    if len(coords) != math.prod(grid):
+        raise InvariantViolation(f"spec grid {list(grid)} has {math.prod(grid)} points, "
+                                 f"but there are {len(coords)} samples")
+    steps = [math.prod(grid[j + 1:]) for j in range(len(grid))]
+    axes = [coords[:count * step:step, j] for j, (count, step) in enumerate(zip(grid, steps))]
+    points = grid_points(axes)
+    _first_bad((points.view(np.int64) != coords.view(np.int64)).any(axis=1),
+               lambda i: f"coords {coords[i].tolist()} are not {points[i].tolist()} of the axes")
     starts, runs = equal_runs(field_.operators)
     write_json(path, {
-        "spec": dict(asdict(field_.spec), grid=list(field_.spec.grid)),
+        "spec": dict(asdict(field_.spec), grid=list(grid)),
+        "axes": [axis.tolist() for axis in axes],
         "operators": SampleTable({"count": runs, "shape_operator": field_.operators[starts]}),
-        "samples": SampleTable({"coords": field_.coords, "area_weight": field_.weights}),
+        "samples": SampleTable(field_.weights),
         "minimal_claimed": field_.minimal_claimed,
     })
 
@@ -318,24 +340,23 @@ def _stacked(values: list, shape: tuple[int, ...], what: str, item: str = "sampl
 
 
 def field_from_dict(data: dict) -> ShapeField:
-    """The ShapeField of a parsed field file (an ``operators`` entry per run of samples, or, as older
-    versions wrote, a ``shape_operator`` in each sample); SchemaError on bad keys, types or shapes."""
+    """The ShapeField of a parsed field file; SchemaError on bad keys, types or shapes, and on
+    the per-sample layout of earlier versions, with an object per sample."""
     _expect(isinstance(data, dict), "top level must be an object")
-    for key in ("spec", "samples", "minimal_claimed"):
+    raw_samples = data.get("samples")
+    _expect(not (isinstance(raw_samples, list) and raw_samples and isinstance(raw_samples[0], dict)),
+            "samples are objects: this is the per-sample layout of earlier versions, which is not "
+            "read; write the field again with catalog")
+    for key in ("spec", "axes", "operators", "samples", "minimal_claimed"):
         _expect(key in data, f"missing top-level key {key!r}")
     _expect(type(data["minimal_claimed"]) is bool, "minimal_claimed must be true or false")
     raw_spec = data["spec"]
-    _expect(isinstance(raw_spec, dict), "spec must be an object")
-    for key in ("kind", "n", "params", "grid"):
-        _expect(key in raw_spec, f"spec missing key {key!r}")
+    _expect(isinstance(raw_spec, dict) and raw_spec.keys() == {"grid", "kind", "n", "params"},
+            "spec must be an object with the keys grid, kind, n and params, and no other")
     # type() is int: a JSON integer, where isinstance would also let a bool through
     _expect(type(raw_spec["n"]) is int, "spec n must be an integer")
     _expect(isinstance(raw_spec["grid"], list) and all(type(g) is int for g in raw_spec["grid"]),
             "spec grid must be a list of integer counts")
-    # earlier files carry the flat ambient space as this key; the toolkit models no other
-    curvature = raw_spec.get("ambient_curvature", 0.0)
-    _expect(type(curvature) in (int, float) and curvature == 0,
-            "spec ambient_curvature must be 0.0 (flat ambient space) when present")
     try:
         spec = SurfaceSpec(
             kind=str(raw_spec["kind"]),
@@ -345,42 +366,32 @@ def field_from_dict(data: dict) -> ShapeField:
         )
     except (TypeError, ValueError, BadParams, BadDimension) as exc:
         raise SchemaError(f"spec: {exc}") from exc
-    raw_samples = data["samples"]
-    _expect(isinstance(raw_samples, list) and raw_samples, "samples must be a nonempty list")
-    _expect(math.prod(spec.grid) == len(raw_samples),
-            f"spec grid {list(spec.grid)} has {math.prod(spec.grid)} points, "
-            f"but there are {len(raw_samples)} samples")
-    legacy = "operators" not in data  # earlier versions wrote a shape_operator in every sample
-    # other sample keys are ignored, such as the umbilic_flag that earlier versions wrote
-    keys = ("coords", "shape_operator", "area_weight") if legacy else ("coords", "area_weight")
-    required = set(keys)
-    if not all(isinstance(raw, dict) and raw.keys() >= required for raw in raw_samples):
-        i, raw = next((i, raw) for i, raw in enumerate(raw_samples)
-                      if not (isinstance(raw, dict) and raw.keys() >= required))
-        _expect(isinstance(raw, dict), f"sample {i} must be an object")
-        raise SchemaError(f"sample {i} missing key {next(k for k in keys if k not in raw)!r}")
-    if legacy:  # a table of one entry per sample
-        table, item = raw_samples, "sample"
-    else:
-        table, item = data["operators"], "operators entry"
-        _expect(isinstance(table, list)
-                and all(isinstance(e, dict) and e.keys() >= {"count", "shape_operator"} for e in table),
-                "operators must be a list of objects with keys 'count' and 'shape_operator'")
-        counts = [e["count"] for e in table]
-        bad = next((i for i, k in enumerate(counts) if type(k) is not int or k < 1), None)
-        _expect(bad is None, f"operators entry {bad}: count must be an integer >= 1")
-        _expect(sum(counts) == len(raw_samples),
-                f"operators counts add up to {sum(counts)}, but there are {len(raw_samples)} samples")
-    n, d = spec.n, len(spec.grid)
-    coords = _stacked([raw["coords"] for raw in raw_samples], (d,),
-                      f"coords must be a list of {d} numbers, one per grid direction")
-    operators = _stacked([e["shape_operator"] for e in table], (n, n),
-                         f"shape_operator must be a list of {n} lists of {n} numbers", item)
+    _expect(isinstance(raw_samples, list) and len(raw_samples) == math.prod(spec.grid),
+            f"samples must be a list of {math.prod(spec.grid)} area weights, one per point of the "
+            f"spec grid {list(spec.grid)}")
+    raw_axes, axes = data["axes"], []
+    _expect(isinstance(raw_axes, list) and len(raw_axes) == len(spec.grid),
+            f"axes must be a list of {len(spec.grid)} lists, one per grid direction")
+    for j, (axis, count) in enumerate(zip(raw_axes, spec.grid)):
+        axes.append(_numbers(axis, (count,)))
+        _expect(axes[-1] is not None, f"axes {j} must be a list of {count} numbers")
+    table = data["operators"]
+    _expect(isinstance(table, list)
+            and all(isinstance(e, dict) and e.keys() >= {"count", "shape_operator"} for e in table),
+            "operators must be a list of objects with keys 'count' and 'shape_operator'")
+    counts = [e["count"] for e in table]
+    bad = next((i for i, k in enumerate(counts) if type(k) is not int or k < 1), None)
+    _expect(bad is None, f"operators entry {bad}: count must be an integer >= 1")
+    _expect(sum(counts) == len(raw_samples),
+            f"operators counts add up to {sum(counts)}, but there are {len(raw_samples)} samples")
+    operators = _stacked([e["shape_operator"] for e in table], (spec.n, spec.n),
+                         f"shape_operator must be a list of {spec.n} lists of {spec.n} numbers",
+                         "operators entry")
     return ShapeField(
-        spec, coords,
+        spec, grid_points(axes),
         # counts of at least 1 that add up to N are all 1 when there are N entries
         operators if len(table) == len(raw_samples) else np.repeat(operators, counts, axis=0),
-        _stacked([raw["area_weight"] for raw in raw_samples], (), "area_weight must be a number"),
+        _stacked(raw_samples, (), "area weight must be a number"),
         minimal_claimed=data["minimal_claimed"])
 
 
@@ -389,10 +400,10 @@ def ingest_field(path) -> ShapeField:
     text or is not JSON raises ParseError naming it.
 
     The cyclic garbage collector is paused while the parsed tree is alive, and the
-    caller's setting is restored on return. The tree (about 4.5k lists and dicts for
-    a 64x32 catenoid) holds no cycle, so reference counting frees it; with the
-    collector running, it would outlive young collections, be promoted, and start
-    full collections of every object of the interpreter.
+    caller's setting is restored on return. The tree (about 390 lists and dicts for a
+    64x32 catenoid, 2.6k for an n = 6 ellipsoid of 324 distinct operators) holds no
+    cycle, so reference counting frees it; with the collector running, it would outlive
+    young collections, be promoted, and start full collections of every object.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -9,6 +9,8 @@ each index alone: results do not depend on the chunking.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .spectral import trace_free_project_batch
@@ -25,6 +27,14 @@ _CHUNK_WORDS = 1 << 18
 def _row_width(dims, lambda_count: int) -> int:
     # words per index, in whole Philox4x64 counters of 4 words each
     return -(-(max(dims) * (max(dims) + 1) // 2 + lambda_count) // 4) * 4
+
+
+@functools.cache
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of an n x n matrix, read-only, made once per n."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def campaign_chunk(dims, lambda_count: int) -> int:
@@ -48,7 +58,7 @@ def campaign_samples(seed: int, dims, lambda_count: int, start: int, count: int)
     dim_of = np.asarray(dims)[np.arange(start, start + count) % len(dims)]
     groups = []
     for n in sorted(set(dim_of.tolist())):
-        rows, (iu, ju) = words[dim_of == n], np.triu_indices(n)
+        rows, (iu, ju) = words[dim_of == n], _upper_triangle(n)
         m = np.empty((len(rows), n, n))
         m[:, iu, ju] = m[:, ju, iu] = -1.0 + 2.0 * rows[:, :len(iu)]
         m = trace_free_project_batch(m)

@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolation,
     StepTooLarge,
 )
-from .fields import ShapeField, SurfaceSpec
+from .fields import ShapeField, SurfaceSpec, grid_points
 
 __all__ = [
     "unit_sphere_volume",
@@ -68,11 +68,6 @@ def _weight_scale(name: str, value, power: int):
         raise BadParams(f"{name} {value} makes the area weight scale {name} ** {power} = {scale}, "
                         "which is not positive and finite")
     return scale
-
-
-def _grid_points(axes) -> np.ndarray:
-    """Row-major grid of the axes' values as an (N, len(axes)) array, the last axis fastest."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _grid_counts(grid, defaults: tuple[int, ...]) -> tuple[int, ...]:
@@ -127,7 +122,7 @@ def build_sphere(n: int, radius: float, grid=None) -> ShapeField:
     weights = np.broadcast_to(_area_weights(f"radius {radius}", scale, density, cell),
                               counts).reshape(-1)
     operators = np.broadcast_to(np.eye(n) / radius, (len(weights), n, n))
-    return ShapeField(spec, _grid_points(axes), operators, weights, minimal_claimed=False)
+    return ShapeField(spec, grid_points(axes), operators, weights, minimal_claimed=False)
 
 
 def _orbit_samples(spec: SurfaceSpec, what: str, t_values: np.ndarray, dt: float,
@@ -146,7 +141,7 @@ def _orbit_samples(spec: SurfaceSpec, what: str, t_values: np.ndarray, dt: float
     diagonals = np.zeros((len(t_values), n, n))
     diagonals[:, range(n), range(n)] = np.column_stack([kr] * (n - 1) + [kp])
     # every orbit angle of a profile node repeats the node's operator and weight
-    return ShapeField(spec, _grid_points([t_values, thetas]),
+    return ShapeField(spec, grid_points([t_values, thetas]),
                       np.repeat(diagonals, m_theta, axis=0), np.repeat(weights, m_theta),
                       minimal_claimed=minimal)
 
@@ -285,7 +280,7 @@ def _chart_grid(bounds, spec: SurfaceSpec) -> tuple[np.ndarray, float]:
     """Midpoints (N, n) and cell volume of a chart domain on the grid of ``spec``, whose
     construction has checked its counts."""
     axes = [_midpoints(lo, hi, c) for (lo, hi), c in zip(bounds, spec.grid)]
-    return _grid_points(axes), math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, spec.grid))
+    return grid_points(axes), math.prod((hi - lo) / c for (lo, hi), c in zip(bounds, spec.grid))
 
 
 def _chart_operators(chart, points: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ of the objects built here, which share no code with the streaming writer.
 
 import copy
 import dataclasses
+import itertools
 import json
 
 from rigidity.defaults import ARTIFACT, TOLERANCES, VERSION
@@ -17,41 +18,51 @@ def dumped(reference) -> bytes:
     return (json.dumps(reference, indent=2, sort_keys=True) + "\n").encode()
 
 
-def field_to_dict(field) -> dict:
-    """The field in the layout that versions before the operator table wrote: every sample
-    holds its own ``shape_operator``. Readers still accept it."""
+def field_to_table_dict(field) -> dict:
+    """The field as save_field writes it: the ``axes`` read off the coords of the samples on each
+    grid direction's first line, the area weights as ``samples``, and one ``operators`` entry, with
+    the ``count`` of samples it covers, per run of equal consecutive operators. Runs are found in
+    pure Python by the float.hex text of each entry, so -0.0 and 0.0 count as different. An
+    AssertionError says that the coords are not the row-major grid of those axes, bit for bit."""
     spec = dataclasses.asdict(field.spec)
     spec["grid"] = list(field.spec.grid)
-    samples = []
-    for coords, operator, weight in zip(field.coords.tolist(), field.operators.tolist(),
-                                        field.weights.tolist()):
-        samples.append({"coords": coords, "shape_operator": operator, "area_weight": weight})
-    return {"spec": spec, "samples": samples, "minimal_claimed": field.minimal_claimed}
-
-
-def field_to_table_dict(field) -> dict:
-    """The field as save_field writes it: one ``operators`` entry, with the ``count`` of samples
-    it covers, per run of equal consecutive operators. Runs are found in pure Python by the
-    float.hex text of each entry, so -0.0 and 0.0 count as different."""
-    data = field_to_dict(field)
+    coords, axes, step = field.coords.tolist(), [], len(field.coords)
+    for j, count in enumerate(field.spec.grid):
+        step //= count
+        axes.append([coords[k * step][j] for k in range(count)])
+    assert [[value.hex() for value in point] for point in itertools.product(*axes)] == [
+        [value.hex() for value in point] for point in coords]
     operators, previous = [], None
-    for sample in data["samples"]:
-        operator = sample.pop("shape_operator")
+    for operator in field.operators.tolist():
         key = [[value.hex() for value in row] for row in operator]
         if key != previous:
             operators.append({"count": 0, "shape_operator": operator})
             previous = key
         operators[-1]["count"] += 1
-    data["operators"] = operators
+    return {"spec": spec, "axes": axes, "operators": operators, "samples": field.weights.tolist(),
+            "minimal_claimed": field.minimal_claimed}
+
+
+def to_older_layout(data: dict, per_sample_operators: bool) -> dict:
+    """Rewrite a parsed field file, in place, to the layout of earlier versions: ``samples`` holds
+    an object of ``coords`` and ``area_weight`` per sample, and ``axes`` is gone. With
+    ``per_sample_operators`` each sample also holds its ``shape_operator`` and the ``operators``
+    table is gone, as before the table; without, the table stays."""
+    points = itertools.product(*data.pop("axes"))
+    data["samples"] = [{"coords": list(point), "area_weight": weight}
+                       for point, weight in zip(points, data["samples"])]
+    if per_sample_operators:
+        samples = iter(data["samples"])
+        for entry in data.pop("operators"):
+            for _ in range(entry["count"]):
+                next(samples)["shape_operator"] = copy.deepcopy(entry["shape_operator"])
     return data
 
 
-def to_legacy(data: dict) -> dict:
-    """Rewrite a parsed field file, in place, to the per-sample layout of ``field_to_dict``."""
-    samples = iter(data["samples"])
-    for entry in data.pop("operators"):
-        for _ in range(entry["count"]):
-            next(samples)["shape_operator"] = copy.deepcopy(entry["shape_operator"])
+def split_entries(data: dict) -> dict:
+    """Rewrite a parsed field file's ``operators``, in place, to one entry per sample."""
+    data["operators"] = [{"count": 1, "shape_operator": copy.deepcopy(entry["shape_operator"])}
+                         for entry in data["operators"] for _ in range(entry["count"])]
     return data
 
 

@@ -7,15 +7,19 @@ Each tree is a directory that holds the ``rigidity`` package (a checkout's
 with ``OPENBLAS_NUM_THREADS=1``: ``catalog`` then ``analyze --csv`` of a
 surface, or ``verify``. Both trees write to the same paths in one scratch
 directory, since an analyze report echoes its field path. A cross-read pass
-then has CHANGE ``analyze`` the field files that PARENT wrote: its exit codes,
-stdout, reports and CSVs must equal the ones it gave for its own field files.
-The other direction is not checked, since an older reader need not know a
-newer layout. The script prints one equal/different line per file, exit code
-and stdout, and exits 1 on any difference. pytest does not collect it.
+then has CHANGE ``analyze`` the field files that PARENT wrote. A file in the
+per-sample layout of earlier versions (an object per sample) must be refused:
+exit 2, no stdout, the one stderr line ``REFUSAL``, and no report or CSV. Any
+other file must give the exit codes, stdout, reports and CSVs that CHANGE gave
+for its own field files, and no stderr. The other direction is not checked,
+since an older reader need not know a newer layout. The script prints one
+equal/different line per file, exit code and stdout (and, in the cross-read
+pass, stderr), and exits 1 on any difference. pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +54,10 @@ VERIFY = {
 
 CLI = "import sys; from rigidity.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# what analyze prints when it refuses a field file in the per-sample layout
+REFUSAL = (b"analyze: samples are objects: this is the per-sample layout of earlier versions, "
+           b"which is not read; write the field again with catalog\n")
+
 
 def commands():
     """(case, argv list, files written) in run order."""
@@ -64,7 +72,8 @@ def commands():
 
 def run(src: Path, work: Path, argvs, files, fields=None) -> dict:
     """Exit codes, stdout and ``files`` of the CLI calls ``argvs`` with the package in ``src``;
-    ``fields`` maps file names to bytes written into ``work`` first."""
+    ``fields`` maps file names to bytes written into ``work`` first, and with them stderr is kept
+    too."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     for name, text in (fields or {}).items():
         (work / name).write_bytes(text)
@@ -74,6 +83,8 @@ def run(src: Path, work: Path, argvs, files, fields=None) -> dict:
                               capture_output=True)
         seen[f"{argv[0]} exit"] = str(done.returncode).encode()
         seen[f"{argv[0]} stdout"] = done.stdout
+        if fields:
+            seen[f"{argv[0]} stderr"] = done.stderr
     for name in [*files, *(fields or {})]:
         path = work / name
         seen.setdefault(name, path.read_bytes() if path.exists() else None)
@@ -95,17 +106,28 @@ def outputs(src: Path, work: Path) -> dict:
     return seen
 
 
-def cross_read(src: Path, work: Path, fields: dict) -> dict:
-    """What ``analyze`` with the package in ``src`` writes and prints for each surface case's
-    field file in ``fields``, keyed as ``outputs`` keys the tree's own."""
-    seen = {}
+def per_sample_layout(text: bytes) -> bool:
+    samples = json.loads(text).get("samples")
+    return isinstance(samples, list) and bool(samples) and isinstance(samples[0], dict)
+
+
+def cross_read(src: Path, work: Path, fields: dict, own: dict) -> dict:
+    """(expected, seen) of what ``analyze`` with the package in ``src`` writes and prints for
+    each surface case's field file in ``fields``, keyed as ``outputs`` keys the tree's ``own``:
+    the refusal of a file in the per-sample layout, else ``own``'s outputs and no stderr."""
+    pairs = {}
     for case, argvs, files in commands():
         if case in SURFACES and fields[files[0]] is not None:
             field, report, csv = files
-            seen.update(keyed(case, files,
-                              run(src, work, argvs[1:], (report, csv), {field: fields[field]})))
+            seen = keyed(case, files, run(src, work, argvs[1:], (report, csv), {field: fields[field]}))
             del seen[field]
-    return seen
+            if per_sample_layout(fields[field]):
+                expected = {f"{case} analyze exit": b"2", f"{case} analyze stdout": b"",
+                            f"{case} analyze stderr": REFUSAL, report: None, csv: None}
+            else:
+                expected = dict(own, **{f"{case} analyze stderr": b""})
+            pairs.update((key, (expected[key], value)) for key, value in seen.items())
+    return pairs
 
 
 def main(argv=None) -> int:
@@ -117,15 +139,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         before, after = outputs(parent, work), outputs(change, work)
-        pairs = [("", before, after), ("cross-read: ", after, cross_read(change, work, before))]
-    different = total = 0
-    for label, own, other in pairs:
-        for key in other if label else own:
-            same = own[key] is not None and own[key] == other[key]
-            different += not same
-            total += 1
-            print(f"{'equal' if same else 'DIFFERENT'}  {label}{key}")
-    print(f"{total - different} equal, {different} different")
+        crossed = cross_read(change, work, before, after)
+    rows = [(key, before[key] is not None and before[key] == after[key]) for key in before]
+    rows += [(f"cross-read: {key}", expected == seen) for key, (expected, seen) in crossed.items()]
+    different = sum(not same for _, same in rows)
+    for key, same in rows:
+        print(f"{'equal' if same else 'DIFFERENT'}  {key}")
+    print(f"{len(rows) - different} equal, {different} different")
     return 1 if different else 0
 
 

@@ -21,7 +21,7 @@ from rigidity.errors import BadParams, RigidityError, SchemaError
 from rigidity.fields import field_from_dict, ingest_field, save_field
 from rigidity.surfaces import build_cylinder, build_ellipsoid
 
-from json_reference import own_entry, saved_dict, to_legacy
+from json_reference import own_entry, saved_dict, split_entries, to_older_layout
 
 # the check families of a verify report, in the order the campaign runs them
 CHECK_FAMILIES = (
@@ -279,12 +279,12 @@ class TestAnalyze:
         report = read_json(out)
         assert report["report"]["classification"] == "CatenoidCandidate"
 
-    @pytest.mark.parametrize("legacy", [False, True], ids=["table", "legacy"])
-    def test_perturbed_operator_fails_the_catenoid_gate(self, tmp_path, catenoid_path, legacy):
-        # one sample's operator moved off its orbit's by a symmetric 1e-3 is no catenoid, in the
-        # operators table and in the per-sample layout of earlier versions alike
+    @pytest.mark.parametrize("split", [False, True], ids=["table", "entry_per_sample"])
+    def test_perturbed_operator_fails_the_catenoid_gate(self, tmp_path, catenoid_path, split):
+        # one sample's operator moved off its orbit's by a symmetric 1e-3 is no catenoid, in an
+        # operators table of runs and in one with an entry for every sample alike
         data = read_json(catenoid_path)
-        operator = (to_legacy(data)["samples"][9] if legacy else own_entry(data, 9))["shape_operator"]
+        operator = (split_entries(data)["operators"][9] if split else own_entry(data, 9))["shape_operator"]
         operator[0][1] += 1e-3
         operator[1][0] += 1e-3
         field_path, out = tmp_path / "field.json", tmp_path / "report.json"
@@ -353,17 +353,17 @@ class TestAnalyze:
         assert csv_path.read_text(encoding="utf-8") == "previous\n"
 
     def test_stored_umbilic_flags_are_ignored(self, tmp_path, catenoid_path):
-        # earlier versions stored the umbilic test per sample; analyze decides it from the
-        # operators, so a file that carries the key, even a contradicting one, reads the same
+        # analyze decides the umbilic test from the operators, so a file that carries a list of
+        # per-sample flags as a key of its own, even a contradicting one, reads the same
         data = read_json(catenoid_path)
-        assert "umbilic_flag" not in data["samples"][0]
+        assert "umbilic_flag" not in data
         field_path, out, csv_path = (tmp_path / name for name in ("f.json", "r.json", "s.csv"))
         outputs = []
         for flags in (True, False):
             edited = json.loads(json.dumps(data))
             if flags:
-                for i, sample in enumerate(edited["samples"]):
-                    sample["umbilic_flag"] = i == 3  # a catenoid has no umbilic sample
+                # a catenoid has no umbilic sample
+                edited["umbilic_flag"] = [i == 3 for i in range(len(edited["samples"]))]
             field_path.write_text(json.dumps(edited, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
             assert main(["analyze", "--field", str(field_path), "--out", str(out),
@@ -389,7 +389,7 @@ class TestAnalyze:
 
     def test_infinite_weight_exit_2(self, tmp_path, catenoid_path, capsys):
         data = read_json(catenoid_path)
-        data["samples"][5]["area_weight"] = math.inf
+        data["samples"][5] = math.inf
         bad = tmp_path / "inf.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
         code = main(["analyze", "--field", str(bad), "--out", str(tmp_path / "r.json"),
@@ -399,13 +399,13 @@ class TestAnalyze:
 
     def test_nan_coordinate_exit_2_naming_sample(self, tmp_path, catenoid_path, capsys):
         data = read_json(catenoid_path)
-        data["samples"][6]["coords"][1] = math.nan
+        data["axes"][1][2] = math.nan  # the angle of samples 2, 6, 10, ... on the 16x4 grid
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(data), encoding="utf-8")  # json writes NaN, and reads it back
-        assert math.isnan(read_json(bad)["samples"][6]["coords"][1])
+        assert math.isnan(read_json(bad)["axes"][1][2])
         out = tmp_path / "r.json"
         assert main(["analyze", "--field", str(bad), "--out", str(out)]) == 2
-        assert "sample 6: coords must be finite" in capsys.readouterr().err
+        assert "sample 2: coords must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6"])
@@ -438,25 +438,25 @@ class TestAnalyze:
         lambda d: d["spec"].update(n="four"),
         lambda d: d["spec"].update(grid="16x4"),
         lambda d: d["spec"].update(params=[1.0, 2.0]),
-        lambda d: d["samples"][0].update(coords="abc"),
+        lambda d: d["axes"].__setitem__(0, "abc"),
         lambda d: d["operators"][0]["shape_operator"][1].pop(),
         lambda d: d.update(minimal_claimed="no"),
         lambda d: d["spec"].update(n=4.9),
         lambda d: d["spec"].update(grid=[16.7, 4.2]),
-        lambda d: d["samples"][0].update(area_weight=True),
-        lambda d: d["samples"][0].update(coords=[1.0, 2.0, 3.0]),
-        lambda d: d["samples"][0].update(coords=[]),
-        lambda d: d["samples"][0].update(area_weight=10 ** 400),
+        lambda d: d["samples"].__setitem__(0, True),
+        lambda d: d["axes"].append([1.0, 2.0]),
+        lambda d: d["axes"].__setitem__(1, []),
+        lambda d: d["samples"].__setitem__(0, 10 ** 400),
         # no grid direction: one sample with no coordinates
-        lambda d: d.update(spec=dict(d["spec"], grid=[]), samples=[dict(d["samples"][0], coords=[])]),
+        lambda d: d.update(spec=dict(d["spec"], grid=[]), axes=[], samples=d["samples"][:1]),
         lambda d: d["spec"].update(kind="Torus"),
         # no version of the package writes this kind
         lambda d: d["spec"].update(kind="FieldFile"),
-        lambda d: to_legacy(d)["samples"][0]["shape_operator"][1].pop(),
+        lambda d: to_older_layout(d, per_sample_operators=True)["samples"][0]["shape_operator"][1].pop(),
     ], ids=["string_n", "string_grid", "list_params", "string_coords", "ragged_operator",
             "string_minimal_claimed", "float_n", "float_grid", "bool_weight",
             "coords_too_long", "coords_empty", "integer_weight_beyond_double", "empty_grid",
-            "unknown_kind", "field_file_kind", "ragged_operator_legacy"])
+            "unknown_kind", "field_file_kind", "ragged_operator_older_layout"])
     def test_schema_type_error_exit_2(self, tmp_path, catenoid_path, capsys, edit):
         data = read_json(catenoid_path)
         edit(data)
@@ -466,14 +466,13 @@ class TestAnalyze:
         assert code == 2
         assert "analyze:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("previous, legacy", [
+    @pytest.mark.parametrize("previous, split", [
         (None, False), ("previous report\n", False), (None, True), ("previous report\n", True),
-    ], ids=["absent", "existing", "absent_legacy", "existing_legacy"])
-    def test_overflowing_report_exit_2_and_out_untouched(self, tmp_path, capsys, previous, legacy):
+    ], ids=["absent", "existing", "absent_entry_per_sample", "existing_entry_per_sample"])
+    def test_overflowing_report_exit_2_and_out_untouched(self, tmp_path, capsys, previous, split):
         data = saved_dict(build_cylinder(4, 1.0, 2.0, grid=[2, 2]), tmp_path)
-        for sample in data["samples"]:
-            sample["area_weight"] = 1e308
-        for entry in (to_legacy(data)["samples"] if legacy else data["operators"]):
+        data["samples"] = [1e308] * len(data["samples"])
+        for entry in (split_entries(data) if split else data)["operators"]:
             entry["shape_operator"] = (1e3 * np.diag([1.0, 1.0, 1.0, 0.0])).tolist()
         field_path = tmp_path / "field.json"
         field_path.write_text(json.dumps(data), encoding="utf-8")
@@ -492,8 +491,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("previous", [None, "previous report\n"], ids=["absent", "existing"])
     def test_overflowing_sum_exit_2_and_out_untouched(self, tmp_path, capsys, previous):
         data = saved_dict(build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 3]), tmp_path)
-        for sample in data["samples"]:
-            sample["area_weight"] = 1e308
+        data["samples"] = [1e308] * len(data["samples"])
         field_path = tmp_path / "field.json"
         field_path.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "r.json"
@@ -507,15 +505,15 @@ class TestAnalyze:
             assert out.read_text(encoding="utf-8") == previous
 
     def test_huge_entries_exit_2(self, tmp_path, capsys):
-        self.check_huge_entries(tmp_path, capsys, legacy=False)
+        self.check_huge_entries(tmp_path, capsys, split=False)
 
-    def test_huge_entries_in_legacy_layout_exit_2(self, tmp_path, capsys):
-        self.check_huge_entries(tmp_path, capsys, legacy=True)
+    def test_huge_entries_in_entry_per_sample_table_exit_2(self, tmp_path, capsys):
+        self.check_huge_entries(tmp_path, capsys, split=True)
 
     @staticmethod
-    def check_huge_entries(tmp_path, capsys, legacy):
+    def check_huge_entries(tmp_path, capsys, split):
         data = saved_dict(build_cylinder(5, 1.0, 2.0, grid=[2, 2]), tmp_path)
-        for entry in (to_legacy(data)["samples"] if legacy else data["operators"]):
+        for entry in (split_entries(data) if split else data)["operators"]:
             entry["shape_operator"] = (1e100 * np.array(entry["shape_operator"])).tolist()
         field_path = tmp_path / "field.json"
         field_path.write_text(json.dumps(data), encoding="utf-8")
@@ -526,7 +524,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["spec"].update(grid="22"),
-        lambda d: d["samples"][0].update(coords="12"),
+        lambda d: d["axes"].__setitem__(0, "12"),
         lambda d: d["spec"].update(grid=[64, 32]),
         lambda d: d["spec"].update(ambient_curvature=5.0),
     ], ids=["digit_string_grid", "digit_string_coords", "grid_not_sample_count",

@@ -1,10 +1,11 @@
 """Mutated field files: ingest returns a field or a named error, and analyze never ends in a traceback.
 
-A small valid field file, in the table layout that save_field writes and in the
-per-sample layout of earlier versions, is edited at random places: values
-replaced by other JSON types, numbers, strings or containers, keys and list
-elements deleted, list elements duplicated. The draws are derandomized, so the
-module runs the same examples every time.
+A small valid field file, as save_field writes it (grid axes, one area weight per
+sample and a table of operator runs), with one operators entry per sample, and in
+the per-sample layout of earlier versions that readers refuse, is edited at
+random places: values replaced by other JSON types, numbers, strings or
+containers, keys and list elements deleted, list elements duplicated. The draws
+are derandomized, so the module runs the same examples every time.
 """
 
 import copy
@@ -20,7 +21,7 @@ from rigidity.errors import InvariantViolation, ParseError, SchemaError
 from rigidity.fields import ShapeField, ingest_field
 from rigidity.surfaces import build_catenoid
 
-from json_reference import saved_dict, to_legacy
+from json_reference import saved_dict, split_entries, to_older_layout
 
 # other JSON types, counts and sizes, edge numbers (json writes nan and inf as NaN and Infinity),
 # digit strings and containers of the wrong shape
@@ -32,7 +33,8 @@ JUNK = [None, True, False, 0, 1, 2, -1, 2 ** 70, 0.5, -0.0, 5e-324, 1e308, math.
 def layouts(tmp_path_factory):
     # a catenoid of 8 samples in 4 runs of equal operators, so the table has several entries
     table = saved_dict(build_catenoid(4, grid=[4, 2]), tmp_path_factory.mktemp("base"))
-    return {"table": table, "legacy": to_legacy(copy.deepcopy(table))}
+    return {"table": table, "entry_per_sample": split_entries(copy.deepcopy(table)),
+            "older_layout": to_older_layout(copy.deepcopy(table), per_sample_operators=True)}
 
 
 def paths(node, prefix=()):
@@ -68,7 +70,7 @@ def mutate(doc, data):
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["table", "legacy"]), st.integers(1, 3), st.data())
+@given(st.sampled_from(["table", "entry_per_sample", "older_layout"]), st.integers(1, 3), st.data())
 def test_mutated_field_file_is_loaded_or_refused_by_name(tmp_path, capsys, layouts, layout, edits,
                                                          data):
     doc = copy.deepcopy(layouts[layout])

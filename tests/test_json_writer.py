@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from rigidity.cli import main
 from rigidity.energy import report_to_dict, rotational_energy
-from rigidity.errors import NonFiniteResult
+from rigidity.errors import InvariantViolation, NonFiniteResult, SchemaError
 from rigidity.fields import (
     CHUNK,
     SampleTable,
     ShapeField,
     SurfaceSpec,
+    grid_points,
     ingest_field,
     save_field,
     write_json,
@@ -32,7 +33,8 @@ from rigidity.surfaces import (
 )
 from rigidity.verify import run_verification_campaign
 
-from json_reference import analyze_payload, dumped, field_to_dict, field_to_table_dict
+from json_reference import (analyze_payload, dumped, field_to_table_dict, saved_dict, split_entries,
+                            to_older_layout)
 
 CATALOG = {
     "sphere": lambda: build_sphere(4, 1.5, grid=[3, 3, 3, 4]),
@@ -56,15 +58,15 @@ def test_field_bytes_match_reference(tmp_path, build):
 
 
 @pytest.mark.parametrize("build", CATALOG.values(), ids=CATALOG.keys())
-def test_legacy_layout_reads_the_same(tmp_path, build):
-    # a file in the per-sample layout of earlier versions loads bit for bit, and analyze
-    # writes the same report and CSV bytes for it as for the file save_field writes
+def test_one_entry_per_sample_reads_the_same(tmp_path, build):
+    # an operators table with an entry for every sample, runs or not, loads bit for bit, and
+    # analyze writes the same report and CSV bytes for it as for the file save_field writes
     field = build()
     field_path, out, csv_path = tmp_path / "field.json", tmp_path / "report.json", tmp_path / "s.csv"
     outputs = []
-    for legacy in (False, True):
-        if legacy:
-            field_path.write_bytes(dumped(field_to_dict(field)))
+    for split in (False, True):
+        if split:
+            field_path.write_bytes(dumped(split_entries(field_to_table_dict(field))))
         else:
             save_field(field, field_path)
         loaded = ingest_field(field_path)
@@ -76,6 +78,34 @@ def test_legacy_layout_reads_the_same(tmp_path, build):
                      "--csv", str(csv_path)]) == 0
         outputs.append((out.read_bytes(), csv_path.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("per_sample_operators", [False, True], ids=["table", "per_sample"])
+@pytest.mark.parametrize("build", CATALOG.values(), ids=CATALOG.keys())
+def test_older_layouts_are_refused_by_name(tmp_path, capsys, build, per_sample_operators):
+    # files with an object per sample, as earlier versions wrote them, exit 2 with one line that
+    # names the layout, and leave the report path alone
+    field_path, out = tmp_path / "field.json", tmp_path / "report.json"
+    data = to_older_layout(field_to_table_dict(build()), per_sample_operators)
+    field_path.write_bytes(dumped(data))
+    out.write_text("previous\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="per-sample layout of earlier versions"):
+        ingest_field(field_path)
+    capsys.readouterr()
+    assert main(["analyze", "--field", str(field_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("analyze: samples are objects: ") and err.count("\n") == 1, err
+    assert out.read_text(encoding="utf-8") == "previous\n"
+
+
+@pytest.mark.parametrize("build", CATALOG.values(), ids=CATALOG.keys())
+def test_saved_samples_are_one_weight_per_grid_point(tmp_path, build):
+    # the benchmark checks a catalog file by the length of its samples list
+    field = build()
+    data = saved_dict(field, tmp_path)
+    assert len(data["samples"]) == math.prod(field.spec.grid) == len(field.weights)
+    assert [len(axis) for axis in data["axes"]] == list(field.spec.grid)
+    assert all(type(weight) is float for weight in data["samples"])
 
 
 @pytest.mark.parametrize("build", CATALOG.values(), ids=CATALOG.keys())
@@ -93,28 +123,66 @@ def test_verify_report_bytes_match_reference(tmp_path):
     assert out.read_bytes() == dumped(run_verification_campaign([4, 5], 60, 11))
 
 
+@pytest.mark.parametrize("sample", [0, 5, 11])
+def test_save_field_off_the_grid_names_the_first_sample(tmp_path, sample):
+    # a sample whose coords are not the grid point of the axes, by one bit, is not written; the
+    # axes are read off the first line of each direction, so moving sample 0's angle moves the
+    # angle axis, and the first sample to disagree is the next one at that angle, sample 4
+    field = build_cylinder(4, 2.0, 1.0, grid=[3, 4])
+    coords = field.coords.copy()
+    coords[sample, 1] = np.nextafter(coords[sample, 1], math.inf)
+    path = tmp_path / "field.json"
+    path.write_text("previous\n", encoding="utf-8")
+    bad = 4 if sample == 0 else sample
+    with pytest.raises(InvariantViolation, match=rf"^sample {bad}: coords \[.*\] are not \["):
+        save_field(ShapeField(field.spec, coords, field.operators, field.weights), path)
+    assert path.read_text(encoding="utf-8") == "previous\n"
+
+
+def test_save_field_refuses_a_sample_count_off_the_grid(tmp_path):
+    field = build_cylinder(4, 2.0, 1.0, grid=[3, 4])
+    spec = dataclasses.replace(field.spec, grid=(4, 4))
+    with pytest.raises(InvariantViolation, match=r"spec grid \[4, 4\] has 16 points, but there are 12"):
+        save_field(ShapeField(spec, field.coords, field.operators, field.weights),
+                   tmp_path / "field.json")
+
+
+def test_signed_zero_coords_read_back_bitwise(tmp_path):
+    # -0.0 and 0.0 on one axis stay distinct points through the axes
+    axes = [np.array([-0.0, 0.0, 5e-324]), np.array([-1.5, -0.0])]
+    field = ShapeField(SurfaceSpec("Chart", 4, {}, (3, 2)), grid_points(axes),
+                       np.broadcast_to(np.eye(4), (6, 4, 4)), np.full(6, 0.5))
+    path = tmp_path / "field.json"
+    save_field(field, path)
+    assert saved_dict(field, tmp_path)["axes"] == [[-0.0, 0.0, 5e-324], [-1.5, -0.0]]
+    assert path.read_bytes() == dumped(field_to_table_dict(field))
+    loaded = ingest_field(path)
+    assert np.array_equal(loaded.coords.view(np.int64), field.coords.view(np.int64))
+    assert np.signbit(loaded.coords[[0, 1, 3, 5], [0, 0, 1, 1]]).all()
+
+
 def edge_field(count: int) -> ShapeField:
-    """``count`` samples with the EDGE values in coords, operators and weights (the writer
-    does not read the grid), and integer spec params."""
+    """``count`` samples on a grid of one direction, with the EDGE values in its axis, operators
+    and weights, and integer spec params."""
     rng = np.random.default_rng(count)
     operators = rng.normal(size=(count, 4, 4))
     operators = operators + np.swapaxes(operators, 1, 2)
     operators[:, 0, 1] = operators[:, 1, 0] = np.resize(EDGE, count)
-    coords = np.column_stack([np.resize(EDGE, count), rng.normal(size=count)])
+    coords = np.resize(EDGE, count).reshape(count, 1)
     weights = np.resize([5e-324, 1e16, 1.7976931348623157e308, 0.5], count)
-    spec = SurfaceSpec("Chart", 4, {"count": count, "big": 10 ** 20, "scale": 2.0}, (2, 2))
+    spec = SurfaceSpec("Chart", 4, {"count": count, "big": 10 ** 20, "scale": 2.0}, (count,))
     return ShapeField(spec, coords, operators, weights)
 
 
-@pytest.mark.parametrize("count", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("count", [2, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 def test_chunk_edges_and_extreme_values(tmp_path, count):
     field = edge_field(count)
     if count > 2 * CHUNK:
-        # texts are made once per table: 0.1 and 0.25 recur in pieces 0 and 2 but not in piece 1,
-        # and 0.0 and -0.0 sit in different pieces of one entry
+        # texts are made once per table: 0.25 recurs in pieces 0 and 2 of the weights but not in
+        # piece 1, and 0.0 and -0.0 sit in different pieces of one operator entry and of the axis
         coords, operators, weights = field.coords.copy(), field.operators.copy(), field.weights.copy()
-        coords[[5, 2 * CHUNK + 1], 1] = 0.1
-        coords[9, 1], coords[2 * CHUNK + 2, 1] = 0.0, -0.0
+        coords[[5, 2 * CHUNK + 1], 0] = 0.1
+        coords[9, 0], coords[2 * CHUNK + 2, 0] = 0.0, -0.0
         weights[[1, 2 * CHUNK + 1]] = 0.25
         operators[4, 2, 3] = operators[4, 3, 2] = 0.0
         operators[2 * CHUNK, 2, 3] = operators[2 * CHUNK, 3, 2] = -0.0
@@ -182,8 +250,7 @@ def test_runs_split_at_any_bit_difference(tmp_path):
     operators[3:6, 2, 3] = operators[3:6, 3, 2] = -0.0
     operators[6:9] = operators[3]
     operators[6:9, 0, 0] = np.nextafter(operators[3, 0, 0], math.inf)
-    spec = dataclasses.replace(field.spec, grid=(5, count // 5))
-    field = ShapeField(spec, field.coords, operators, field.weights)
+    field = ShapeField(field.spec, field.coords, operators, field.weights)
     path = tmp_path / "field.json"
     save_field(field, path)
     reference = field_to_table_dict(field)
@@ -218,7 +285,9 @@ def test_round_trip_is_bit_exact(tmp_path, runs, data):
         operators += [matrix] * length
     operators = np.array(operators * 2)
     count = len(operators)
-    coords = np.resize(data.draw(st.lists(ENTRIES, min_size=1, max_size=9)), (count, 2))
+    axes = [data.draw(st.lists(ENTRIES, min_size=2, max_size=2)),
+            np.resize(data.draw(st.lists(ENTRIES, min_size=1, max_size=9)), count // 2)]
+    coords = grid_points(axes)
     weights = np.resize(data.draw(st.lists(st.floats(min_value=5e-324,
                                                      max_value=1.7976931348623157e308),
                                            min_size=1, max_size=9)), count)
@@ -243,6 +312,19 @@ def test_strings_booleans_integers_and_nesting(tmp_path):
     write_json(path, {"inner": {"rows": SampleTable(columns)}, "listed": [SampleTable(columns), 1],
                        "top": 3})
     assert path.read_bytes() == dumped({"inner": {"rows": rows}, "listed": [rows, 1], "top": 3})
+
+
+def test_one_column_table_is_a_list_of_its_entries(tmp_path):
+    # a table of one column, not a dict, writes each sample's entry alone, nested for trailing axes
+    path = tmp_path / "rows.json"
+    values = np.array([0.1, -0.0, 0.1, 1e16])
+    write_json(path, {"flat": SampleTable(values), "nested": SampleTable(np.arange(6).reshape(3, 2)),
+                      "flags": SampleTable(np.array([True, False]))})
+    assert path.read_bytes() == dumped({"flat": values.tolist(), "nested": [[0, 1], [2, 3], [4, 5]],
+                                        "flags": [True, False]})
+    values[2] = math.inf
+    with pytest.raises(NonFiniteResult, match="sample 2: value inf is not JSON compliant"):
+        write_json(path, {"flat": SampleTable(values)})
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])

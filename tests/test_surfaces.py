@@ -36,7 +36,7 @@ from rigidity.surfaces import (
 )
 
 from charts import cylinder_chart
-from json_reference import own_entry, saved_dict, to_legacy
+from json_reference import own_entry, saved_dict, split_entries, to_older_layout
 from reference import (
     SymMatrix,
     catenoid_profile,
@@ -568,9 +568,9 @@ class TestFieldIO:
         with pytest.raises(InvariantViolation, match="sample 7"):
             field_from_dict(data)
 
-    def test_asymmetric_matrix_names_sample_in_legacy_layout(self, tmp_path):
-        data = to_legacy(saved_dict(build_cylinder(4, 1.0, 1.0, grid=[4, 2]), tmp_path))
-        data["samples"][7]["shape_operator"][0][1] = 0.25
+    def test_asymmetric_matrix_names_sample_in_entry_per_sample_table(self, tmp_path):
+        data = split_entries(saved_dict(build_cylinder(4, 1.0, 1.0, grid=[4, 2]), tmp_path))
+        data["operators"][7]["shape_operator"][0][1] = 0.25
         with pytest.raises(InvariantViolation, match="sample 7"):
             field_from_dict(data)
 
@@ -588,7 +588,7 @@ class TestFieldIO:
     def test_negative_weight_rejected(self, tmp_path):
         field = build_cylinder(4, 1.0, 1.0, grid=[2, 2])
         data = saved_dict(field, tmp_path)
-        data["samples"][2]["area_weight"] = -1.0
+        data["samples"][2] = -1.0
         with pytest.raises(InvariantViolation, match="sample 2"):
             field_from_dict(data)
 
@@ -597,22 +597,65 @@ class TestFieldIO:
             field_from_dict({"spec": {}, "samples": []})
         field = build_cylinder(4, 1.0, 1.0, grid=[2, 2])
         data = saved_dict(field, tmp_path)
-        del data["samples"][0]["coords"]
-        with pytest.raises(SchemaError, match="sample 0"):
+        del data["axes"]
+        with pytest.raises(SchemaError, match="missing top-level key 'axes'"):
             field_from_dict(data)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: d["samples"][5]["coords"].__setitem__(0, True), "sample 5: coords"),
+        (lambda d: d["axes"][1].__setitem__(0, True), "axes 1 must be a list of 2 numbers"),
         (lambda d: d["operators"][0]["shape_operator"][3].__setitem__(3, False),
          "operators entry 0: shape_operator"),
-        (lambda d: to_legacy(d)["samples"][5]["shape_operator"][3].__setitem__(3, False),
-         "sample 5: shape_operator"),
-    ], ids=["coords", "shape_operator", "shape_operator_legacy"])
+        (lambda d: split_entries(d)["operators"][5]["shape_operator"][3].__setitem__(3, False),
+         "operators entry 5: shape_operator"),
+    ], ids=["coords", "shape_operator", "shape_operator_entry_per_sample"])
     def test_boolean_in_row_rejected(self, tmp_path, edit, message):
         # numpy would read [true, 0.5] as [1.0, 0.5]; a row holds JSON numbers only
         data = saved_dict(build_cylinder(4, 1.0, 1.0, grid=[4, 2]), tmp_path)
         edit(data)
         with pytest.raises(SchemaError, match=message):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["axes"].pop(), "axes must be a list of 2 lists, one per grid direction"),
+        (lambda d: d["axes"].append([0.5]), "axes must be a list of 2 lists"),
+        (lambda d: d.update(axes={"0": [0.0]}), "axes must be a list of 2 lists"),
+        (lambda d: d["axes"][0].pop(), "axes 0 must be a list of 4 numbers"),
+        (lambda d: d["axes"][1].append(7.0), "axes 1 must be a list of 2 numbers"),
+        (lambda d: d["axes"][0].__setitem__(2, False), "axes 0 must be a list of 4 numbers"),
+        (lambda d: d["axes"][0].__setitem__(2, "0.5"), "axes 0 must be a list of 4 numbers"),
+        (lambda d: d["axes"][1].__setitem__(0, [0.5]), "axes 1 must be a list of 2 numbers"),
+        (lambda d: d["samples"].pop(), r"samples must be a list of 8 area weights, one per point "
+                                       r"of the spec grid \[4, 2\]"),
+        (lambda d: d["samples"].append(0.5), "samples must be a list of 8 area weights"),
+        (lambda d: d["samples"].__setitem__(3, True), "sample 3: area weight must be a number"),
+        (lambda d: d["samples"].__setitem__(3, [0.5]), "sample 3: area weight must be a number"),
+        (lambda d: d.update(samples=[]), "samples must be a list of 8 area weights"),
+        (lambda d: d.update(samples=0.5), "samples must be a list of 8 area weights"),
+    ], ids=["axes_too_few", "axes_too_many", "axes_object", "axis_too_short", "axis_too_long",
+            "axis_boolean", "axis_string", "axis_nested", "samples_too_few", "samples_too_many",
+            "weight_boolean", "weight_list", "samples_empty", "samples_number"])
+    def test_axes_and_weights_schema_errors(self, tmp_path, edit, message):
+        data = saved_dict(profile_field(), tmp_path)
+        edit(data)
+        with pytest.raises(SchemaError, match=message):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_nonfinite_axis_value_names_the_first_sample_on_it(self, tmp_path, bad):
+        # axis 0 value 2 is the profile coordinate of samples 4 and 5 on the 4x2 grid
+        data = saved_dict(profile_field(), tmp_path)
+        data["axes"][0][2] = bad
+        with pytest.raises(InvariantViolation, match="sample 4: coords must be finite"):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("per_sample_operators", [False, True], ids=["table", "per_sample"])
+    def test_older_layout_is_one_named_schema_error(self, tmp_path, per_sample_operators):
+        data = to_older_layout(saved_dict(profile_field(), tmp_path), per_sample_operators)
+        assert sorted(data["samples"][0]) == (["area_weight", "coords", "shape_operator"]
+                                             if per_sample_operators else ["area_weight", "coords"])
+        with pytest.raises(SchemaError, match="^samples are objects: this is the per-sample layout "
+                                              "of earlier versions, which is not read; write the "
+                                              "field again with catalog$"):
             field_from_dict(data)
 
     @pytest.mark.parametrize("edit, message", [
@@ -666,15 +709,16 @@ class TestFieldIO:
         lambda: build_ellipsoid([1.0, 1.2, 1.4, 1.6, 1.8], grid=[2, 2, 2, 2]),
     ], ids=["sphere", "cylinder", "catenoid", "rotation", "chart"])
     def test_ambient_curvature_key(self, tmp_path, build):
-        # files written before the key was dropped carry the flat ambient space as 0.0
+        # files of earlier versions carried the flat ambient space as 0.0; a spec holds its four
+        # keys only, so a file that claims any ambient curvature is refused, flat or not
         field = build()
         data = saved_dict(field, tmp_path)
-        assert "ambient_curvature" not in data["spec"]
-        data["spec"]["ambient_curvature"] = 0.0
+        assert sorted(data["spec"]) == ["grid", "kind", "n", "params"]
         assert field_from_dict(data).spec == field.spec
-        for value in (5.0, -1e-300, True, "0.0"):
+        for value in (0.0, 5.0, -1e-300, True, "0.0"):
             data["spec"]["ambient_curvature"] = value
-            with pytest.raises(SchemaError, match="ambient_curvature"):
+            with pytest.raises(SchemaError, match="spec must be an object with the keys grid, kind, n "
+                                                  "and params, and no other"):
                 field_from_dict(data)
 
     def test_parse_error(self, tmp_path):
@@ -684,10 +728,12 @@ class TestFieldIO:
             ingest_field(path)
 
     def test_ingest_starts_no_collection(self, tmp_path):
-        # json.load's tree of the 64x32 catenoid (about 4.5k lists and dicts) is freed by
-        # reference counting; left running, the collector scans it and promotes it
-        path = tmp_path / "catenoid.json"
-        save_field(build_catenoid(4, grid=[64, 32]), path)
+        # json.load's tree of the n = 6 ellipsoid (about 2.6k lists and dicts, one nest per
+        # distinct operator) is freed by reference counting; left running, the collector starts
+        # three young collections while it is built
+        path = tmp_path / "ellipsoid.json"
+        save_field(build_ellipsoid([1.0, 1.12, 1.24, 1.36, 1.48, 1.6, 1.6], grid=[3, 3, 3, 3, 2, 2]),
+                   path)
         started = []
 
         def record(phase, info):
@@ -704,7 +750,7 @@ class TestFieldIO:
             if not enabled:
                 gc.disable()
         assert started == []
-        assert len(field.weights) == 64 * 32
+        assert len(field.weights) == 324
 
     @pytest.mark.parametrize("text, error", [
         (None, None), ("{not json", ParseError), ('{"spec": 1}', SchemaError),
