@@ -85,7 +85,7 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
     with np.errstate(over="ignore"):
         # a numpy scalar's pow rounds as Python's float pow, as reports always did; np.power does not
         norm_n = np.array([x ** (n / 2.0) for x in stack.a2])
-        conf_factor = 1.0 if n == 4 else np.array([x ** ((n - 4) / 2.0) for x in stack.a2])
+        conf_factor = np.array([x ** ((n - 4) / 2.0) for x in stack.a2])
     verdict, large = main_inequality_batch(stack)
     if umbilic.all():
         classification = "AllUmbilic"
@@ -93,10 +93,9 @@ def rotational_energy(field: ShapeField) -> EnergyReport:
         classification = "CatenoidCandidate" if field.minimal_claimed else "RotationCandidate"
     else:
         classification = "Generic"
-    a2, a22, norm_n, conf_factor, defect, rels, kinds, umbilic = (
-        np.repeat(x, runs) if np.ndim(x) else x
-        for x in (stack.a2, stack.a22, norm_n, conf_factor, verdict.defect,
-                  verdict.relative_defect, classify_spectrum_batch(stack.w, stack.links), umbilic))
+    a2, a22, norm_n, conf_factor, defect, rels, kinds, umbilic = (np.repeat(x, runs) for x in (
+        stack.a2, stack.a22, norm_n, conf_factor, verdict.defect, verdict.relative_defect,
+        classify_spectrum_batch(stack.w, stack.links), umbilic))
     with np.errstate(over="ignore"):  # an infinite term is left for the report writer to reject
         # E_rot, E_rot_conf and the two quadrature scales, in EnergyReport's field order
         terms = (weights * defect, weights * conf_factor * defect,

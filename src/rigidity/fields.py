@@ -68,9 +68,8 @@ class SurfaceSpec:
 class ShapeField:
     """Samples of an immersed hypersurface patch as read-only arrays: parameter ``coords``
     (N, len(spec.grid)), exactly symmetric finite shape ``operators`` (N, n, n) and positive
-    finite quadrature ``weights`` (N,). Built and ingested fields pass the same checks, each
-    naming the first sample that fails it.
-    """
+    finite quadrature ``weights`` (N,), with N = prod(spec.grid), one sample per grid point.
+    Built and ingested fields pass the same checks, each naming the first sample that fails it."""
 
     spec: SurfaceSpec
     coords: np.ndarray
@@ -81,9 +80,7 @@ class ShapeField:
     def __post_init__(self) -> None:
         coords, operators, weights = (np.array(a, dtype=float)
                                       for a in (self.coords, self.operators, self.weights))
-        count, n = weights.size, self.spec.n
-        if not count:
-            raise InvariantViolation("shape field must contain at least one sample")
+        count, n = math.prod(self.spec.grid), self.spec.n
         for name, array, shape in (("weights", weights, (count,)),
                                    ("operators", operators, (count, n, n)),
                                    ("coords", coords, (count, len(self.spec.grid)))):
@@ -134,28 +131,22 @@ def _table_texts(column: np.ndarray, strings) -> tuple[np.ndarray, np.ndarray]:
     in the least unsigned type that holds it: the repr of a number, ``strings`` of a boolean.
 
     Each sort holds one entry or, when more fit, as many entries as a ``CHUNK``-sample
-    piece holds; the distinct values of several sorts are merged by one more.
+    piece holds. Several sorts' distinct values are merged by one more sort, and each
+    sort's codes are mapped into the merged values by one ``np.searchsorted``.
     """
     if column.dtype.kind == "b":
         return np.array([strings(False), strings(True)], dtype=object), column.view(np.uint8)
     floats = column.dtype.kind == "f"
     keys = column.view(np.int64) if floats else column
     step = max(1, CHUNK * keys.shape[1] // len(keys))
-    found = []
-    for k in range(0, keys.shape[1], step):
-        block = keys[:, k:k + step]
-        values, codes = np.unique(block, return_inverse=True)
-        found.append((values, codes.reshape(block.shape).astype(np.min_scalar_type(len(values)))))
-    if len(found) == 1:
-        distinct, codes = found[0]
-    else:
-        distinct, back = np.unique(np.concatenate([values for values, _ in found]),
-                                   return_inverse=True)
-        codes = np.empty(keys.shape, dtype=np.min_scalar_type(len(distinct)))
-        start = 0
-        for k, (values, block_codes) in zip(range(0, keys.shape[1], step), found):
-            codes[:, k:k + step] = back[start:start + len(values)][block_codes]
-            start += len(values)
+    found = [(values, codes.reshape(len(keys), -1).astype(np.min_scalar_type(len(values))))
+             for values, codes in (np.unique(keys[:, k:k + step], return_inverse=True)
+                                   for k in range(0, keys.shape[1], step))]
+    # return_inverse keeps numpy's sort; without it numpy 2.4 hashes, which imports numpy.ma
+    distinct = (np.unique(np.concatenate([v for v, _ in found]), return_inverse=True)[0]
+                if found[1:] else found[0][0])
+    kind = np.min_scalar_type(len(distinct))
+    codes = np.concatenate([np.searchsorted(distinct, v).astype(kind)[c] for v, c in found], axis=1)
     values = distinct.view(float) if floats else distinct
     texts = np.empty(len(values), dtype=object)
     for lo in range(0, len(values), CHUNK):  # a piece at a time: no list of every value is made
@@ -292,9 +283,6 @@ def save_field(field_: ShapeField, path) -> None:
     ``count`` per run of equal consecutive shape operators. InvariantViolation names the first
     sample whose coords are not, bit for bit, its point of the axes' grid."""
     coords, grid = field_.coords, field_.spec.grid
-    if len(coords) != math.prod(grid):
-        raise InvariantViolation(f"spec grid {list(grid)} has {math.prod(grid)} points, "
-                                 f"but there are {len(coords)} samples")
     steps = [math.prod(grid[j + 1:]) for j in range(len(grid))]
     axes = [coords[:count * step:step, j] for j, (count, step) in enumerate(zip(grid, steps))]
     points = grid_points(axes)

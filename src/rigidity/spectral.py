@@ -58,7 +58,7 @@ def eigen_spectrum_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A link is True where eigenvalues i and i + 1 are at most cluster_tol *
     max(1, spectral radius) apart; the multiplicity clusters are the linked runs.
     """
-    w = np.sort(np.linalg.eigvalsh(m), axis=1)
+    w = np.linalg.eigvalsh(m)
     threshold = tolerance("cluster_tol") * np.maximum(1.0, np.max(np.abs(w), axis=1))
     return w, np.diff(w, axis=1) <= threshold[:, None]
 
@@ -111,13 +111,12 @@ def large_eigenspace_batch(links: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceFreeStack:
-    """A trace-free stack ``a`` (B, n, n) with its ``trace``, ``a2`` = |A|^2, ``a22`` = |A^2|^2
-    and ``t3`` = tr A^3 from the entries, each (B,); eigenvalues ``w``, ``links`` and ``large``
-    from eigen_spectrum_batch; ``sigma`` (n + 1, B) of ``w``, and ``p`` = sigma_k / C(n, k).
+    """A trace-free stack ``a`` (B, n, n) with ``a2`` = |A|^2, ``a22`` = |A^2|^2 and ``t3`` =
+    tr A^3 from the entries, each (B,); eigenvalues ``w``, ``links`` and ``large`` from
+    eigen_spectrum_batch; ``sigma`` (n + 1, B) of ``w``, and ``p`` = sigma_k / C(n, k).
     In a merge_stacks record ``n`` is a (B,) int array and ``a``, ``w`` and ``links`` are None."""
 
     a: np.ndarray | None
-    trace: np.ndarray
     a2: np.ndarray
     a22: np.ndarray
     t3: np.ndarray
@@ -146,7 +145,7 @@ def examine_batch(a: np.ndarray) -> TraceFreeStack:
     # s_1 = sigma_1; cumsum adds s_2 left to right whatever B is
     _require_trace_free_batch(sigma[1], np.cumsum(w * w, axis=1)[:, -1], n)
     p = sigma / np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)[:, None]
-    return TraceFreeStack(a, trace, a2, a22, t3, w, links, sigma, p, n, large_eigenspace_batch(links))
+    return TraceFreeStack(a, a2, a22, t3, w, links, sigma, p, n, large_eigenspace_batch(links))
 
 
 def merge_stacks(stacks) -> TraceFreeStack:
@@ -155,5 +154,5 @@ def merge_stacks(stacks) -> TraceFreeStack:
     def join(name: str, rows=slice(None)) -> np.ndarray:
         return np.concatenate([getattr(stack, name)[rows] for stack in stacks], axis=-1)
     n = np.concatenate([np.full(len(stack.a2), stack.n) for stack in stacks])
-    return TraceFreeStack(None, join("trace"), join("a2"), join("a22"), join("t3"), None, None,
+    return TraceFreeStack(None, join("a2"), join("a22"), join("t3"), None, None,
                           join("sigma", slice(5)), join("p", slice(5)), n, join("large"))

@@ -351,8 +351,7 @@ def _frame_operators(gram: np.ndarray, second: np.ndarray, where) -> tuple[np.nd
         return 0.5 * (a_frame + a_flip), np.prod(pivots, axis=1)
 
 
-def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
-                         params: dict | None = None) -> ShapeField:
+def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None) -> ShapeField:
     """Shape operators of a parametric immersion into flat (n+1)-space.
 
     ``chart`` maps an (N, n) array of parameter points to the (N, n + 1)
@@ -371,7 +370,7 @@ def chart_shape_operator(chart, domain, grid=None, fd_step: float | None = None,
     span = max(hi - lo for lo, hi in bounds)
     h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, span)
     _positive_finite("fd_step", h)
-    spec = SurfaceSpec("Chart", dims, dict(params or {}, fd_step=h), _grid_counts(grid, (6,) * dims))
+    spec = SurfaceSpec("Chart", dims, {"fd_step": h}, _grid_counts(grid, (6,) * dims))
     points, cell = _chart_grid(bounds, spec)
 
     # one stencil pass: every point at step h, then the self-check probes again at h / 2

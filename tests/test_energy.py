@@ -14,7 +14,7 @@ from rigidity.energy import (
 )
 from rigidity.defaults import tolerance
 from rigidity.errors import BadParams, InvalidField, NonFiniteResult
-from rigidity.fields import CHUNK, ShapeField, equal_runs, field_from_dict
+from rigidity.fields import CHUNK, ShapeField, SurfaceSpec, equal_runs, field_from_dict
 from rigidity.surfaces import (
     build_catenoid,
     build_cylinder,
@@ -213,7 +213,9 @@ class TestDecisionBoundaries:
         direction[0, 1] = direction[1, 0] = math.sqrt(0.5)
         scale = tolerance("umbilic_tol") * size
         operators = np.stack([size / 2.0 * np.eye(4) + f * scale * direction for f in (0.1, 10.0)])
-        report = rotational_energy(ShapeField(sphere.spec, sphere.coords[:2], operators,
+        # two samples: a one-direction grid of 2 points
+        spec = SurfaceSpec("Sphere", 4, sphere.spec.params, (2,))
+        report = rotational_energy(ShapeField(spec, sphere.coords[:2, :1], operators,
                                               sphere.weights[:2]))
         assert np.sqrt((operators * operators).sum(axis=(1, 2))) == pytest.approx(size)
         assert report.pointwise["umbilic"].tolist() == [True, False]

@@ -140,11 +140,13 @@ def test_save_field_off_the_grid_names_the_first_sample(tmp_path, sample):
 
 
 def test_save_field_refuses_a_sample_count_off_the_grid(tmp_path):
+    # the constructor holds N = prod(spec.grid), so 12 samples on a 4x4 grid never reach the file
     field = build_cylinder(4, 2.0, 1.0, grid=[3, 4])
     spec = dataclasses.replace(field.spec, grid=(4, 4))
-    with pytest.raises(InvariantViolation, match=r"spec grid \[4, 4\] has 16 points, but there are 12"):
-        save_field(ShapeField(spec, field.coords, field.operators, field.weights),
-                   tmp_path / "field.json")
+    path = tmp_path / "field.json"
+    with pytest.raises(InvariantViolation, match=r"weights have shape \(12,\), expected \(16,\)"):
+        save_field(ShapeField(spec, field.coords, field.operators, field.weights), path)
+    assert not path.exists()
 
 
 def test_signed_zero_coords_read_back_bitwise(tmp_path):

@@ -540,7 +540,7 @@ class TestShapeField:
             ShapeField(base.spec, base.coords[:, :1], base.operators, base.weights)
         with pytest.raises(InvariantViolation, match="weights"):
             ShapeField(base.spec, base.coords, base.operators, base.weights[:, None])
-        with pytest.raises(InvariantViolation, match="at least one sample"):
+        with pytest.raises(InvariantViolation, match=r"weights have shape \(0,\), expected \(8,\)"):
             ShapeField(base.spec, base.coords[:0], base.operators[:0], base.weights[:0])
 
 

@@ -129,7 +129,6 @@ def test_batched_kernel_matches_scalar(n, corpus):
     t = examine_batch(a)
     links, sigma, a2, a22, t3 = t.links, t.sigma, t.a2, t.a22, t.t3
     alt = symfun_from_power_sums_batch(power_sums_batch(a))
-    np.testing.assert_array_equal(t.trace, np.trace(a, axis1=1, axis2=2))
     main_batch, large = main_inequality_batch(t)
     batch = {
         "newton_gap": newton_gap_batch(t),
@@ -411,8 +410,8 @@ def test_per_row_n_equals_scalar_n_bitwise():
     assert merged.n.tolist() == [n for n in DIMS for _ in range(2 * COUNT)]
     assert merged.a is merged.w is merged.links is None
     assert merged.large.any() and not merged.large.all()
-    for name, rows in (("trace", ...), ("a2", ...), ("a22", ...), ("t3", ...), ("large", ...),
-                       ("sigma", slice(5)), ("p", slice(5))):
+    for name, rows in (("a2", ...), ("a22", ...), ("t3", ...), ("large", ...), ("sigma", slice(5)),
+                       ("p", slice(5))):
         want = np.concatenate([getattr(s, name)[rows] for s in stacks], axis=-1)
         assert np.array_equal(getattr(merged, name), want), name
     kernels = (bridge_residual, cubic_bound_batch, prop_p3_batch, prop_p4_batch,

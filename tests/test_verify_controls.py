@@ -6,7 +6,8 @@ kernel that ``rigidity.verify`` imports so that its first call returns one bad
 row: a relative defect of -1e-6 for the violation-count families, an equality
 verdict off every (n-1)-eigenspace, or a residual at twice its tolerance. The
 family must then fail, the report must fail, and ``rigidity verify`` must exit 1
-with one family fewer counted as passed.
+with one family fewer counted as passed. The violation count is also probed at its
+threshold: a relative defect of -2x ``fuzz_defect_tol`` counts, and one of -0.5x does not.
 """
 
 import dataclasses
@@ -36,8 +37,8 @@ def hom4(stack):
     return max(1.0, float(stack.a2[0]) ** 2)
 
 
-def defect(verdict):
-    return dataclasses.replace(verdict, relative_defect=first(verdict.relative_defect, -1e-6))
+def defect(verdict, value=-1e-6):
+    return dataclasses.replace(verdict, relative_defect=first(verdict.relative_defect, value))
 
 
 def false_equality(out):
@@ -122,6 +123,28 @@ def test_planted_failure_exits_1(monkeypatch, capsys, tmp_path, case):
     assert capsys.readouterr().out.startswith(passed)
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["checks"][family]["pass"] is False and report["pass"] is False
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+@pytest.mark.parametrize("family", ["newton_gap", "prop_p3", "prop_p4", "cubic_bound",
+                                    "main_inequality"])
+def test_violation_count_is_the_fuzz_defect_tol_boundary(monkeypatch, family, factor):
+    # a relative defect of -2x the tolerance is one violation, and one of -0.5x is none
+    value = -factor * tolerance("fuzz_defect_tol")
+    _, kernel, _, _ = PLANTS[family]
+
+    def edit(_, out):
+        if family == "main_inequality":
+            return defect(out[0], value), out[1]
+        return defect(out, value)
+
+    planted = plant(monkeypatch, kernel, edit)
+    report = run_verification_campaign(DIMS, SAMPLES, SEED)
+    assert planted == [kernel]
+    stats = report["checks"][family]
+    assert stats["min_relative_defect"] == value
+    assert stats["violations"] == (1 if factor > 1.0 else 0)
+    assert stats["pass"] is report["pass"] is (factor < 1.0)
 
 
 def test_planted_oracle_deviation_fails_the_report(monkeypatch, capsys, tmp_path):
